@@ -3,7 +3,8 @@
 For each lattice element p above the bottom, the Betti number in
 homological degree i is the rank of reduced homology H~_{i-2} of the
 order complex of the open interval (bottom, p), computed over a prime
-field. The projective dimension is the top nonzero degree. Everything
+field. The projective dimension is the top nonzero degree, which
+`lattice_pd` finds without computing the whole table. Everything
 downstream is checked against this module; nothing here depends on the
 reduction rules.
 
@@ -362,5 +363,25 @@ def betti_table(
     return betti_table_from_lattice(lcm_lattice(ideal), char, use_core, chain_cap, method)
 
 
+def lattice_pd(L: SetFamilyLattice, char: int = 2) -> int:
+    """The top nonzero degree of the Betti table, without the rest of it.
+
+    The crosscut complex of an element p on k atoms has dimension at
+    most k - 2, so p carries Betti numbers in degrees at most k. The
+    scan visits elements by falling atom count and stops once no
+    element left can beat the best degree found.
+    """
+    _check_char(char)
+    best = 1 if L.num_atoms else 0  # each atom carries beta_1 = 1
+    join = _atom_join(L)
+    for p in reversed(L.masks):
+        if p.bit_count() <= best:
+            break
+        ranks = reduced_homology_ranks(_crosscut_complex(L, p, join, DEFAULT_CHAIN_CAP), char)
+        if ranks:
+            best = max(best, max(ranks) + 2)
+    return best
+
+
 def oracle_pd(ideal: MonomialIdeal, char: int = 2) -> int:
-    return betti_table(ideal, char=char).pd
+    return lattice_pd(lcm_lattice(ideal), char)

@@ -89,7 +89,7 @@ def _load(text: str, fmt: str | None):
     if fmt == "hypergraph-json":
         return "hypergraph", hypergraph_from_json_dict(data)
     if fmt == "lattice-json":
-        if "labels" in data:
+        if isinstance(data, dict) and "labels" in data:
             return "labeling", labeling_from_json_dict(data)
         return "lattice", lattice_from_json_dict(data)
     raise UsageError(f"unknown input format {fmt!r}")
@@ -128,7 +128,11 @@ def _json_text(data) -> str:
 def _field_char(args) -> int:
     if args.field_char is not None:
         return args.field_char
-    return int(os.environ.get("HYPERPD_FIELD_CHAR", "2"))
+    raw = os.environ.get("HYPERPD_FIELD_CHAR", "2")
+    try:
+        return int(raw)
+    except ValueError:
+        raise OracleError(f"HYPERPD_FIELD_CHAR must be an integer, got {raw!r}")
 
 
 def _cmd_pd(args) -> str:

@@ -253,19 +253,38 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
         edges = data["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise HypergraphError(f"bad hypergraph JSON: {exc}")
-    vertices = data.get("vertex_labels", range(1, mu + 1))
-    if len(set(vertices)) != mu:
-        raise HypergraphError("vertex_labels length disagrees with mu")
+    if "vertex_labels" in data:
+        vertices = data["vertex_labels"]
+        if not isinstance(vertices, list) or not all(isinstance(v, int) for v in vertices):
+            raise HypergraphError("vertex_labels must be a list of integers")
+        if len(set(vertices)) != mu:
+            raise HypergraphError("vertex_labels length disagrees with mu")
+    else:
+        vertices = range(1, mu + 1)
     rename = dict(zip(range(1, mu + 1), vertices))
+
+    def renamed(edge) -> list[int]:
+        try:
+            return [rename[v] for v in edge]
+        except (KeyError, TypeError):
+            raise HypergraphError(f"edge {edge!r} is not a list of vertices 1..{mu}")
+
+    raw_labels = data.get("labels") or {}
+    if not isinstance(raw_labels, dict):
+        raise HypergraphError("hypergraph JSON labels must map edge keys to names")
     labels = {}
-    for key, names in (data.get("labels") or {}).items():
+    for key, names in raw_labels.items():
         try:
             raw = json.loads(key)
         except json.JSONDecodeError:
             raise HypergraphError(f"bad edge key {key!r}")
-        labels[tuple(rename[v] for v in raw)] = tuple(names)
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise HypergraphError(f"labels of edge {key} must be a list of names")
+        labels[tuple(renamed(raw))] = tuple(names)
+    if not isinstance(edges, list):
+        raise HypergraphError("hypergraph JSON edges must be a list")
     return Hypergraph(
-        ([rename[v] for v in e] for e in edges),
+        [renamed(e) for e in edges],
         vertices=vertices,
         labels=labels,
     )

@@ -318,7 +318,17 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
         gens = data["generators"]
     except (KeyError, TypeError) as exc:
         raise IdealError(f"missing ideal JSON field: {exc}")
+    if not all(isinstance(v, str) for v in variables):
+        raise IdealError("ideal JSON variables must be names")
     ring = tuple(variables)
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise IdealError("ideal JSON generators must be lists of variable indices")
+    for g in gens:
+        for i in g:
+            if not isinstance(i, int) or not 0 <= i < len(ring):
+                raise IdealError(
+                    f"generator {g} uses variable index {i!r}, outside 0..{len(ring) - 1}"
+                )
     monomials = [monomial_from_indices(ring, indices) for indices in gens]
     return make_ideal(ring, monomials)
 

@@ -5,9 +5,9 @@ bitmask (atom j is bit j-1). Meet is intersection; the join of two
 elements is the smallest family member containing their union, which
 exists because the family is intersection-closed and has a top.
 
-Built two ways: from an ideal (supports of lcms of generator subsets)
-and from a separated hypergraph (intersection-closure of the edge
-complements). The two constructions agreeing on ideal-derived
+Built two ways: from an ideal (the generators below each lcm of
+generators) and from a separated hypergraph (intersection-closure of
+the edge complements). The two constructions agreeing on ideal-derived
 hypergraphs is the load-bearing theorem of the whole pipeline, and is
 tested, not assumed.
 """
@@ -15,6 +15,7 @@ tested, not assumed.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .ideals import IdealError, Monomial, MonomialIdeal
@@ -49,9 +50,17 @@ def set_of(mask: int) -> tuple[int, ...]:
 
 
 class SetFamilyLattice:
+    """An intersection-closed family of masks with bottom, top and atoms.
+
+    A construction passes the `generators` whose intersection-closure
+    its family is; closure is then proven in |L|*|G| steps at any size.
+    Without them, every pair is checked, for families of up to
+    _FULL_VALIDATION_LIMIT elements only.
+    """
+
     __slots__ = ("num_atoms", "masks", "_members")
 
-    def __init__(self, num_atoms: int, elements, validate=True):
+    def __init__(self, num_atoms: int, elements, generators=None):
         if num_atoms < 0 or num_atoms > 64:
             raise LatticeError("atom count out of range 0..64")
         self.num_atoms = num_atoms
@@ -64,10 +73,13 @@ class SetFamilyLattice:
             members.add(m)
         self.masks = tuple(sorted(members, key=lambda m: (m.bit_count(), set_of(m))))
         self._members = frozenset(members)
-        if validate:
-            self._check_invariants(full, deep=len(members) <= _FULL_VALIDATION_LIMIT)
+        self._check_invariants(full)
+        if generators is not None:
+            self._check_generated(full, generators)
+        elif len(members) <= _FULL_VALIDATION_LIMIT:
+            self._check_pairs()
 
-    def _check_invariants(self, full: int, deep: bool):
+    def _check_invariants(self, full: int):
         if 0 not in self._members:
             raise LatticeError("missing bottom element")
         if full not in self._members:
@@ -75,13 +87,36 @@ class SetFamilyLattice:
         for i in range(self.num_atoms):
             if (1 << i) not in self._members:
                 raise LatticeError(f"missing atom {i + 1}")
-        if deep:
-            for a in self.masks:
-                for b in self.masks:
-                    if a < b and (a & b) not in self._members:
-                        raise LatticeError(
-                            f"not intersection-closed: {set_of(a)} and {set_of(b)}"
-                        )
+
+    def _check_pairs(self):
+        for a in self.masks:
+            for b in self.masks:
+                if a < b and (a & b) not in self._members:
+                    raise LatticeError(
+                        f"not intersection-closed: {set_of(a)} and {set_of(b)}"
+                    )
+
+    def _check_generated(self, full: int, generators):
+        """Intersection-closure from a generating set G with the top.
+
+        If a & g is in L for all a in L and g in G, and every nonzero
+        b in L is the meet of the g above it, then a & b = a & g1 & g2
+        & ... stays in L step by step.
+        """
+        gens = set(generators) | {full}
+        for a in self.masks:
+            meet = full
+            for g in gens:
+                if a & g not in self._members:
+                    raise LatticeError(
+                        f"not intersection-closed: {set_of(a)} and {set_of(g)}"
+                    )
+                if a & g == a:
+                    meet &= g
+            if a and meet != a:
+                raise LatticeError(
+                    f"{set_of(a)} is not a meet of the generating family"
+                )
 
     @property
     def top(self) -> int:
@@ -204,44 +239,86 @@ def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
         elements = data["elements"]
     except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"bad lattice JSON: {exc}")
+    if not isinstance(elements, list) or not all(
+        isinstance(el, list) and all(isinstance(a, int) and a >= 1 for a in el)
+        for el in elements
+    ):
+        raise LatticeError("lattice JSON elements must be lists of atoms 1, 2, ...")
     return SetFamilyLattice(n, elements)
 
 
-def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_ELEMENT_CAP) -> SetFamilyLattice:
-    """Supports of lcms of generator subsets, plus the empty bottom.
+def _capped_closure(seeds, combine, cap: int, what: str) -> set[int]:
+    """Close the masks `seeds` under `combine` (OR or AND).
 
-    Closure under joining one generator at a time reaches every subset
-    lcm; distinct lcms have distinct supports, so supports are a
-    faithful encoding.
+    The operation is associative, commutative and idempotent, so
+    combining with one seed at a time reaches every combination of
+    seeds. Raises as soon as the family holds more than `cap` members.
+    """
+    family = set(seeds)
+    if len(family) > cap:
+        raise LatticeError(f"{what} exceeds the {cap}-element cap")
+    frontier = list(family)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for s in seeds:
+                c = combine(a, s)
+                if c not in family:
+                    family.add(c)
+                    if len(family) > cap:
+                        raise LatticeError(f"{what} exceeds the {cap}-element cap")
+                    fresh.append(c)
+        frontier = fresh
+    return family
+
+
+def _polarize(ideal: MonomialIdeal) -> list[int]:
+    """One mask per generator, in which x_j^e sets the bits (j, 1..e).
+
+    Then lcm is OR and divisibility is containment, for square-free and
+    non-square-free ideals alike.
+    """
+    gens = [m.exps for m in ideal.generators]
+    masks = [0] * len(gens)
+    offset = 0
+    for j in range(len(ideal.ring)):
+        width = max(g[j] for g in gens)
+        for i, g in enumerate(gens):
+            masks[i] |= ((1 << g[j]) - 1) << offset
+        offset += width
+    return masks
+
+
+def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_ELEMENT_CAP) -> SetFamilyLattice:
+    """For each lcm of a generator subset, the set of generators that
+    divide it; plus the empty bottom.
+
+    Lcms are the OR-closure of the polarized generators. Distinct lcms
+    have distinct sets of generators below them, so the sets are a
+    faithful encoding. The set of an lcm t is the meet of the sets of
+    generators that lack one polarized bit missing from t, so those
+    sets and the top generate the family under intersection.
     """
     if ideal.is_zero():
         raise LatticeError("the zero ideal has no lcm-lattice")
     if ideal.is_unit():
         raise LatticeError("the unit ideal has no lcm-lattice")
-    gens = [m.exps for m in ideal.generators]
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for t in frontier:
-            for g in gens:
-                u = tuple(max(a, b) for a, b in zip(t, g))
-                if u not in seen:
-                    seen.add(u)
-                    fresh.append(u)
-                    if len(seen) > cap:
-                        raise LatticeError(
-                            f"lcm-lattice exceeds the {cap}-element cap"
-                        )
-        frontier = fresh
-    elements = {0}
-    for t in seen:
+    gens = _polarize(ideal)
+    lcms = _capped_closure(gens, operator.or_, cap, "lcm-lattice")
+    indexed = list(enumerate(gens))
+
+    def below(t: int) -> int:
         m = 0
-        for j, g in enumerate(gens):
-            if all(a <= b for a, b in zip(g, t)):
+        for j, g in indexed:
+            if g & t == g:
                 m |= 1 << j
-        elements.add(m)
-    return SetFamilyLattice(ideal.mu, elements, validate=True)
+        return m
+
+    elements = {below(t) for t in lcms}
+    elements.add(0)
+    # below(~bit) is the set of generators that lack the bit
+    lacking = [below(~(1 << b)) for b in range(max(gens).bit_length())]
+    return SetFamilyLattice(ideal.mu, elements, generators=lacking)
 
 
 def lattice_from_hypergraph(H: Hypergraph, cap: int = DEFAULT_ELEMENT_CAP) -> SetFamilyLattice:
@@ -254,26 +331,15 @@ def lattice_from_hypergraph(H: Hypergraph, cap: int = DEFAULT_ELEMENT_CAP) -> Se
         raise LatticeError("hypergraph is not separated")
     pos = {v: i for i, v in enumerate(H.vertices)}
     full = (1 << len(H.vertices)) - 1
-    family = {full}
+    seeds = {full}
     for e in H.edges:
         m = 0
         for v in e:
             m |= 1 << pos[v]
-        family.add(full & ~m)
-    frontier = set(family)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in family:
-                c = a & b
-                if c not in family and c not in fresh:
-                    fresh.add(c)
-        family |= fresh
-        if len(family) > cap:
-            raise LatticeError(f"lattice exceeds the {cap}-element cap")
-        frontier = fresh
+        seeds.add(full & ~m)
+    family = _capped_closure(list(seeds), operator.and_, cap, "lattice")
     family.add(0)
-    return SetFamilyLattice(len(H.vertices), family, validate=True)
+    return SetFamilyLattice(len(H.vertices), family, generators=seeds)
 
 
 def union_edge_elements(H: Hypergraph) -> list[tuple[int, ...]]:
@@ -397,15 +463,19 @@ def labeling_from_json_dict(data: dict) -> tuple[SetFamilyLattice, Labeling]:
 
     L = lattice_from_json_dict(data)
     raw = data.get("labels") or {}
+    if not isinstance(raw, dict):
+        raise LatticeError("lattice JSON labels must map element keys to monomials")
+    keyed = []
+    for key, word in raw.items():
+        try:
+            atoms = [int(a) for a in json.loads(key)]
+            keyed.append((len(atoms), atoms, mask_of(atoms), word))
+        except (TypeError, ValueError):
+            raise LatticeError(f"bad element key {key!r}")
     variables: list[str] = []
     parsed = []
-    for key in sorted(raw, key=lambda k: (len(json.loads(k)), json.loads(k))):
-        try:
-            element = mask_of(json.loads(key))
-        except (json.JSONDecodeError, TypeError):
-            raise LatticeError(f"bad element key {key!r}")
-        pairs = parse_monomial_word(str(raw[key]), variables)
-        parsed.append((element, pairs))
+    for _, _, element, word in sorted(keyed, key=lambda k: k[:2]):
+        parsed.append((element, parse_monomial_word(str(word), variables)))
     ring = tuple(variables)
     assignment = {}
     for element, pairs in parsed:

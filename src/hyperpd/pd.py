@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .betti import betti_table
+from .betti import oracle_pd
 from .hypergraphs import Hypergraph, HypergraphError, classify_shape, ideal_from_hypergraph
 from .reduction import ReductionTrace, full_reduce
 
@@ -80,12 +80,12 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
         return PdResult(pd_two_star(comp), METHOD_TWO_STAR)
     try:
         ideal = ideal_from_hypergraph(comp)
-        table = betti_table(ideal, char=field_char)
+        component_pd = oracle_pd(ideal, char=field_char)
     except (HypergraphError, ValueError) as exc:
         raise PdError(
             f"component {sorted(comp.vertices)} needs the oracle but {exc}"
         ) from exc
-    return PdResult(table.pd, METHOD_ORACLE)
+    return PdResult(component_pd, METHOD_ORACLE)
 
 
 def pd(H: Hypergraph, field_char: int = 2) -> PdResult:
@@ -110,6 +110,6 @@ def pd_monotonicity_check(H1: Hypergraph, H2: Hypergraph, field_char: int = 2) -
         raise PdError("H1 has vertices outside H2")
     if not set(H1.edges) <= set(H2.edges):
         raise PdError("H1 has edges outside H2")
-    pd1 = betti_table(ideal_from_hypergraph(H1), char=field_char).pd
-    pd2 = betti_table(ideal_from_hypergraph(H2), char=field_char).pd
+    pd1 = oracle_pd(ideal_from_hypergraph(H1), char=field_char)
+    pd2 = oracle_pd(ideal_from_hypergraph(H2), char=field_char)
     return pd1 <= pd2

@@ -1,21 +1,32 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from hyperpd import betti
 from hyperpd.betti import (
     OracleError,
     SimplicialComplex,
     betti_table,
     betti_table_from_lattice,
+    lattice_pd,
     order_complex,
     oracle_pd,
     reduced_homology_ranks,
 )
-from hyperpd.hypergraphs import dual_hypergraph
-from hyperpd.ideals import parse_ideal
-from hyperpd.lattices import lcm_lattice, lattice_from_hypergraph, mask_of
+from hyperpd.hypergraphs import dual_hypergraph, hypergraph_from_json_dict, ideal_from_hypergraph
+from hyperpd.ideals import Monomial, ideal_from_json_dict, make_ideal, parse_ideal
+from hyperpd.lattices import (
+    Labeling,
+    coordinatize,
+    labeling_from_json_dict,
+    lcm_lattice,
+    lattice_from_hypergraph,
+    mask_of,
+)
+from hyperpd.reduction import full_reduce
 
 FROZEN_TOTALS = {
     "x": {0: 1, 1: 1},
@@ -150,3 +161,93 @@ def test_char3_matches_char2_on_small_ideals():
         a = betti_table(parse_ideal(text), char=2).totals()
         b = betti_table(parse_ideal(text), char=3).totals()
         assert a == b
+
+
+def _random_ideal(rng, max_exp):
+    ring = tuple("abcdef")
+    gens = []
+    for _ in range(rng.randint(3, 8)):
+        exps = [0] * len(ring)
+        for i in rng.sample(range(len(ring)), rng.randint(1, 3)):
+            exps[i] = rng.randint(1, max_exp)
+        gens.append(Monomial(ring, tuple(exps)))
+    return make_ideal(ring, gens)
+
+
+def _chain_coordinatized(rng, ideal):
+    """Coordinatize the lcm-lattice of `ideal` with one variable per
+    random chain of meet-irreducibles; chains longer than one element
+    give non-square-free generators."""
+    L = lcm_lattice(ideal)
+    chains: list[list[int]] = []
+    for m in L.meet_irreducibles():
+        if m == L.top:
+            continue
+        home = next((c for c in chains if all(m & o in (m, o) for o in c)), None)
+        if home is not None and rng.random() < 0.9:
+            home.append(m)
+        else:
+            chains.append([m])
+    ring = tuple(f"v{i}" for i in range(len(chains)))
+    assignment = {}
+    for i, chain in enumerate(chains):
+        exps = [0] * len(ring)
+        exps[i] = 1
+        for m in chain:
+            assignment[m] = Monomial(ring, tuple(exps))
+    return coordinatize(L, Labeling(ring, assignment))
+
+
+def _fixture_ideals():
+    with open("fixtures/five_gen.json") as f:
+        five = ideal_from_json_dict(json.load(f))
+    with open("fixtures/union_demo.json") as f:
+        union = ideal_from_json_dict(json.load(f))
+    with open("fixtures/labeled_lattice.json") as f:
+        labeled = coordinatize(*labeling_from_json_dict(json.load(f)))
+    return five, union, labeled
+
+
+def test_lattice_pd_matches_full_table():
+    rng = random.Random(4)
+    ideals = [_random_ideal(rng, 1) for _ in range(40)]
+    ideals += [_random_ideal(rng, 3) for _ in range(40)]
+    coordinatized = [_chain_coordinatized(rng, _random_ideal(rng, 1)) for _ in range(100)]
+    coordinatized = [I for I in coordinatized if not I.is_squarefree()]
+    assert len(coordinatized) >= 10
+    five, union, labeled = _fixture_ideals()
+    principal = [make_ideal(("a", "b"), [Monomial(("a", "b"), (2, 1))]), parse_ideal("abc")]
+    cases = [
+        (I, c) for I in ideals + coordinatized + principal + [five, labeled] for c in (2, 3)
+    ]
+    cases.append((union, 2))
+    for I, c in cases:
+        L = lcm_lattice(I)
+        assert lattice_pd(L, c) == betti_table_from_lattice(L, c).pd, (I.to_text(), c)
+
+
+def test_lattice_pd_visits_few_intervals_on_figure4_core(monkeypatch):
+    with open("fixtures/figure4.json") as f:
+        reduced, _ = full_reduce(hypergraph_from_json_dict(json.load(f)))
+    core = next(c for c in reduced.components() if c.mu > 1)
+    L = lcm_lattice(ideal_from_hypergraph(core))
+    assert len(L) == 1443
+    visited = []
+    ranks = betti.reduced_homology_ranks
+
+    def counting(K, char=2):
+        visited.append(K)
+        return ranks(K, char)
+
+    monkeypatch.setattr(betti, "reduced_homology_ranks", counting)
+    assert lattice_pd(L, 2) == 9
+    assert 0 < len(visited) < 50
+
+
+def test_lattice_pd_keeps_sizing_and_char_checks(monkeypatch):
+    L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 4)
+    with pytest.raises(OracleError, match="exceeds the cap"):
+        lattice_pd(L)
+    with pytest.raises(OracleError, match="prime"):
+        lattice_pd(L, 4)

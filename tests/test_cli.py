@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hyperpd.cli import main
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
 
@@ -209,6 +214,67 @@ def test_parse_error_exits_one():
     proc = _run("pd", "--in", "ab,,cd")
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "IdealError"
+
+
+@pytest.mark.parametrize("text,error", [
+    ('{"mu":2,"edges":[[3]]}', "HypergraphError"),
+    ('{"mu":1,"edges":[["a"]]}', "HypergraphError"),
+    ('{"mu":2,"edges":[[1,2]],"labels":{"[3]":["a"]}}', "HypergraphError"),
+    ('{"mu":2,"edges":[[1,2]],"vertex_labels":["a","b"]}', "HypergraphError"),
+    ('{"variables":["a"],"generators":[[5]]}', "IdealError"),
+    ('{"variables":["a"],"generators":[[-1]]}', "IdealError"),
+    ('{"atoms":1,"elements":[[],[1]],"labels":{"[1":"a"}}', "LatticeError"),
+    ('{"atoms":1,"elements":[[],["a"]]}', "LatticeError"),
+])
+def test_malformed_input_exits_one_with_json(text, error):
+    proc = _run("lattice", "--in", text)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == error
+
+
+def test_bad_field_char_env_exits_one():
+    proc = _run("pd", "--in", "ab,bc", env_extra={"HYPERPD_FIELD_CHAR": "x"})
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "OracleError"
+
+
+_ATOM = st.one_of(
+    st.integers(-1, 4), st.none(), st.booleans(), st.sampled_from(["a", "[1]", "["])
+)
+_VALUE = st.one_of(
+    _ATOM,
+    st.lists(st.one_of(_ATOM, st.lists(_ATOM, max_size=3)), max_size=4),
+    st.dictionaries(st.sampled_from(["[1]", "[1,2]", "[", "5"]), _ATOM, max_size=2),
+)
+_DOCUMENT = st.dictionaries(
+    st.sampled_from(
+        ["mu", "edges", "vertex_labels", "labels", "variables", "generators", "atoms", "elements"]
+    ),
+    _VALUE,
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _DOCUMENT,
+    st.sampled_from(["pd", "lattice", "betti", "check", "coordinatize"]),
+    st.sampled_from([None, "ideal-json", "hypergraph-json", "lattice-json"]),
+)
+def test_fuzzed_json_never_ends_in_a_traceback(document, command, fmt):
+    argv = [command, "--in", json.dumps(document)]
+    if fmt:
+        argv += ["--input-format", fmt]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "error" in json.loads(err.getvalue())
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import operator
 
 import pytest
 
+from hyperpd import lattices
 from hyperpd.hypergraphs import Hypergraph, dual_hypergraph
 from hyperpd.ideals import parse_ideal
 from hyperpd.lattices import (
+    _FULL_VALIDATION_LIMIT,
     Labeling,
     LatticeError,
     SetFamilyLattice,
@@ -137,9 +140,65 @@ def test_invalid_families_rejected():
         SetFamilyLattice(3, [mask_of(s) for s in ([], [1], [3], [1, 2], [2, 3], [1, 2, 3])])
 
 
+def test_generating_set_proof_rejects_non_closed_family():
+    # {1,2,3} ∩ {2,3,4} = {2,3} is missing
+    family = [mask_of(s) for s in ([], [1], [2], [3], [4], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4])]
+    with pytest.raises(LatticeError, match="not intersection-closed"):
+        SetFamilyLattice(4, family, generators=[m for m in family if m])
+    closed = [mask_of(s) for s in ([], [1], [2], [1, 2])]
+    with pytest.raises(LatticeError, match="not a meet"):
+        SetFamilyLattice(2, closed, generators=[])
+    assert len(SetFamilyLattice(2, closed, generators=[mask_of([1]), mask_of([2])])) == 4
+
+
+def test_closure_is_proven_above_the_pairwise_limit(monkeypatch):
+    I = parse_ideal(",".join(f"x{i}*x{i + 1}" for i in range(14)))
+    proofs = []
+    check = SetFamilyLattice._check_generated
+
+    def spy(self, full, generators):
+        proofs.append(len(self))
+        return check(self, full, generators)
+
+    monkeypatch.setattr(SetFamilyLattice, "_check_generated", spy)
+    L = lcm_lattice(I)
+    assert len(L) > _FULL_VALIDATION_LIMIT
+    assert lattice_from_hypergraph(dual_hypergraph(I)) == L
+    assert proofs == [len(L), len(L)]
+    # dropping an element that meets of the generators reach is caught
+    pos = {v: i for i, v in enumerate(dual_hypergraph(I).vertices)}
+    full = L.top
+    complements = {full & ~mask_of(pos[v] + 1 for v in e) for e in dual_hypergraph(I).edges}
+    dropped = next(
+        m for m in L.masks if m.bit_count() > 1 and m not in complements and m != full
+    )
+    with pytest.raises(LatticeError, match="not intersection-closed"):
+        SetFamilyLattice(L.num_atoms, set(L.masks) - {dropped}, generators=complements)
+
+
 def test_lcm_lattice_cap():
     with pytest.raises(LatticeError, match="cap"):
         lcm_lattice(parse_ideal(FIVE_GEN), cap=10)
+    # the cap counts the elements above the bottom, as before
+    assert len(lcm_lattice(parse_ideal(FIVE_GEN), cap=20)) == 21
+    with pytest.raises(LatticeError, match="19-element cap"):
+        lcm_lattice(parse_ideal(FIVE_GEN), cap=19)
+
+
+def test_capped_closure_stops_at_the_first_element_over_the_cap():
+    seeds = [1 << i for i in range(16)]
+    calls = []
+
+    def counting_or(a, b):
+        calls.append(1)
+        return a | b
+
+    assert len(lattices._capped_closure(seeds[:12], operator.or_, 4095, "x")) == 4095
+    with pytest.raises(LatticeError, match="x exceeds the 20-element cap"):
+        lattices._capped_closure(seeds, counting_or, 20, "x")
+    # the fifth new element is found while the first seed is joined;
+    # a check after each round would come only after 16 * 16 joins
+    assert len(calls) <= len(seeds)
 
 
 def test_lattice_from_hypergraph_needs_separated():
