@@ -23,8 +23,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .ideals import MonomialIdeal
 from .lattices import LatticeError, SetFamilyLattice, lcm_lattice, set_of
 
@@ -139,89 +137,71 @@ def _core_points(points: list[int]) -> list[int]:
     return sorted(pts)
 
 
-def _atom_join(L: SetFamilyLattice):
-    """Memoized (element, atom bit) -> join, scanning the size-sorted
-    mask array for the first superset (the unique smallest one)."""
-    cache: dict[int, int] = {}
-    arr = np.array(L.masks, dtype=np.int64) if L.num_atoms <= 62 else None
+def _crosscut_complex(ups: list[int], p: int, pos: int, chain_cap: int) -> SimplicialComplex:
+    """Faces are the subsets of atoms below p whose join is not p.
 
-    def join(x: int, bit: int) -> int:
-        key = x | bit
-        got = cache.get(key)
-        if got is None:
-            if arr is not None:
-                hits = np.nonzero((arr & key) == key)[0]
-                got = int(arr[hits[0]])
-            else:
-                got = next(m for m in L.masks if m & key == key)
-            cache[key] = got
-        return got
-
-    return join
-
-
-def _crosscut_complex(L: SetFamilyLattice, p: int, join, chain_cap: int) -> SimplicialComplex:
-    """Faces are the subsets of atoms below p whose join is not p."""
-    atoms = [i for i in range(L.num_atoms) if (p >> i) & 1]
+    `ups` are the lattice's up-sets and `pos` is p's position in its
+    size-sorted masks. A face's up-set, cut to the first pos + 1
+    elements, holds p and the supersets listed before it; the face
+    joins to p exactly when p is all that is left.
+    """
+    atoms = [i for i in range(len(ups)) if (p >> i) & 1]
     if 1 << len(atoms) > chain_cap:
         raise OracleError(
             f"crosscut complex on {len(atoms)} atoms exceeds the cap"
         )
+    only_p = 1 << pos
     levels: list[list[tuple[int, ...]]] = [[] for _ in atoms]
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), (only_p << 1) - 1, 0)]
     while stack:
-        face, closure, start = stack.pop()
+        face, up, start = stack.pop()
         for k in range(start, len(atoms)):
-            bit = 1 << atoms[k]
-            cl2 = closure if closure & bit else join(closure, bit)
-            if cl2 == p:
+            up2 = up & ups[atoms[k]]
+            if up2 == only_p:
                 continue
             f2 = face + (k,)
             levels[len(f2) - 1].append(f2)
-            stack.append((f2, cl2, k + 1))
+            stack.append((f2, up2, k + 1))
     return SimplicialComplex(atoms, [sorted(level) for level in levels])
 
 
 def _rank_gf2(rows: list[int]) -> int:
+    """Rank over GF(2) of bitmask rows, each reduced by its highest
+    column; on boundaries of sorted faces that fills in far less than
+    the lowest."""
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
-            low = row & -row
-            if low in pivots:
-                row ^= pivots[low]
+            high = row.bit_length()
+            if high in pivots:
+                row ^= pivots[high]
             else:
-                pivots[low] = row
-                rank += 1
+                pivots[high] = row
                 break
-    return rank
+    return len(pivots)
 
 
-def _rank_gfp(mat: np.ndarray, p: int) -> int:
-    mat = np.array(mat % p, dtype=np.int64)
-    rows, cols = mat.shape
-    rank = 0
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if mat[i, c] % p:
-                pivot = i
+def _rank_gfp(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of sparse rows (column -> nonzero coefficient),
+    reduced like `_rank_gf2`; pivots are kept scaled to lead with 1,
+    with the lead dropped."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            high = max(row)
+            pivot = pivots.get(high)
+            if pivot is None:
+                inv = pow(row.pop(high), -1, p)
+                pivots[high] = {c: v * inv % p for c, v in row.items()}
                 break
-        if pivot is None:
-            continue
-        if pivot != r:
-            mat[[r, pivot]] = mat[[pivot, r]]
-        inv = pow(int(mat[r, c]), -1, p)
-        mat[r] = (mat[r] * inv) % p
-        below = mat[r + 1 :, c].copy()
-        if below.any():
-            mat[r + 1 :] = (mat[r + 1 :] - np.outer(below, mat[r])) % p
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
+            factor = p - row.pop(high)
+            for c, v in pivot.items():
+                w = (row.get(c, 0) + factor * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def _boundary_rank(K: SimplicialComplex, d: int, char: int) -> int:
@@ -239,11 +219,11 @@ def _boundary_rank(K: SimplicialComplex, d: int, char: int) -> int:
                 m ^= 1 << lower[f[:k] + f[k + 1 :]]
             rows.append(m)
         return _rank_gf2(rows)
-    mat = np.zeros((len(K.faces[d]), len(lower)), dtype=np.int64)
-    for i, f in enumerate(K.faces[d]):
-        for k in range(len(f)):
-            mat[i, lower[f[:k] + f[k + 1 :]]] += (-1) ** k
-    return _rank_gfp(mat, char)
+    signs = [(-1) ** k % char for k in range(d + 1)]
+    return _rank_gfp(
+        [{lower[f[:k] + f[k + 1 :]]: signs[k] for k in range(d + 1)} for f in K.faces[d]],
+        char,
+    )
 
 
 def reduced_homology_ranks(K: SimplicialComplex, char: int = 2) -> dict[int, int]:
@@ -328,15 +308,15 @@ def betti_table_from_lattice(
     _check_char(char)
     table = BettiTable(field_char=char, num_atoms=L.num_atoms)
     table.entries[(0, 0)] = 1
-    join = _atom_join(L) if method == "crosscut" else None
-    for p in L.masks:
+    ups = L.up_sets() if method == "crosscut" else None
+    for pos, p in enumerate(L.masks):
         if p == 0:
             continue
         if method == "crosscut":
             if p.bit_count() == 1:
                 table.entries[(1, p)] = 1
                 continue
-            K = _crosscut_complex(L, p, join, chain_cap)
+            K = _crosscut_complex(ups, p, pos, chain_cap)
         else:
             points = [q for q in L.masks if q != 0 and q != p and q & p == q]
             if use_core:
@@ -373,11 +353,11 @@ def lattice_pd(L: SetFamilyLattice, char: int = 2) -> int:
     """
     _check_char(char)
     best = 1 if L.num_atoms else 0  # each atom carries beta_1 = 1
-    join = _atom_join(L)
-    for p in reversed(L.masks):
+    ups = L.up_sets()
+    for pos, p in reversed(list(enumerate(L.masks))):
         if p.bit_count() <= best:
             break
-        ranks = reduced_homology_ranks(_crosscut_complex(L, p, join, DEFAULT_CHAIN_CAP), char)
+        ranks = reduced_homology_ranks(_crosscut_complex(ups, p, pos, DEFAULT_CHAIN_CAP), char)
         if ranks:
             best = max(best, max(ranks) + 2)
     return best

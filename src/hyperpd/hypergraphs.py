@@ -257,10 +257,19 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
         vertices = data["vertex_labels"]
         if not isinstance(vertices, list) or not all(isinstance(v, int) for v in vertices):
             raise HypergraphError("vertex_labels must be a list of integers")
-        if len(set(vertices)) != mu:
+        if len(set(vertices)) != len(vertices):
+            raise HypergraphError("vertex_labels must be distinct")
+        if len(vertices) != mu:
             raise HypergraphError("vertex_labels length disagrees with mu")
     else:
         vertices = range(1, mu + 1)
+    if not isinstance(edges, list):
+        raise HypergraphError("hypergraph JSON edges must be a list")
+    # a vertex in no edge has no generator; checked before anything of size mu
+    covered = {v for e in edges if isinstance(e, list) for v in e if isinstance(v, int)}
+    uncovered = next((v for v in range(1, mu + 1) if v not in covered), None)
+    if uncovered is not None:
+        raise HypergraphError(f"vertex {vertices[uncovered - 1]} lies in no edge")
     rename = dict(zip(range(1, mu + 1), vertices))
 
     def renamed(edge) -> list[int]:
@@ -281,8 +290,6 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise HypergraphError(f"labels of edge {key} must be a list of names")
         labels[tuple(renamed(raw))] = tuple(names)
-    if not isinstance(edges, list):
-        raise HypergraphError("hypergraph JSON edges must be a list")
     return Hypergraph(
         [renamed(e) for e in edges],
         vertices=vertices,

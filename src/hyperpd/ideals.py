@@ -103,14 +103,6 @@ def _check_ring(a: Monomial, b: Monomial):
         raise IdealError(f"ring mismatch: {a.ring} vs {b.ring}")
 
 
-def lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return m1.lcm(m2)
-
-
-def divides(m1: Monomial, m2: Monomial) -> bool:
-    return m1.divides(m2)
-
-
 def monomial_from_indices(ring: tuple[str, ...], indices) -> Monomial:
     """Build a monomial from variable indices; repeats raise the exponent."""
     exps = [0] * len(ring)
@@ -294,22 +286,6 @@ def parse_ideal(text: str) -> MonomialIdeal:
             exps[i] += e
         monomials.append(Monomial(ring, tuple(exps)))
     return make_ideal(ring, monomials, words)
-
-
-def parse_labeled_monomial(text: str, variables: list[str]) -> list[tuple[int, int]]:
-    """Parse a label monomial (exponents allowed) against a shared ring.
-
-    Returns (index, exponent) pairs; the caller freezes the ring once
-    all labels are read and resolves them with `rebase_monomial`.
-    """
-    return parse_monomial_word(text, variables)
-
-
-def rebase_monomial(pairs, ring: tuple[str, ...]) -> Monomial:
-    exps = [0] * len(ring)
-    for i, e in pairs:
-        exps[i] += e
-    return Monomial(ring, tuple(exps))
 
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:

@@ -23,9 +23,6 @@ from .hypergraphs import Hypergraph, is_separated
 
 DEFAULT_ELEMENT_CAP = 1 << 18
 
-# full pairwise validation is quadratic; skip it for oracle-scale families
-_FULL_VALIDATION_LIMIT = 2048
-
 
 class LatticeError(ValueError):
     """Domain error for lattice construction and labeling."""
@@ -53,16 +50,16 @@ class SetFamilyLattice:
     """An intersection-closed family of masks with bottom, top and atoms.
 
     A construction passes the `generators` whose intersection-closure
-    its family is; closure is then proven in |L|*|G| steps at any size.
-    Without them, every pair is checked, for families of up to
-    _FULL_VALIDATION_LIMIT elements only.
+    its family is; closure is then proven in |L|*|G| steps. Without
+    them, closure is proven from the up-sets in |L|*n steps on
+    |L|-bit ints. Either proof runs at any size.
     """
 
     __slots__ = ("num_atoms", "masks", "_members")
 
     def __init__(self, num_atoms: int, elements, generators=None):
-        if num_atoms < 0 or num_atoms > 64:
-            raise LatticeError("atom count out of range 0..64")
+        if num_atoms < 0:
+            raise LatticeError("atom count must not be negative")
         self.num_atoms = num_atoms
         full = (1 << num_atoms) - 1
         members = set()
@@ -76,8 +73,8 @@ class SetFamilyLattice:
         self._check_invariants(full)
         if generators is not None:
             self._check_generated(full, generators)
-        elif len(members) <= _FULL_VALIDATION_LIMIT:
-            self._check_pairs()
+        else:
+            self._check_up_sets()
 
     def _check_invariants(self, full: int):
         if 0 not in self._members:
@@ -88,12 +85,44 @@ class SetFamilyLattice:
             if (1 << i) not in self._members:
                 raise LatticeError(f"missing atom {i + 1}")
 
-    def _check_pairs(self):
+    def up_sets(self) -> list[int]:
+        """Per atom i, an int whose bit j is set when masks[j] holds i."""
+        return [
+            int("".join("1" if (m >> i) & 1 else "0" for m in reversed(self.masks)), 2)
+            for i in range(self.num_atoms)
+        ]
+
+    def _check_up_sets(self):
+        """Intersection-closure from the up-sets, at any size.
+
+        Let up(S) be the elements containing the atom set S. For each
+        element a and atom i, the first element b above a + {i} must
+        have up(b) == up(a) & ups[i]. By induction on |S|, every S then
+        has an element c with up(c) == up(S), and for S = x & y that c
+        is x & y. Otherwise some y in up(a) & ups[i] misses part of b,
+        and b & y, above a + {i} but smaller than b, is not an element.
+        """
+        ups = self.up_sets()
+
+        def up_of(m: int) -> int:
+            up = (1 << len(self.masks)) - 1
+            for i, row in enumerate(ups):
+                if (m >> i) & 1:
+                    up &= row
+            return up
+
+        # up(b) lies inside up, so sizes decide; keeping sizes keeps memory O(|L|)
+        up_size = [up_of(m).bit_count() for m in self.masks]
         for a in self.masks:
-            for b in self.masks:
-                if a < b and (a & b) not in self._members:
+            up_a = up_of(a)
+            for row in ups:
+                up = up_a & row
+                b = (up & -up).bit_length() - 1
+                if up.bit_count() != up_size[b]:
+                    missed = up & ~up_of(self.masks[b])
+                    y = self.masks[(missed & -missed).bit_length() - 1]
                     raise LatticeError(
-                        f"not intersection-closed: {set_of(a)} and {set_of(b)}"
+                        f"not intersection-closed: {set_of(self.masks[b])} and {set_of(y)}"
                     )
 
     def _check_generated(self, full: int, generators):
@@ -244,6 +273,12 @@ def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
         for el in elements
     ):
         raise LatticeError("lattice JSON elements must be lists of atoms 1, 2, ...")
+    # each atom is an element; checked before any mask is built
+    if n > len(elements):
+        raise LatticeError(f"{n} atoms but only {len(elements)} elements")
+    for el in elements:
+        if any(a > n for a in el):
+            raise LatticeError(f"element {tuple(sorted(set(el)))} exceeds the atom count")
     return SetFamilyLattice(n, elements)
 
 

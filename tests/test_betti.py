@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -251,3 +252,128 @@ def test_lattice_pd_keeps_sizing_and_char_checks(monkeypatch):
         lattice_pd(L)
     with pytest.raises(OracleError, match="prime"):
         lattice_pd(L, 4)
+
+
+def _dense_rank(matrix: list[list[int]], p: int) -> int:
+    """Textbook Gauss-Jordan rank over GF(p), column by column."""
+    rows = [[v % p for v in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _sparse(matrix: list[list[int]], p: int) -> list[dict[int, int]]:
+    return [{c: v % p for c, v in enumerate(row) if v % p} for row in matrix]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_sparse_rank_matches_dense_reference(p):
+    rng = random.Random(p)
+    deficient = 0
+    for _ in range(150):
+        n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.random()
+        matrix = [
+            [rng.randint(-p, p) if rng.random() < density else 0 for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        if n_rows > 1 and rng.random() < 0.5:
+            # a combination of other rows makes the matrix rank-deficient
+            a, b = rng.sample(range(n_rows), 2)
+            fa, fb = rng.randint(1, p - 1), rng.randint(0, p - 1)
+            matrix[a] = [fa * x + fb * y for x, y in zip(matrix[a], matrix[b])]
+            matrix[rng.choice([a, b])] = list(matrix[a])
+        want = _dense_rank(matrix, p)
+        deficient += want < min(n_rows, n_cols)
+        assert betti._rank_gfp(_sparse(matrix, p), p) == want, (matrix, p)
+    assert deficient > 30
+
+
+def _dense_boundary(K: SimplicialComplex, d: int) -> list[list[int]]:
+    lower = {f: i for i, f in enumerate(K.faces[d - 1])}
+    matrix = [[0] * len(lower) for _ in K.faces[d]]
+    for r, f in enumerate(K.faces[d]):
+        for k in range(len(f)):
+            matrix[r][lower[f[:k] + f[k + 1 :]]] += (-1) ** k
+    return matrix
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_boundary_rank_matches_dense_reference(p):
+    rng = random.Random(100 + p)
+    complexes = [SimplicialComplex.from_maximal_faces(RP2_FACES)]
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        maximal = [
+            tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
+            for _ in range(rng.randint(1, 8))
+        ]
+        complexes.append(SimplicialComplex.from_maximal_faces(maximal))
+    for K in complexes:
+        for d in range(1, len(K.faces)):
+            want = _dense_rank(_dense_boundary(K, d), p)
+            assert betti._boundary_rank(K, d, p) == want, (K.faces, d, p)
+
+
+def _staircase(rng, mu):
+    """mu generators x^a y^b with a rising and b falling: a minimal
+    generating set whose lcm-lattice has about mu^2 / 2 elements."""
+    xs = sorted(rng.sample(range(1, 3 * mu), mu))
+    ys = sorted(rng.sample(range(1, 3 * mu), mu), reverse=True)
+    ring = ("x", "y")
+    return make_ideal(ring, [Monomial(ring, (a, b)) for a, b in zip(xs, ys)])
+
+
+def test_up_set_join_is_the_smallest_superset():
+    rng = random.Random(7)
+    ideals = [_random_ideal(rng, rng.randint(1, 3)) for _ in range(30)]
+    ideals.append(_staircase(rng, 70))
+    assert max(I.mu for I in ideals) > 62
+    for I in ideals:
+        L = lcm_lattice(I)
+        ups = L.up_sets()
+        assert len(ups) == L.num_atoms
+        subsets = [s for k in range(min(L.num_atoms, 3) + 1)
+                   for s in itertools.combinations(range(L.num_atoms), k)]
+        subsets = rng.sample(subsets, min(len(subsets), 200))
+        subsets += [rng.sample(range(L.num_atoms), rng.randint(0, L.num_atoms)) for _ in range(50)]
+        for atoms in subsets:
+            face = sum(1 << i for i in atoms)
+            up = (1 << len(L)) - 1
+            for i in atoms:
+                up &= ups[i]
+            got = L.masks[(up & -up).bit_length() - 1]
+            supersets = [m for m in L.masks if m & face == face]
+            smallest = min(supersets, key=int.bit_count)
+            assert all(m & smallest == smallest for m in supersets)
+            assert got == smallest, (I.to_text(), atoms)
+
+
+def test_crosscut_route_on_more_than_62_atoms():
+    L = lcm_lattice(_staircase(random.Random(3), 66))
+    assert L.num_atoms == 66
+    # the top's interval has 2^66 atom subsets; smaller ones are computed
+    small = [pos for pos, p in enumerate(L.masks) if 2 <= p.bit_count() <= 4]
+    ups = L.up_sets()
+    for pos in small[:40]:
+        p = L.masks[pos]
+        K = betti._crosscut_complex(ups, p, pos, betti.DEFAULT_CHAIN_CAP)
+        faces = {tuple(K.vertices[i] for i in f) for level in K.faces for f in level}
+        want = set()
+        for k in range(1, p.bit_count() + 1):
+            for atoms in itertools.combinations(K.vertices, k):
+                face = sum(1 << i for i in atoms)
+                if min((m for m in L.masks if m & face == face), key=int.bit_count) != p:
+                    want.add(atoms)
+        assert faces == want

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -290,3 +291,53 @@ def test_dot_refused_where_meaningless(argv):
 def test_missing_subcommand_exits_two():
     proc = _run()
     assert proc.returncode == 2
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hyperpd.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("text,vertex", [
+    ('{"mu":2,"edges":[[1]]}', 2),
+    ('{"mu":8000,"edges":[[1]]}', 2),
+    ('{"mu":1000000000000,"edges":[[1]]}', 2),
+    ('{"mu":3,"edges":[[1,3]],"vertex_labels":[7,8,9]}', 8),
+])
+def test_vertex_in_no_edge_exits_one(text, vertex):
+    for argv in (("pd", "--in", text), ("pd", "--in", text, "--verify")):
+        proc = _run(*argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "HypergraphError",
+            "message": f"vertex {vertex} lies in no edge",
+        }
+
+
+def test_duplicate_vertex_labels_exit_one():
+    # a repeated label would leave label 8 in no edge, to be priced as pd 1
+    proc = _run("pd", "--in", '{"mu":2,"edges":[[1,2]],"vertex_labels":[7,7,8]}')
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {
+        "error": "HypergraphError",
+        "message": "vertex_labels must be distinct",
+    }
+
+
+def test_unclosed_lattice_json_above_2048_elements_exits_one(tmp_path):
+    elements = [list(c) for k in range(13) for c in itertools.combinations(range(1, 13), k)
+                if c != (1, 2)]
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"atoms": 12, "elements": elements}))
+    proc = _run("lattice", "--in", str(path), "--output-format", "text")
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {
+        "error": "LatticeError",
+        "message": "not intersection-closed: (1, 2, 3) and (1, 2, 4)",
+    }

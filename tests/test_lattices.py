@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import operator
+import random
 
 import pytest
 
@@ -9,7 +11,6 @@ from hyperpd import lattices
 from hyperpd.hypergraphs import Hypergraph, dual_hypergraph
 from hyperpd.ideals import parse_ideal
 from hyperpd.lattices import (
-    _FULL_VALIDATION_LIMIT,
     Labeling,
     LatticeError,
     SetFamilyLattice,
@@ -162,7 +163,7 @@ def test_closure_is_proven_above_the_pairwise_limit(monkeypatch):
 
     monkeypatch.setattr(SetFamilyLattice, "_check_generated", spy)
     L = lcm_lattice(I)
-    assert len(L) > _FULL_VALIDATION_LIMIT
+    assert len(L) > 2048  # the pairwise limit of the test's name
     assert lattice_from_hypergraph(dual_hypergraph(I)) == L
     assert proofs == [len(L), len(L)]
     # dropping an element that meets of the generators reach is caught
@@ -313,3 +314,68 @@ def test_to_dot_lists_cover_relations():
     assert dot.startswith("digraph")
     assert '"0" -> "1"' in dot
     assert '"1,2" -> "1,2,3,4"' in dot
+
+
+def _pairwise_closed(family) -> bool:
+    members = set(family)
+    return all(a & b in members for a in members for b in members)
+
+
+def test_up_set_proof_agrees_with_the_pairwise_check():
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        full = (1 << n) - 1
+        family = {0, full} | {1 << i for i in range(n)}
+        family |= {rng.randint(0, full) for _ in range(rng.randint(0, 12))}
+        closed = _pairwise_closed(family)
+        verdicts.add(closed)
+        if closed:
+            assert len(SetFamilyLattice(n, family)) == len(family)
+        else:
+            with pytest.raises(LatticeError, match="not intersection-closed") as err:
+                SetFamilyLattice(n, family)
+            # the named pair is a real witness
+            b, y = (mask_of(json.loads("[" + part.strip("() ,") + "]"))
+                    for part in str(err.value).split(": ")[1].split(" and "))
+            assert b in family and y in family and b & y not in family
+    assert verdicts == {True, False}
+
+
+def test_unclosed_lattice_json_is_rejected_above_2048_elements():
+    # every subset of 12 atoms but {1, 2}: {1,2,3} & {1,2,4} is missing
+    elements = [list(c) for k in range(13) for c in itertools.combinations(range(1, 13), k)
+                if c != (1, 2)]
+    assert len(elements) == 4095
+    with pytest.raises(LatticeError, match=r"not intersection-closed: \(1, 2, 3\) and \(1, 2, 4\)"):
+        lattice_from_json_dict({"atoms": 12, "elements": elements})
+    L = lattice_from_json_dict({"atoms": 12, "elements": elements + [[1, 2]]})
+    assert len(L) == 4096
+
+
+def test_lattice_on_70_atoms_round_trips():
+    n = 70
+    elements = [[], list(range(1, n + 1))] + [[i] for i in range(1, n + 1)]
+    elements += [list(range(1, k + 1)) for k in range(2, n)]  # a chain
+    elements += [[1, k] for k in range(3, n + 1)]  # a fan that meets it in [1] or [1, k]
+    L = SetFamilyLattice(n, elements)
+    assert L.num_atoms == n
+    assert len(L) == 2 + n + 2 * (n - 2)
+    data = json.loads(json.dumps(L.to_json_dict()))
+    back = lattice_from_json_dict(data)
+    assert back == L
+    assert back.masks == L.masks
+    assert [list(set_of(m)) for m in back.masks] == data["elements"]
+    with pytest.raises(LatticeError, match="not intersection-closed"):
+        SetFamilyLattice(n, elements + [[2, 3, 70]])
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"atoms": -1, "elements": [[]]}, "must not be negative"),
+    ({"atoms": 10**12, "elements": [[], [1]]}, "only 2 elements"),
+    ({"atoms": 2, "elements": [[], [1], [2], [1, 2], [10**12]]}, "exceeds the atom count"),
+])
+def test_lattice_json_sizes_are_checked_before_masks_are_built(data, message):
+    with pytest.raises(LatticeError, match=message):
+        lattice_from_json_dict(data)
