@@ -2,29 +2,28 @@
 
 For each lattice element p above the bottom, the Betti number in
 homological degree i is the rank of reduced homology H~_{i-2} of the
-order complex of the open interval (bottom, p), computed over a prime
-field. The projective dimension is the top nonzero degree, which
-`lattice_pd` finds without computing the whole table. Everything
-downstream is checked against this module; nothing here depends on the
-reduction rules.
+open interval (bottom, p), computed over a prime field
+(Gasharov-Peeva-Welker). The projective dimension is the top nonzero
+degree, which `lattice_pd` finds without computing the whole table.
+Everything downstream is checked against this module; nothing here
+depends on the reduction rules.
 
-Two interchangeable routes compute the interval homology. The "order"
-route takes the order complex literally (chains of the open interval,
-optionally dismantling beat points first). The default "crosscut"
-route uses the complex on the atoms below p whose faces are the atom
-subsets joining strictly below p; that complex is homotopy equivalent
-to the order complex and stays small when the interval itself is
-huge. Tests pin both routes to the same answers.
+The interval's homology is that of its crosscut complex (Bjorner): the
+sets of atoms below p whose join is not p. Each interval is computed
+relative to the closed star of one atom, the apex. The star is a cone,
+so its reduced homology vanishes in every degree, and the long exact
+sequence of the pair makes the relative homology equal the reduced
+homology of the whole complex, degree by degree. Only the faces
+outside the star are built and ranked; the star holds most of them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 from .ideals import MonomialIdeal
-from .lattices import LatticeError, SetFamilyLattice, lcm_lattice, set_of
+from .lattices import SetFamilyLattice, lcm_lattice, set_of
 
 DEFAULT_CHAIN_CAP = 10**7
 
@@ -34,18 +33,21 @@ class OracleError(ValueError):
 
 
 class SimplicialComplex:
-    """Faces grouped by dimension, as index tuples into `vertices`.
+    """A chain complex of faces, each a bitmask over positions in `vertices`.
 
-    `vertices` keeps the caller's labels (lattice elements, usually);
-    faces reference them by position. The face family is closed under
-    subsets by construction in both constructors.
+    `faces[d]` lists the faces with d + 1 vertices. A plain complex is
+    closed under subsets and carries the empty face, so its homology is
+    reduced homology. A `relative` complex stands for a pair (K, A) of a
+    complex and a subcomplex: it lists only the faces of K outside A,
+    has no empty face, and its boundaries drop the facets that lie in A.
     """
 
-    __slots__ = ("vertices", "faces")
+    __slots__ = ("vertices", "faces", "relative")
 
-    def __init__(self, vertices, faces):
+    def __init__(self, vertices, faces, relative: bool = False):
         self.vertices = tuple(vertices)
         self.faces = [list(level) for level in faces]
+        self.relative = relative
         while self.faces and not self.faces[-1]:
             self.faces.pop()
 
@@ -53,13 +55,14 @@ class SimplicialComplex:
     def from_maximal_faces(cls, maximal) -> "SimplicialComplex":
         vertices = sorted({v for f in maximal for v in f})
         index = {v: i for i, v in enumerate(vertices)}
-        levels: list[set] = []
-        for f in maximal:
-            fi = tuple(sorted(index[v] for v in f))
-            for k in range(1, len(fi) + 1):
-                while len(levels) < k:
-                    levels.append(set())
-                levels[k - 1].update(itertools.combinations(fi, k))
+        masks = [sum(1 << index[v] for v in set(f)) for f in maximal]
+        top = max((m.bit_count() for m in masks), default=0)
+        levels: list[set[int]] = [set() for _ in range(top)]
+        for m in masks:
+            s = m
+            while s:  # every nonempty subset of m
+                levels[s.bit_count() - 1].add(s)
+                s = (s - 1) & m
         return cls(vertices, [sorted(level) for level in levels])
 
     def face_counts(self) -> list[int]:
@@ -69,81 +72,25 @@ class SimplicialComplex:
         return not self.faces
 
 
-def order_complex(L: SetFamilyLattice, p: int) -> SimplicialComplex:
-    """The full order complex of the open interval (bottom, p)."""
-    if p == 0:
-        raise OracleError("no interval below the bottom element")
-    if p not in L:
-        raise LatticeError(f"{set_of(p)} is not a lattice element")
-    points = [q for q in L.masks if q != 0 and q != p and q & p == q]
-    return _chain_complex(points)
+def _crosscut_complex(
+    ups: list[int], p: int, pos: int, chain_cap: int, apex: int | None = None
+) -> SimplicialComplex:
+    """The crosscut complex of the atoms below p, relative to the
+    closed star of one atom, the apex.
 
-
-def _chain_complex(points, chain_cap: int = DEFAULT_CHAIN_CAP) -> SimplicialComplex:
-    """All chains of a family of masks ordered by strict containment."""
-    pts = sorted(points, key=lambda m: (m.bit_count(), m))
-    n = len(pts)
-    above = [
-        [j for j in range(i + 1, n) if pts[i] & pts[j] == pts[i] and pts[i] != pts[j]]
-        for i in range(n)
-    ]
-    levels: list[list[tuple[int, ...]]] = []
-    current = [(i,) for i in range(n)]
-    total = n
-    while current:
-        levels.append(current)
-        nxt = []
-        for f in current:
-            for j in above[f[-1]]:
-                nxt.append(f + (j,))
-        total += len(nxt)
-        if total > chain_cap:
-            raise OracleError(
-                f"interval has more than {chain_cap} chains; aborting"
-            )
-        current = nxt
-    return SimplicialComplex(pts, levels)
-
-
-def _core_points(points: list[int]) -> list[int]:
-    """Dismantle beat points: drop any element whose strict down-set
-    has a maximum or strict up-set has a minimum. Homotopy type of the
-    order complex is preserved, so homology ranks are unchanged."""
-    pts = set(points)
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(pts):
-            down_union = 0
-            down_hit = False
-            up_inter = -1
-            up_hit = False
-            for y in pts:
-                if y == x:
-                    continue
-                if y & x == y:
-                    down_union |= y
-                    down_hit = True
-                elif y & x == x:
-                    up_inter &= y
-                    up_hit = True
-            down_beat = down_hit and down_union != x and down_union in pts
-            up_beat = up_hit and up_inter != x and up_inter in pts
-            if down_beat or up_beat:
-                pts.remove(x)
-                changed = True
-        if len(pts) <= 1:
-            break
-    return sorted(pts)
-
-
-def _crosscut_complex(ups: list[int], p: int, pos: int, chain_cap: int) -> SimplicialComplex:
-    """Faces are the subsets of atoms below p whose join is not p.
+    The crosscut complex has the atom sets whose join is not p as its
+    faces. The star of the apex a holds the faces F whose F + {a} still
+    joins below p; it is a cone, so relative homology equals the
+    reduced homology of the whole complex in every degree. The faces
+    kept are those outside the star: a not in F, join(F) != p and
+    join(F + {a}) = p. The default apex is the atom with the most
+    elements above it, whose star tends to be largest.
 
     `ups` are the lattice's up-sets and `pos` is p's position in its
     size-sorted masks. A face's up-set, cut to the first pos + 1
     elements, holds p and the supersets listed before it; the face
-    joins to p exactly when p is all that is left.
+    joins to p exactly when p is all that is left. Faces are masks over
+    positions in the atom list.
     """
     atoms = [i for i in range(len(ups)) if (p >> i) & 1]
     if 1 << len(atoms) > chain_cap:
@@ -151,18 +98,32 @@ def _crosscut_complex(ups: list[int], p: int, pos: int, chain_cap: int) -> Simpl
             f"crosscut complex on {len(atoms)} atoms exceeds the cap"
         )
     only_p = 1 << pos
-    levels: list[list[tuple[int, ...]]] = [[] for _ in atoms]
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), (only_p << 1) - 1, 0)]
+    full = (only_p << 1) - 1
+    if apex is None:
+        apex = max(atoms, key=lambda a: (ups[a] & full).bit_count())
+    up_apex = ups[apex]
+    # rest[k]: the up-set of the apex and every atom from position k on
+    rest = [up_apex & full] * (len(atoms) + 1)
+    for k in range(len(atoms) - 1, -1, -1):
+        rest[k] = rest[k + 1] & ups[atoms[k]]
+    levels: list[list[int]] = [[] for _ in atoms]
+    stack: list[tuple[int, int, int]] = [(0, full, 0)]
     while stack:
         face, up, start = stack.pop()
         for k in range(start, len(atoms)):
+            if atoms[k] == apex:
+                continue
             up2 = up & ups[atoms[k]]
             if up2 == only_p:
                 continue
-            f2 = face + (k,)
-            levels[len(f2) - 1].append(f2)
-            stack.append((f2, up2, k + 1))
-    return SimplicialComplex(atoms, [sorted(level) for level in levels])
+            f2 = face | 1 << k
+            if up2 & up_apex == only_p:
+                levels[f2.bit_count() - 1].append(f2)
+            # unless the apex and every later atom join f2 up to p, no
+            # extension of f2 leaves the star
+            if up2 & rest[k + 1] == only_p:
+                stack.append((f2, up2, k + 1))
+    return SimplicialComplex(atoms, [sorted(level) for level in levels], relative=True)
 
 
 def _rank_gf2(rows: list[int]) -> int:
@@ -209,44 +170,49 @@ def _boundary_rank(K: SimplicialComplex, d: int, char: int) -> int:
     if d < 0 or d >= len(K.faces) or not K.faces[d]:
         return 0
     if d == 0:
-        return 1  # augmentation onto the empty face
+        return 0 if K.relative else 1  # augmentation onto the empty face
     lower = {f: i for i, f in enumerate(K.faces[d - 1])}
-    if char == 2:
-        rows = []
-        for f in K.faces[d]:
-            m = 0
-            for k in range(len(f)):
-                m ^= 1 << lower[f[:k] + f[k + 1 :]]
-            rows.append(m)
-        return _rank_gf2(rows)
     signs = [(-1) ** k % char for k in range(d + 1)]
-    return _rank_gfp(
-        [{lower[f[:k] + f[k + 1 :]]: signs[k] for k in range(d + 1)} for f in K.faces[d]],
-        char,
-    )
+    rows = []
+    for f in K.faces[d]:
+        row = {}
+        rest, k = f, 0
+        while rest:
+            bit = rest & -rest
+            col = lower.get(f ^ bit)
+            if col is not None:  # a relative complex drops facets in its subcomplex
+                row[col] = signs[k]
+            rest ^= bit
+            k += 1
+        rows.append(row)
+    if char == 2:
+        return _rank_gf2([sum(1 << c for c in row) for row in rows])
+    return _rank_gfp(rows, char)
 
 
 def reduced_homology_ranks(K: SimplicialComplex, char: int = 2) -> dict[int, int]:
     """Ranks of reduced homology by dimension, from d = -1 up.
 
-    The empty complex has one unit of H~_{-1}; the Euler characteristic
-    of the chain complex is asserted against the homology ranks.
+    The empty complex has one unit of H~_{-1}. A relative complex gets
+    its relative homology, which has no empty face and so nothing in
+    degree -1. The Euler characteristic of the chain complex is
+    asserted against the homology ranks.
     """
     _check_char(char)
     counts = K.face_counts()
     dims = len(counts)
     boundary_ranks = [_boundary_rank(K, d, char) for d in range(dims + 1)]
+    empty = 0 if K.relative else 1
     ranks: dict[int, int] = {}
-    empty_rank = 1 - (boundary_ranks[0] if dims else 0)
-    if empty_rank:
-        ranks[-1] = empty_rank
+    if empty - boundary_ranks[0]:
+        ranks[-1] = empty - boundary_ranks[0]
     for d in range(dims):
         r = counts[d] - boundary_ranks[d] - boundary_ranks[d + 1]
         if r < 0:
             raise AssertionError("negative homology rank; rank computation broken")
         if r:
             ranks[d] = r
-    lhs = -1 + sum((-1 if d % 2 else 1) * counts[d] for d in range(dims))
+    lhs = -empty + sum((-1 if d % 2 else 1) * counts[d] for d in range(dims))
     rhs = sum((-1 if d % 2 else 1) * r for d, r in ranks.items())
     if lhs != rhs:
         raise AssertionError(
@@ -297,50 +263,29 @@ class BettiTable:
 
 
 def betti_table_from_lattice(
-    L: SetFamilyLattice,
-    char: int = 2,
-    use_core: bool = True,
-    chain_cap: int = DEFAULT_CHAIN_CAP,
-    method: str = "crosscut",
+    L: SetFamilyLattice, char: int = 2, chain_cap: int = DEFAULT_CHAIN_CAP
 ) -> BettiTable:
-    if method not in ("crosscut", "order"):
-        raise OracleError(f"unknown homology method {method!r}")
     _check_char(char)
     table = BettiTable(field_char=char, num_atoms=L.num_atoms)
     table.entries[(0, 0)] = 1
-    ups = L.up_sets() if method == "crosscut" else None
+    ups = L.up_sets()
     for pos, p in enumerate(L.masks):
         if p == 0:
             continue
-        if method == "crosscut":
-            if p.bit_count() == 1:
-                table.entries[(1, p)] = 1
-                continue
-            K = _crosscut_complex(ups, p, pos, chain_cap)
-        else:
-            points = [q for q in L.masks if q != 0 and q != p and q & p == q]
-            if use_core:
-                points = _core_points(points)
-            K = _chain_complex(points, chain_cap)
+        if p.bit_count() == 1:
+            table.entries[(1, p)] = 1
+            continue
+        K = _crosscut_complex(ups, p, pos, chain_cap)
         for d, r in reduced_homology_ranks(K, char).items():
             table.entries[(d + 2, p)] = r
     return table
 
 
 def betti_table(
-    ideal: MonomialIdeal,
-    char: int = 2,
-    use_core: bool = True,
-    chain_cap: int = DEFAULT_CHAIN_CAP,
-    method: str = "crosscut",
+    ideal: MonomialIdeal, char: int = 2, chain_cap: int = DEFAULT_CHAIN_CAP
 ) -> BettiTable:
-    """Betti table of R/I from its lcm-lattice.
-
-    `method` picks the interval-homology route; the two routes always
-    agree (tested). `use_core` dismantles beat points first on the
-    "order" route; it never changes the answer, only the work.
-    """
-    return betti_table_from_lattice(lcm_lattice(ideal), char, use_core, chain_cap, method)
+    """Betti table of R/I from its lcm-lattice."""
+    return betti_table_from_lattice(lcm_lattice(ideal), char, chain_cap)
 
 
 def lattice_pd(L: SetFamilyLattice, char: int = 2) -> int:

@@ -13,7 +13,6 @@ from hyperpd.betti import (
     betti_table,
     betti_table_from_lattice,
     lattice_pd,
-    order_complex,
     oracle_pd,
     reduced_homology_ranks,
 )
@@ -62,24 +61,111 @@ def test_beta_one_counts_generators():
         assert betti_table(parse_ideal(text)).total(1) == parse_ideal(text).mu
 
 
+# The order-complex route, kept here as a small-lattice reference: the
+# chains of the open interval (bottom, p), optionally after dismantling
+# beat points, ranked by dense Gauss-Jordan elimination. It shares no
+# complex or rank code with the library and only runs on small lattices.
+
+
+def _open_interval(L, p: int) -> list[int]:
+    return [q for q in L.masks if q != 0 and q != p and q & p == q]
+
+
+def _chain_complex(points, chain_cap: int = betti.DEFAULT_CHAIN_CAP) -> list[list[tuple]]:
+    """All chains of a family of masks ordered by strict containment,
+    as index tuples into the points sorted by size, grouped by length."""
+    pts = sorted(points, key=lambda m: (m.bit_count(), m))
+    n = len(pts)
+    above = [[j for j in range(i + 1, n) if pts[i] & pts[j] == pts[i] != pts[j]] for i in range(n)]
+    levels: list[list[tuple[int, ...]]] = []
+    current = [(i,) for i in range(n)]
+    total = n
+    while current:
+        levels.append(current)
+        current = [f + (j,) for f in current for j in above[f[-1]]]
+        total += len(current)
+        if total > chain_cap:
+            raise OracleError(f"interval has more than {chain_cap} chains; aborting")
+    return levels
+
+
+def _core_points(points: list[int]) -> list[int]:
+    """Dismantle beat points: drop any element whose strict down-set
+    has a maximum or strict up-set has a minimum. Homotopy type of the
+    order complex is preserved, so homology ranks are unchanged."""
+    pts = set(points)
+    changed = True
+    while changed and len(pts) > 1:
+        changed = False
+        for x in sorted(pts):
+            down = [y for y in pts if y != x and y & x == y]
+            up = [y for y in pts if y != x and y & x == x]
+            down_union = 0
+            for y in down:
+                down_union |= y
+            up_inter = -1
+            for y in up:
+                up_inter &= y
+            if (down and down_union != x and down_union in pts) or (
+                up and up_inter != x and up_inter in pts
+            ):
+                pts.remove(x)
+                changed = True
+    return sorted(pts)
+
+
+def _dense_reduced_homology(levels: list[list[tuple]], p: int) -> dict[int, int]:
+    """Reduced homology ranks of a complex given as sorted index tuples
+    grouped by length, closed under subsets."""
+    ranks_of_boundary = [1 if levels else 0]  # augmentation onto the empty face
+    for d in range(1, len(levels)):
+        lower = {f: i for i, f in enumerate(levels[d - 1])}
+        matrix = [[0] * len(lower) for _ in levels[d]]
+        for r, f in enumerate(levels[d]):
+            for k in range(len(f)):
+                matrix[r][lower[f[:k] + f[k + 1 :]]] += (-1) ** k
+        ranks_of_boundary.append(_dense_rank(matrix, p))
+    ranks_of_boundary.append(0)
+    ranks = {-1: 1 - ranks_of_boundary[0]}
+    for d, level in enumerate(levels):
+        ranks[d] = len(level) - ranks_of_boundary[d] - ranks_of_boundary[d + 1]
+    return {d: r for d, r in ranks.items() if r}
+
+
+def _order_route_entries(L, char: int, use_core: bool = True, chain_cap=betti.DEFAULT_CHAIN_CAP):
+    """Betti table entries of the lattice by the order-complex route."""
+    entries = {(0, 0): 1}
+    for p in L.masks:
+        if p == 0:
+            continue
+        points = _open_interval(L, p)
+        if use_core:
+            points = _core_points(points)
+        for d, r in _dense_reduced_homology(_chain_complex(points, chain_cap), char).items():
+            entries[(d + 2, p)] = r
+    return entries
+
+
 def test_crosscut_and_order_routes_agree():
     for text in ("xy,yz", "ab,bc,cd,de", "ab,bcg,cdg,de,efg"):
         I = parse_ideal(text)
-        a = betti_table(I, char=2, method="crosscut")
-        b = betti_table(I, char=2, method="order")
-        assert a.entries == b.entries
+        for char in (2, 3):
+            assert betti_table(I, char).entries == _order_route_entries(lcm_lattice(I), char)
+
+
+def test_order_complex_of_open_interval():
+    L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
+    levels = _chain_complex(_open_interval(L, L.top))
+    # every element except bottom and top shows up as a vertex
+    assert len(levels[0]) == 19
 
 
 def test_core_dismantling_does_not_change_order_route():
-    I = parse_ideal("ab,bcg,cdg,de,efg")
-    with_core = betti_table(I, method="order", use_core=True)
-    without = betti_table(I, method="order", use_core=False)
-    assert with_core.entries == without.entries
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(OracleError, match="method"):
-        betti_table(parse_ideal("xy,yz"), method="guess")
+    L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
+    assert len(_core_points(_open_interval(L, L.top))) < 19
+    with_core = _order_route_entries(L, 2, use_core=True)
+    without = _order_route_entries(L, 2, use_core=False)
+    assert with_core == without
 
 
 def test_char_must_be_prime():
@@ -119,13 +205,6 @@ def test_euler_characteristic_matches_homology():
         assert chains == homology
 
 
-def test_order_complex_of_open_interval():
-    L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
-    K = order_complex(L, L.top)
-    # every element except bottom and top shows up as a vertex
-    assert len(K.vertices) == 19
-
-
 def test_betti_from_lattice_equals_betti_from_ideal():
     I = parse_ideal("ab,bcg,cdg,de,efg")
     H = dual_hypergraph(I)
@@ -141,9 +220,9 @@ def test_oracle_pd_shortcut():
 def test_chain_cap_aborts_with_sizing_report():
     I = parse_ideal("ab,bcg,cdg,de,efg")
     with pytest.raises(OracleError, match="aborting"):
-        betti_table(I, chain_cap=4, method="order")
+        _order_route_entries(lcm_lattice(I), 2, chain_cap=4)
     with pytest.raises(OracleError, match="exceeds the cap"):
-        betti_table(I, chain_cap=4, method="crosscut")
+        betti_table(I, chain_cap=4)
 
 
 def test_json_dict_shapes():
@@ -300,30 +379,64 @@ def test_sparse_rank_matches_dense_reference(p):
     assert deficient > 30
 
 
+def _vertex_list(f: int) -> tuple[int, ...]:
+    return tuple(i for i in range(f.bit_length()) if f >> i & 1)
+
+
 def _dense_boundary(K: SimplicialComplex, d: int) -> list[list[int]]:
-    lower = {f: i for i, f in enumerate(K.faces[d - 1])}
+    """The boundary matrix from d-faces to listed (d-1)-faces."""
+    lower = {_vertex_list(f): i for i, f in enumerate(K.faces[d - 1])}
     matrix = [[0] * len(lower) for _ in K.faces[d]]
     for r, f in enumerate(K.faces[d]):
-        for k in range(len(f)):
-            matrix[r][lower[f[:k] + f[k + 1 :]]] += (-1) ** k
+        vs = _vertex_list(f)
+        for k in range(len(vs)):
+            col = lower.get(vs[:k] + vs[k + 1 :])
+            if col is not None:
+                matrix[r][col] += (-1) ** k
     return matrix
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
-def test_boundary_rank_matches_dense_reference(p):
-    rng = random.Random(100 + p)
+def _relative_to_star(K: SimplicialComplex, v: int) -> SimplicialComplex:
+    """(K, closed star of vertex v): the faces F of K with F + {v} not in K."""
+    faces = {f for level in K.faces for f in level}
+    kept = [[f for f in level if f | 1 << v not in faces] for level in K.faces]
+    return SimplicialComplex(K.vertices, kept, relative=True)
+
+
+def _random_complexes(rng, count: int) -> list[SimplicialComplex]:
     complexes = [SimplicialComplex.from_maximal_faces(RP2_FACES)]
-    for _ in range(40):
+    for _ in range(count):
         n = rng.randint(3, 7)
         maximal = [
             tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
             for _ in range(rng.randint(1, 8))
         ]
         complexes.append(SimplicialComplex.from_maximal_faces(maximal))
+    return complexes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_boundary_rank_matches_dense_reference(p):
+    rng = random.Random(100 + p)
+    complexes = _random_complexes(rng, 40)
+    complexes += [_relative_to_star(K, rng.randrange(len(K.vertices))) for K in complexes]
+    assert sum(K.relative and len(K.faces) > 1 for K in complexes) > 10
     for K in complexes:
+        assert betti._boundary_rank(K, 0, p) == (0 if K.relative else 1)
         for d in range(1, len(K.faces)):
             want = _dense_rank(_dense_boundary(K, d), p)
             assert betti._boundary_rank(K, d, p) == want, (K.faces, d, p)
+
+
+def test_homology_relative_to_a_star_is_reduced_homology():
+    """A closed star is a cone, so excising it keeps every rank, for
+    every vertex of every complex."""
+    rng = random.Random(12)
+    for K in _random_complexes(rng, 60):
+        for char in (2, 3, 5):
+            want = reduced_homology_ranks(K, char)
+            for v in range(len(K.vertices)):
+                assert reduced_homology_ranks(_relative_to_star(K, v), char) == want
 
 
 def _staircase(rng, mu):
@@ -360,20 +473,71 @@ def test_up_set_join_is_the_smallest_superset():
             assert got == smallest, (I.to_text(), atoms)
 
 
+def _smallest_above(L, face: int) -> int:
+    return min((m for m in L.masks if m & face == face), key=int.bit_count)
+
+
 def test_crosscut_route_on_more_than_62_atoms():
+    """On 66 atoms, the faces kept are those of the definition: the apex
+    is absent, the join is not p, and the join with the apex is p."""
     L = lcm_lattice(_staircase(random.Random(3), 66))
     assert L.num_atoms == 66
     # the top's interval has 2^66 atom subsets; smaller ones are computed
-    small = [pos for pos, p in enumerate(L.masks) if 2 <= p.bit_count() <= 4]
+    small = [[pos for pos, p in enumerate(L.masks) if p.bit_count() == k][:12] for k in (2, 3, 4)]
     ups = L.up_sets()
-    for pos in small[:40]:
+    for pos in sum(small, []):
         p = L.masks[pos]
-        K = betti._crosscut_complex(ups, p, pos, betti.DEFAULT_CHAIN_CAP)
-        faces = {tuple(K.vertices[i] for i in f) for level in K.faces for f in level}
-        want = set()
-        for k in range(1, p.bit_count() + 1):
-            for atoms in itertools.combinations(K.vertices, k):
-                face = sum(1 << i for i in atoms)
-                if min((m for m in L.masks if m & face == face), key=int.bit_count) != p:
-                    want.add(atoms)
-        assert faces == want
+        atoms = [i for i in range(L.num_atoms) if p >> i & 1]
+        # the default apex has the most elements above it up to p
+        default = max(atoms, key=lambda a: sum(1 for m in L.masks[: pos + 1] if m >> a & 1))
+        for apex in [None] + atoms:
+            K = betti._crosscut_complex(ups, p, pos, betti.DEFAULT_CHAIN_CAP, apex)
+            assert K.relative and list(K.vertices) == atoms
+            a = default if apex is None else apex
+            want = set()
+            for k in range(1, len(atoms)):
+                for face in itertools.combinations(atoms, k):
+                    m = sum(1 << i for i in face)
+                    if (
+                        a not in face
+                        and _smallest_above(L, m) != p
+                        and _smallest_above(L, m | 1 << a) == p
+                    ):
+                        want.add(face)
+            got = {tuple(atoms[i] for i in _vertex_list(f)) for level in K.faces for f in level}
+            assert got == want, (p, apex)
+
+
+def _full_crosscut(L, p: int) -> list[list[tuple[int, ...]]]:
+    """The whole crosscut complex of p from the definition, as sorted
+    atom tuples grouped by size."""
+    atoms = [i for i in range(L.num_atoms) if p >> i & 1]
+    return [
+        [f for f in itertools.combinations(atoms, k)
+         if _smallest_above(L, sum(1 << i for i in f)) != p]
+        for k in range(1, len(atoms))
+    ]
+
+
+def test_every_apex_gives_the_full_crosscut_ranks():
+    rng = random.Random(31)
+    ideals = [_random_ideal(rng, 1) for _ in range(18)] + [_random_ideal(rng, 3) for _ in range(14)]
+    assert sum(not I.is_squarefree() for I in ideals) >= 5
+    # intervals with homology of rank 2 and 3
+    ideals += [parse_ideal(t) for t in ("ab,ac,ad,bc,bd,cd", "ab,bc,cd,de,ef,fg,ga")]
+    checked = 0
+    for I in ideals:
+        L = lcm_lattice(I)
+        ups = L.up_sets()
+        for pos, p in enumerate(L.masks):
+            if p.bit_count() < 2:
+                continue
+            full = _full_crosscut(L, p)
+            atoms = [i for i in range(L.num_atoms) if p >> i & 1]
+            for char in (2, 3, 5):
+                want = _dense_reduced_homology([level for level in full if level], char)
+                for apex in [None] + atoms:
+                    K = betti._crosscut_complex(ups, p, pos, betti.DEFAULT_CHAIN_CAP, apex)
+                    assert reduced_homology_ranks(K, char) == want, (I.to_text(), p, apex, char)
+                    checked += 1
+    assert checked > 3000

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import random
 
@@ -241,3 +242,15 @@ def test_engine_matches_oracle_on_random_cyclic_bushes():
         if engine != oracle:
             mismatches.append((engine, oracle, [list(e) for e in H.edges]))
     assert mismatches == []
+
+
+def test_package_attribute_pd_is_the_submodule():
+    """The package does not re-export the function `pd`, which would
+    hide the submodule of the same name."""
+    import hyperpd
+
+    module = importlib.import_module("hyperpd.pd")
+    assert hyperpd.pd is module
+    assert hyperpd.pd.pd is pd
+    assert hyperpd.pd.full_reduce.__name__ == "full_reduce"
+    assert "pd" not in hyperpd.__all__
