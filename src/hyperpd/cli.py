@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .betti import OracleError, betti_table, betti_table_from_lattice, oracle_pd
+from .betti import OracleError, _check_char, betti_table, betti_table_from_lattice, oracle_pd
 from .hypergraphs import (
     Hypergraph,
     HypergraphError,
@@ -26,7 +26,6 @@ from .hypergraphs import (
 from .ideals import IdealError, MonomialIdeal, ideal_from_json_dict, parse_ideal
 from .lattices import (
     LatticeError,
-    SetFamilyLattice,
     coordinatize,
     hypergraph_coordinatization,
     labeling_from_json_dict,
@@ -126,25 +125,31 @@ def _json_text(data) -> str:
 
 
 def _field_char(args) -> int:
+    """The characteristic from --field-char, else HYPERPD_FIELD_CHAR,
+    else 2; it must be prime whether or not the oracle runs."""
     if args.field_char is not None:
-        return args.field_char
-    raw = os.environ.get("HYPERPD_FIELD_CHAR", "2")
-    try:
-        return int(raw)
-    except ValueError:
-        raise OracleError(f"HYPERPD_FIELD_CHAR must be an integer, got {raw!r}")
+        char = args.field_char
+    else:
+        raw = os.environ.get("HYPERPD_FIELD_CHAR", "2")
+        try:
+            char = int(raw)
+        except ValueError:
+            raise OracleError(f"HYPERPD_FIELD_CHAR must be an integer, got {raw!r}")
+    _check_char(char)
+    return char
 
 
 def _cmd_pd(args) -> str:
     kind, obj = _load(_read_input(args.input), args.input_format)
     H = _as_hypergraph(kind, obj)
-    result = pd(H, field_char=_field_char(args))
+    char = _field_char(args)
+    result = pd(H, field_char=char)
     if args.trace and result.trace is not None:
         with open(args.trace, "w") as fh:
             fh.write(result.trace.to_jsonl())
     data = result.to_json_dict()
     if args.verify:
-        reference = oracle_pd(_as_ideal(kind, obj), char=_field_char(args))
+        reference = oracle_pd(_as_ideal(kind, obj), char=char)
         if reference != result.pd:
             raise PdError(
                 f"verification failed: reduction gives pd {result.pd}, "
@@ -320,14 +325,15 @@ _COMMANDS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, trace: bool = False):
+def _add_common(sub: argparse.ArgumentParser, trace: bool = False, field_char: bool = False):
     sub.add_argument("--in", dest="input", required=True,
                      help="path, inline text, or - for stdin")
     sub.add_argument("--out", dest="out", default=None, help="output path")
     sub.add_argument("--input-format", choices=INPUT_FORMATS, default=None)
     sub.add_argument("--output-format", choices=OUTPUT_FORMATS, default="json")
-    sub.add_argument("--field-char", type=int, default=None,
-                     help="field characteristic (default: HYPERPD_FIELD_CHAR or 2)")
+    if field_char:
+        sub.add_argument("--field-char", type=int, default=None,
+                         help="field characteristic (default: HYPERPD_FIELD_CHAR or 2)")
     if trace:
         sub.add_argument("--trace", default=None, help="write a JSONL trace here")
 
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("pd", help="projective dimension of R/I")
-    _add_common(p, trace=True)
+    _add_common(p, trace=True, field_char=True)
     p.add_argument("--verify", action="store_true",
                    help="also run the homology oracle and require agreement")
 
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse higher edges that are not unions")
 
     p = subs.add_parser("betti", help="total Betti numbers via lattice homology")
-    _add_common(p)
+    _add_common(p, field_char=True)
     p.add_argument("--entries", action="store_true",
                    help="include the per-degree breakdown")
 

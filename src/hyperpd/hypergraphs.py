@@ -15,12 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .ideals import (
-    IdealError,
-    MonomialIdeal,
-    make_ideal,
-    monomial_from_indices,
-)
+from .ideals import IdealError, MonomialIdeal, monomial_from_indices
 
 
 class HypergraphError(ValueError):
@@ -86,9 +81,6 @@ class Hypergraph:
     def is_open(self, v: int) -> bool:
         return not self.is_closed(v)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def pair_degree(self, v: int) -> int:
         """Degree within the 1-skeleton's two-vertex edges."""
         return sum(1 for e in self.edges if len(e) == 2 and v in e)
@@ -123,24 +115,37 @@ class Hypergraph:
         t = _canon_edge(edge)
         if t not in self._edge_set:
             raise HypergraphError(f"{list(t)} is not an edge")
-        labels = {e: ns for e, ns in self.labels.items() if e != t}
+        return self.remove_edges((t,))
+
+    def remove_edges(self, edges) -> "Hypergraph":
+        """Delete the given edges, canonical tuples, in one surgery;
+        tuples that are not edges are ignored."""
+        gone = set(edges)
+        labels = {e: ns for e, ns in self.labels.items() if e not in gone}
         return Hypergraph(
-            (e for e in self.edges if e != t), vertices=self.vertices, labels=labels
+            (e for e in self.edges if e not in gone), vertices=self.vertices, labels=labels
         )
 
     def remove_vertex(self, v: int) -> "Hypergraph":
-        """Delete v everywhere: the hypergraph of the ideal without m_v.
-
-        Edges shrink, empties vanish, duplicates merge with label
-        union; a pair edge {u,v} collapses to the singleton {u}, so
-        former neighbors of v come out closed.
-        """
         if v not in self.vertices:
             raise HypergraphError(f"{v} is not a vertex")
+        return self.remove_vertices((v,))
+
+    def remove_vertices(self, vertices) -> "Hypergraph":
+        """Delete the given vertices everywhere in one surgery: the
+        hypergraph of the ideal without their generators.
+
+        Edges shrink, empties vanish, duplicates merge with label
+        union; a pair edge {u,v} with v removed collapses to the
+        singleton {u}, so former neighbors of v come out closed. The
+        result equals removing the vertices one at a time, in any
+        order.
+        """
+        gone = set(vertices)
         new_edges = []
         labels: dict[tuple[int, ...], set[str]] = {}
         for e in self.edges:
-            t = tuple(u for u in e if u != v)
+            t = tuple(u for u in e if u not in gone)
             if not t:
                 continue
             if t not in labels:
@@ -149,33 +154,9 @@ class Hypergraph:
             labels[t].update(self.labels.get(e, ()))
         return Hypergraph(
             new_edges,
-            vertices=(u for u in self.vertices if u != v),
+            vertices=(u for u in self.vertices if u not in gone),
             labels={e: ns for e, ns in labels.items() if ns},
         )
-
-    def add_edge_vertex(self, edge) -> "Hypergraph":
-        """Remove every vertex of the edge, then adjoin a fresh closed
-        isolated vertex (in front, mirroring the ideal-level operation
-        that prepends the edge's variable as a new generator)."""
-        t = _canon_edge(edge)
-        if t not in self._edge_set:
-            raise HypergraphError(f"{list(t)} is not an edge")
-        out = self
-        for v in t:
-            out = out.remove_vertex(v)
-        fresh = min(out.vertices, default=1) - 1 if out.vertices else 1
-        return Hypergraph(
-            out.edges + ((fresh,),),
-            vertices=out.vertices + (fresh,),
-            labels=out.labels,
-        )
-
-    def skeleton(self, i: int) -> "Hypergraph":
-        if i < 0:
-            raise HypergraphError("skeleton dimension must be >= 0")
-        keep = [e for e in self.edges if len(e) <= i + 1]
-        labels = {e: ns for e, ns in self.labels.items() if len(e) <= i + 1}
-        return Hypergraph(keep, vertices=self.vertices, labels=labels)
 
     def components(self) -> list["Hypergraph"]:
         """Connected components under shared-edge adjacency, ordered by
@@ -218,9 +199,6 @@ class Hypergraph:
         if any(order[v] != v for v in self.vertices):
             data["vertex_labels"] = list(self.vertices)
         return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_dot(self) -> str:
         lines = ["graph hypergraph {", "  node [shape=circle];"]
@@ -354,17 +332,6 @@ def is_separated(H: Hypergraph) -> bool:
             if not any(a in e and b not in e for e in H.edges):
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    vertex: int
-    open: bool
-    degree: int
-
-
-def classify_vertices(H: Hypergraph) -> list[VertexClass]:
-    return [VertexClass(v, H.is_open(v), H.degree(v)) for v in H.vertices]
 
 
 @dataclass

@@ -5,13 +5,12 @@ variable names). Square-freeness is required only where the hypergraph
 construction needs it; lattice coordinatization can produce exponents
 above 1, so the general representation is kept throughout.
 
-Rings are capped at 64 variables so that supports fit in one machine
-word; nothing here needs more.
+Rings are capped at 64 variables. That is an input limit only:
+nothing here depends on it, and ROADMAP.md plans to lift it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -34,14 +33,6 @@ class Monomial:
             raise IdealError("exponent vector does not match ring size")
         if any(e < 0 for e in self.exps):
             raise IdealError("negative exponent")
-
-    @property
-    def support_mask(self) -> int:
-        mask = 0
-        for i, e in enumerate(self.exps):
-            if e:
-                mask |= 1 << i
-        return mask
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -151,12 +142,6 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(m.is_squarefree() for m in self.generators)
 
-    def generator(self, j: int) -> Monomial:
-        """1-based access, matching vertex numbering."""
-        if not 1 <= j <= self.mu:
-            raise IdealError(f"generator index {j} out of range 1..{self.mu}")
-        return self.generators[j - 1]
-
     def to_text(self) -> str:
         if self.is_zero():
             return "0"
@@ -170,9 +155,6 @@ class MonomialIdeal:
                 indices.extend([i] * e)
             gens.append(indices)
         return {"variables": list(self.ring), "generators": gens}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __str__(self):
         return self.to_text()
@@ -330,13 +312,6 @@ def add_variable_generator(ideal: MonomialIdeal, name: str) -> MonomialIdeal:
     var = Monomial(ideal.ring, tuple(exps))
     survivors = [m for m in ideal.generators if m.exps[index] == 0]
     return make_ideal(ideal.ring, [var] + survivors)
-
-
-def drop_generator(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
-    """Remove the j-th generator (1-based); stays minimal for free."""
-    ideal.generator(j)
-    gens = tuple(m for k, m in enumerate(ideal.generators, start=1) if k != j)
-    return MonomialIdeal(ideal.ring, gens)
 
 
 def _variable_index(ideal: MonomialIdeal, name: str) -> int:

@@ -170,28 +170,6 @@ class SetFamilyLattice:
         if m not in self._members:
             raise LatticeError(f"{set_of(m)} is not a lattice element")
 
-    def meet(self, a: int, b: int) -> int:
-        self._require(a)
-        self._require(b)
-        m = a & b
-        self._require(m)
-        return m
-
-    def join(self, a: int, b: int) -> int:
-        self._require(a)
-        self._require(b)
-        target = a | b
-        out = self.top
-        for m in self.masks:
-            if m & target == target:
-                out &= m
-        self._require(out)
-        return out
-
-    def filter_of(self, x: int) -> tuple[int, ...]:
-        self._require(x)
-        return tuple(m for m in self.masks if m & x == x)
-
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << i for i in range(self.num_atoms))
 
@@ -244,9 +222,6 @@ class SetFamilyLattice:
             "atoms": self.num_atoms,
             "elements": [list(set_of(m)) for m in self.masks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_dot(self) -> str:
         def name(m):
@@ -519,27 +494,3 @@ def labeling_from_json_dict(data: dict) -> tuple[SetFamilyLattice, Labeling]:
             exps[i] += e
         assignment[element] = Monomial(ring, tuple(exps))
     return L, Labeling(ring, assignment)
-
-
-def lattices_isomorphic(L1: SetFamilyLattice, L2: SetFamilyLattice) -> bool:
-    """Search for an atom bijection matching the families; test helper,
-    feasible for small atom counts only."""
-    if L1.num_atoms != L2.num_atoms or len(L1) != len(L2):
-        return False
-    n = L1.num_atoms
-    target = L2._members
-
-    def extend(perm):
-        if len(perm) == n:
-            for m in L1.masks:
-                img = 0
-                for i in range(n):
-                    if m & (1 << i):
-                        img |= 1 << perm[i]
-                if img not in target:
-                    return False
-            return True
-        used = set(perm)
-        return any(extend(perm + [j]) for j in range(n) if j not in used)
-
-    return extend([])

@@ -73,10 +73,9 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
         return PdResult(pd_closed_isolated(1), METHOD_CLOSED_ISOLATED)
     if shape.kind == "string" and all(comp.is_open(v) for v in comp.vertices):
         return PdResult(pd_open_string(comp.mu), METHOD_OPEN_STRING)
-    if shape.kind == "two_star" and not any(
-        len(e) == 2 and comp.is_closed(e[0]) and comp.is_closed(e[1])
-        for e in comp.edges
-    ):
+    # full_reduce leaves no edge whose vertices are all closed, so a
+    # 2-star here has no pair edge joining two closed vertices
+    if shape.kind == "two_star":
         return PdResult(pd_two_star(comp), METHOD_TWO_STAR)
     try:
         ideal = ideal_from_hypergraph(comp)

@@ -1,9 +1,11 @@
 """The pd-preserving rewrite passes, each recorded in a replayable trace.
 
 Three passes cooperate in full_reduce: joint removal on qualifying
-bushes, union-edge removal, and closed-vertex edge removal. Every
-removal carries a one-line justification so a trace can be audited
-without the surrounding code.
+bushes, union-edge removal, and closed-vertex edge removal. Each rule
+is one record in RULES: its name, the one-line justification that
+every trace step carries so a trace can be audited without the
+surrounding code, and whether its step removes an edge or a vertex.
+Recording, serializing and replaying a trace all read that table.
 """
 
 from __future__ import annotations
@@ -11,24 +13,31 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .hypergraphs import Hypergraph, HypergraphError, classify_shape
+from .hypergraphs import Hypergraph, classify_shape
 from .lattices import union_edge_elements
 
 RULE_UNION = "union_edge_removed"
 RULE_CLOSED = "closed_edge_removed"
 RULE_JOINT = "joint_removed"
-RULE_BRANCH_COLON = "branch_colon"
-RULE_BRANCH_VERTEX = "branch_vertex_removed"
 
-_EDGE_RULES = {RULE_UNION, RULE_CLOSED, RULE_BRANCH_COLON}
-_VERTEX_RULES = {RULE_JOINT, RULE_BRANCH_VERTEX}
 
-_CITES = {
-    RULE_UNION: "edge equals the union of its proper subedges; total Betti numbers unchanged",
-    RULE_CLOSED: "every vertex of the edge is closed; projective dimension unchanged",
-    RULE_JOINT: "joint with a branch of length 2 on a qualifying bush; projective dimension unchanged",
-    RULE_BRANCH_COLON: "branch vertex count is 1 mod 3; dropping the connecting edge preserves projective dimension",
-    RULE_BRANCH_VERTEX: "branch vertex count is 2 mod 3; removing the joint preserves projective dimension",
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    cite: str
+    target: str  # "edge" or "vertex": what a step of this rule removes
+
+
+RULES = {
+    rule.name: rule
+    for rule in (
+        Rule(RULE_UNION, "edge equals the union of its proper subedges; "
+             "total Betti numbers unchanged", "edge"),
+        Rule(RULE_CLOSED, "every vertex of the edge is closed; "
+             "projective dimension unchanged", "edge"),
+        Rule(RULE_JOINT, "joint with a branch of length 2 on a qualifying bush; "
+             "projective dimension unchanged", "vertex"),
+    )
 }
 
 
@@ -49,7 +58,8 @@ class TraceStep:
             data["edge"] = list(self.edge)
         if self.vertex is not None:
             data["vertex"] = self.vertex
-        data["cite"] = self.cite or _CITES.get(self.rule, "")
+        rule = RULES.get(self.rule)
+        data["cite"] = self.cite or (rule.cite if rule else "")
         return data
 
 
@@ -58,10 +68,14 @@ class ReductionTrace:
     steps: list[TraceStep] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def record(self, rule: str, edge=None, vertex=None):
-        self.steps.append(
-            TraceStep(rule, tuple(edge) if edge else None, vertex, _CITES[rule])
-        )
+    def record(self, rule: str, target):
+        """Append a step of `rule` removing `target`, an edge or a vertex
+        as the rule's record says."""
+        r = RULES[rule]
+        if r.target == "edge":
+            self.steps.append(TraceStep(rule, edge=tuple(target), cite=r.cite))
+        else:
+            self.steps.append(TraceStep(rule, vertex=target, cite=r.cite))
 
     def extend(self, other: "ReductionTrace"):
         self.steps.extend(other.steps)
@@ -95,16 +109,17 @@ def replay_trace(H: Hypergraph, trace: ReductionTrace) -> Hypergraph:
     """Re-apply recorded steps; raises if any step no longer applies."""
     out = H
     for step in trace.steps:
-        if step.rule in _EDGE_RULES:
+        rule = RULES.get(step.rule)
+        if rule is None:
+            raise ReductionError(f"unknown trace rule {step.rule!r}")
+        if rule.target == "edge":
             if step.edge is None:
                 raise ReductionError(f"{step.rule} step lacks an edge")
             out = out.remove_edge(step.edge)
-        elif step.rule in _VERTEX_RULES:
+        else:
             if step.vertex is None:
                 raise ReductionError(f"{step.rule} step lacks a vertex")
             out = out.remove_vertex(step.vertex)
-        else:
-            raise ReductionError(f"unknown trace rule {step.rule!r}")
     return out
 
 
@@ -130,15 +145,6 @@ class Preconditions:
         return data
 
 
-def _branch_vertices_by_joint(H: Hypergraph) -> dict[int, set[int]]:
-    """Joint -> set of vertices lying on that joint's branches."""
-    shape = classify_shape(H)
-    return {
-        w: {v for path in paths for v in path}
-        for w, paths in shape.branch_data.items()
-    }
-
-
 def check_preconditions(H: Hypergraph) -> Preconditions:
     """The three gates for the joint-removal pass, with witnesses.
 
@@ -157,7 +163,10 @@ def check_preconditions(H: Hypergraph) -> Preconditions:
                 "bush",
                 f"component {list(comp.vertices)} has kind {shape.kind}",
             )
-        on_branch = _branch_vertices_by_joint(comp)
+        on_branch = {
+            w: {v for path in paths for v in path}
+            for w, paths in shape.branch_data.items()
+        }
         for e in comp.higher_edges():
             implicated = {
                 w for w, verts in on_branch.items() if any(v in verts for v in e)
@@ -185,32 +194,30 @@ def remove_union_edges(H: Hypergraph, strict: bool = False) -> tuple[Hypergraph,
     unions. Lenient mode leaves non-union higher edges in place and
     notes them; strict mode refuses.
     """
-    trace = ReductionTrace()
     flagged = {e for e in union_edge_elements(H) if len(e) >= 3}
     survivors = [e for e in H.higher_edges() if e not in flagged]
     if survivors and strict:
         raise ReductionError(
             f"higher edge {list(survivors[0])} is not a union of other edges"
         )
+    out, trace = _remove_edges(H, RULE_UNION, [e for e in H.edges if e in flagged])
     for e in survivors:
         trace.notes.append(f"higher edge {list(e)} kept: not a union of other edges")
-    out = H
-    for e in H.edges:
-        if e in flagged:
-            out = out.remove_edge(e)
-            trace.record(RULE_UNION, edge=e)
     return out, trace
 
 
 def remove_closed_vertex_edges(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
     """Strip every edge of two or more vertices all of which are closed."""
+    closed = [e for e in H.edges if len(e) >= 2 and all(H.is_closed(v) for v in e)]
+    return _remove_edges(H, RULE_CLOSED, closed)
+
+
+def _remove_edges(H: Hypergraph, rule: str, edges: list) -> tuple[Hypergraph, ReductionTrace]:
+    """Remove `edges` in one surgery, recording one `rule` step each."""
     trace = ReductionTrace()
-    out = H
-    for e in H.edges:
-        if len(e) >= 2 and all(H.is_closed(v) for v in e):
-            out = out.remove_edge(e)
-            trace.record(RULE_CLOSED, edge=e)
-    return out, trace
+    for e in edges:
+        trace.record(rule, e)
+    return (H.remove_edges(edges) if edges else H), trace
 
 
 def _is_joint(H: Hypergraph, i: int) -> bool:
@@ -280,46 +287,10 @@ def remove_joints(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
             if not _joint_still_qualifies(out, i):
                 continue
             out = out.remove_vertex(i)
-            trace.record(RULE_JOINT, vertex=i)
+            trace.record(RULE_JOINT, i)
             removed_this_sweep = True
         if not removed_this_sweep:
             return out, trace
-
-
-def branch_reduce(H: Hypergraph, w: int, branch) -> tuple[Hypergraph, ReductionTrace]:
-    """Reduce along a branch by the vertex count mod 3: drop the
-    connecting edge (1), remove the joint (2), or refuse (0)."""
-    S = [int(v) for v in branch]
-    if H.higher_edges():
-        raise ReductionError("branch reduction needs a 1-dimensional hypergraph")
-    if H.pair_degree(w) < 3:
-        raise ReductionError(f"{w} is not a joint")
-    if not S:
-        raise ReductionError("empty branch")
-    path = [w] + S
-    for a, b in zip(path, path[1:]):
-        if not H.has_edge((a, b)):
-            raise ReductionError(f"{a} and {b} are not joined by a pair edge")
-    for v in S[:-1]:
-        if H.pair_degree(v) != 2:
-            raise ReductionError(f"branch interior {v} has degree != 2")
-        if H.is_closed(v):
-            raise ReductionError(f"branch interior {v} is closed")
-    if H.pair_degree(S[-1]) != 1:
-        raise ReductionError(f"branch end {S[-1]} is not an endpoint")
-    trace = ReductionTrace()
-    n = len(S)
-    if n % 3 == 1:
-        out = H.remove_edge((w, S[0]))
-        trace.record(RULE_BRANCH_COLON, edge=(w, S[0]))
-    elif n % 3 == 2:
-        out = H.remove_vertex(w)
-        trace.record(RULE_BRANCH_VERTEX, vertex=w)
-    else:
-        raise ReductionError(
-            "branch vertex count is divisible by 3; no reduction rule applies"
-        )
-    return out, trace
 
 
 def full_reduce(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
@@ -333,8 +304,8 @@ def full_reduce(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
             if not check_preconditions(comp).all_ok:
                 continue
             _, t = remove_joints(comp)
-            for step in t.steps:
-                out = out.remove_vertex(step.vertex)
+            if t.steps:
+                out = out.remove_vertices(step.vertex for step in t.steps)
             trace.extend(t)
         out, t = remove_union_edges(out)
         trace.extend(t)

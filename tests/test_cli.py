@@ -239,6 +239,31 @@ def test_bad_field_char_env_exits_one():
     assert json.loads(proc.stderr)["error"] == "OracleError"
 
 
+@pytest.mark.parametrize("argv,env", [
+    (("pd", "--in", "ab,bc", "--field-char", "4"), None),
+    (("pd", "--in", "ab,bc"), {"HYPERPD_FIELD_CHAR": "9"}),
+    (("pd", "--in", "ab,bc,cd,de", "--field-char", "4"), None),
+    (("betti", "--in", "ab", "--field-char", "1"), None),
+])
+def test_field_char_must_be_prime_even_without_the_oracle(argv, env):
+    # the string ab,bc is priced by a formula, so no oracle call would
+    # otherwise notice the characteristic
+    proc = _run(*argv, env_extra=env)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {
+        "error": "OracleError",
+        "message": f"{argv[-1] if env is None else env['HYPERPD_FIELD_CHAR']} "
+                   "is not a prime characteristic",
+    }
+
+
+@pytest.mark.parametrize("command", ["hypergraph", "lattice", "reduce", "coordinatize", "check"])
+def test_field_char_is_offered_only_where_it_is_read(command):
+    proc = _run(command, "--in", "ab,bc", "--field-char", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --field-char 3" in proc.stderr
+
+
 _ATOM = st.one_of(
     st.integers(-1, 4), st.none(), st.booleans(), st.sampled_from(["a", "[1]", "["])
 )

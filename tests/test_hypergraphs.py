@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,6 @@ from hyperpd.hypergraphs import (
     Hypergraph,
     HypergraphError,
     classify_shape,
-    classify_vertices,
     dual_hypergraph,
     hypergraph_from_json_dict,
     ideal_from_hypergraph,
@@ -50,8 +50,7 @@ def test_open_and_closed():
 
 def test_degree_counts_all_edges_pair_degree_only_pairs():
     H = dual_hypergraph(parse_ideal(FIVE_GEN))
-    assert H.degree(2) == 3  # (1,2), (2,3), (2,3,5)
-    assert H.pair_degree(2) == 2
+    assert H.pair_degree(2) == 2  # (1,2), (2,3); not (2,3,5)
     assert H.pair_neighbors(3) == (2, 4)
     assert H.higher_edges() == ((2, 3, 5),)
 
@@ -105,31 +104,39 @@ def test_remove_vertex_merges_labels():
     assert H2.label_of((2,)) == ("c",)
 
 
+def _same(A, B):
+    return (A.vertices, A.edges, A.labels) == (B.vertices, B.edges, B.labels)
+
+
+def test_set_surgeries_match_one_at_a_time():
+    """Removing a set of vertices or edges in one surgery gives the same
+    vertices, edge order and labels as removing them one by one, in any
+    order."""
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        edges = [rng.sample(range(1, n + 1), rng.randint(1, min(4, n))) for _ in range(n + 3)]
+        names = iter("abcdefghijklmnopqrstuvwxyz")
+        H = Hypergraph(edges, vertices=range(1, n + 1),
+                       labels={tuple(sorted(e)): {next(names)} for e in edges[: n]})
+        gone = rng.sample(H.vertices, rng.randint(0, n))
+        step = H
+        for v in gone:
+            step = step.remove_vertex(v)
+        assert _same(H.remove_vertices(set(gone)), step)
+        cut = rng.sample(H.edges, rng.randint(0, len(H.edges)))
+        step = H
+        for e in cut:
+            step = step.remove_edge(e)
+        assert _same(H.remove_edges(set(cut)), step)
+
+
 def test_equality_ignores_labels():
     A = Hypergraph([(1, 2)], labels={(1, 2): {"x"}})
     B = Hypergraph([(1, 2)])
     assert A == B
     assert hash(A) == hash(B)
     assert A != Hypergraph([(1, 2)], vertices=[1, 2, 3])
-
-
-def test_add_edge_vertex():
-    H = Hypergraph([(1, 2), (2, 3), (3,)])
-    H2 = H.add_edge_vertex((1, 2))
-    # vertices 1 and 2 go away, a fresh closed vertex appears below the rest
-    assert H2.vertices == (2, 3)
-    assert H2.has_edge((2,))
-    assert H2.has_edge((3,))
-    assert H2.is_closed(2)
-
-
-def test_skeleton():
-    H = dual_hypergraph(parse_ideal(FIVE_GEN))
-    S = H.skeleton(1)
-    assert S.higher_edges() == ()
-    assert S.mu == 5
-    with pytest.raises(HypergraphError):
-        H.skeleton(-1)
 
 
 def test_components_split_and_cover_isolated():
@@ -190,13 +197,6 @@ def test_branch_data_lists_paths():
     report = classify_shape(H)
     assert report.branch_data[1] == [(2, 3), (4,), (5,)]
     assert sorted(report.branch_lengths()) == [1, 1, 2]
-
-
-def test_classify_vertices():
-    H = Hypergraph([(1, 2), (2,)])
-    rows = {c.vertex: c for c in classify_vertices(H)}
-    assert rows[2].open is False
-    assert rows[1].degree == 1
 
 
 def test_json_round_trip_keeps_labels():

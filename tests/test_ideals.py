@@ -10,7 +10,6 @@ from hyperpd.ideals import (
     MonomialIdeal,
     add_variable_generator,
     colon_by_variable,
-    drop_generator,
     ideal_from_json_dict,
     make_ideal,
     minimalize,
@@ -97,7 +96,7 @@ def test_monomial_operations():
     assert a.gcd(b).divides(a)
     assert a.without_variable(0).to_text() == "y"
     assert a.degree() == 2
-    assert a.support_mask == 0b011
+    assert a.support == (0, 1)
 
 
 def test_monomial_text_forms():
@@ -147,22 +146,6 @@ def test_add_variable_generator():
     assert sorted(m.to_text() for m in J.generators) == ["b"]
     with pytest.raises(IdealError):
         add_variable_generator(I, "z")
-
-
-def test_drop_generator():
-    I = parse_ideal("ab,bc,cd")
-    J = drop_generator(I, 2)
-    assert [m.to_text() for m in J.generators] == ["ab", "cd"]
-    with pytest.raises(IdealError):
-        drop_generator(I, 4)
-
-
-def test_generator_indexing_is_one_based():
-    I = parse_ideal("ab,bc")
-    assert I.generator(1).to_text() == "ab"
-    assert I.generator(2).to_text() == "bc"
-    with pytest.raises(IdealError):
-        I.generator(0)
 
 
 def test_make_ideal_minimalizes():

@@ -1,21 +1,28 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from hyperpd.hypergraphs import Hypergraph, HypergraphError, dual_hypergraph, hypergraph_from_json_dict
+from hyperpd.betti import betti_table, oracle_pd
+from hyperpd.hypergraphs import (
+    Hypergraph,
+    HypergraphError,
+    dual_hypergraph,
+    hypergraph_from_json_dict,
+    ideal_from_hypergraph,
+    is_separated,
+)
 from hyperpd.ideals import parse_ideal
 from hyperpd.reduction import (
-    RULE_BRANCH_COLON,
-    RULE_BRANCH_VERTEX,
     RULE_CLOSED,
     RULE_JOINT,
     RULE_UNION,
+    RULES,
     ReductionError,
     ReductionTrace,
     TraceStep,
-    branch_reduce,
     check_preconditions,
     full_reduce,
     remove_closed_vertex_edges,
@@ -168,47 +175,6 @@ def test_joint_removal_closes_former_neighbors():
     assert out.is_closed(5)
 
 
-def test_branch_reduce_length_one_drops_connecting_edge():
-    H = Hypergraph([(1, 2), (1, 3), (1, 4), (1, 5), (2,), (3,), (4,), (5,)])
-    out, trace = branch_reduce(H, 1, [5])
-    assert not out.has_edge((1, 5))
-    assert [s.rule for s in trace.steps] == [RULE_BRANCH_COLON]
-    assert trace.steps[0].edge == (1, 5)
-
-
-def test_branch_reduce_length_two_removes_joint():
-    H = Hypergraph([(1, 2), (2, 3), (1, 4), (1, 5), (3,), (4,), (5,)])
-    out, trace = branch_reduce(H, 1, [2, 3])
-    assert [s.rule for s in trace.steps] == [RULE_BRANCH_VERTEX]
-    assert trace.steps[0].vertex == 1
-    assert 1 not in out.vertices
-    assert out.is_closed(2)
-
-
-def test_branch_reduce_length_three_refuses():
-    H = Hypergraph([(1, 2), (2, 3), (3, 6), (1, 4), (1, 5), (6,), (4,), (5,)])
-    with pytest.raises(ReductionError, match="divisible by 3"):
-        branch_reduce(H, 1, [2, 3, 6])
-
-
-def test_branch_reduce_input_validation():
-    H = Hypergraph([(1, 2), (2, 3), (1, 4), (1, 5), (3,), (4,), (5,)])
-    with pytest.raises(ReductionError, match="not a joint"):
-        branch_reduce(H, 2, [3])
-    with pytest.raises(ReductionError, match="not joined"):
-        branch_reduce(H, 1, [3])
-    with pytest.raises(ReductionError, match="empty branch"):
-        branch_reduce(H, 1, [])
-    with pytest.raises(ReductionError, match="not an endpoint"):
-        branch_reduce(H, 1, [2])
-    closed_interior = Hypergraph([(1, 2), (2, 3), (1, 4), (1, 5), (2,), (3,), (4,), (5,)])
-    with pytest.raises(ReductionError, match="closed"):
-        branch_reduce(closed_interior, 1, [2, 3])
-    with_higher = Hypergraph([(1, 2), (2, 3), (1, 4), (1, 5), (3,), (4,), (5,), (4, 5, 2)])
-    with pytest.raises(ReductionError, match="1-dimensional"):
-        branch_reduce(with_higher, 1, [2, 3])
-
-
 def test_trace_jsonl_round_trip():
     _, trace = full_reduce(_figure4())
     text = trace.to_jsonl()
@@ -216,10 +182,9 @@ def test_trace_jsonl_round_trip():
     assert again.steps == trace.steps
     for line in text.strip().splitlines():
         step = json.loads(line)
-        assert step["rule"] in {
-            RULE_UNION, RULE_CLOSED, RULE_JOINT, RULE_BRANCH_COLON, RULE_BRANCH_VERTEX,
-        }
-        assert step["cite"]
+        rule = RULES[step["rule"]]
+        assert step["cite"] == rule.cite
+        assert set(step) == {"rule", "cite", rule.target}
 
 
 def test_trace_replay_reproduces_reduction():
@@ -267,3 +232,61 @@ def test_full_reduce_skips_components_failing_preconditions():
     # no joint step may fire on a non-bush component
     assert all(s.rule != RULE_JOINT for s in trace.steps)
     assert 1 in reduced.vertices
+
+
+def _random_separated(rng):
+    """A separated hypergraph on 3-8 vertices with singletons, pairs and
+    a few 3- or 4-vertex edges."""
+    while True:
+        n = rng.randint(3, 8)
+        vertices = range(1, n + 1)
+        edges = [(v,) for v in vertices if rng.random() < 0.5]
+        edges += [rng.sample(vertices, 2) for _ in range(rng.randint(1, n + 2))]
+        edges += [rng.sample(vertices, rng.randint(3, min(4, n))) for _ in range(rng.randint(0, 3))]
+        H = Hypergraph(edges, vertices=vertices)
+        if is_separated(H):
+            return H
+
+
+def _ideal_or_none(H):
+    try:
+        return ideal_from_hypergraph(H)
+    except HypergraphError:
+        return None
+
+
+def _check_each_step(pass_, invariant, seed, draws):
+    """Replay every step a pass records, one edge removal at a time, and
+    compare `invariant` of the ideals on both sides of each step where
+    both realise. Returns (steps checked, mismatches)."""
+    rng = random.Random(seed)
+    checked, mismatches = 0, []
+    for _ in range(draws):
+        before = _random_separated(rng)
+        _, trace = pass_(before)
+        for step in trace.steps:
+            after = before.remove_edge(step.edge)
+            I, J = _ideal_or_none(before), _ideal_or_none(after)
+            if I is not None and J is not None:
+                checked += 1
+                if invariant(I) != invariant(J):
+                    mismatches.append((step.edge, [list(e) for e in before.edges]))
+            before = after
+    return checked, mismatches
+
+
+def test_each_union_step_keeps_total_betti_numbers():
+    checked, mismatches = _check_each_step(
+        remove_union_edges, lambda I: betti_table(I).totals(), seed=2, draws=400
+    )
+    assert mismatches == []
+    assert checked >= 100
+
+
+def test_each_closed_step_keeps_pd():
+    checked, mismatches = _check_each_step(
+        remove_closed_vertex_edges, oracle_pd, seed=2, draws=400
+    )
+    assert mismatches == []
+    assert checked >= 100
+
