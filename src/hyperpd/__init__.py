@@ -1,122 +1,3 @@
 """Projective dimension and Betti numbers of square-free monomial
 ideals, computed by reducing the ideal's dual hypergraph and checked
 against lattice homology."""
-
-from .ideals import (
-    IdealError,
-    Monomial,
-    MonomialIdeal,
-    add_variable_generator,
-    colon_by_variable,
-    ideal_from_json_dict,
-    make_ideal,
-    minimalize,
-    parse_ideal,
-)
-from .hypergraphs import (
-    Hypergraph,
-    HypergraphError,
-    ShapeReport,
-    classify_shape,
-    dual_hypergraph,
-    hypergraph_from_json_dict,
-    ideal_from_hypergraph,
-    is_separated,
-)
-from .lattices import (
-    Labeling,
-    LatticeError,
-    SetFamilyLattice,
-    coordinatize,
-    hypergraph_coordinatization,
-    labeling_from_json_dict,
-    labeling_to_json_dict,
-    lattice_from_hypergraph,
-    lattice_from_json_dict,
-    lcm_lattice,
-    union_edge_elements,
-)
-from .betti import (
-    BettiTable,
-    OracleError,
-    SimplicialComplex,
-    betti_table,
-    betti_table_from_lattice,
-    oracle_pd,
-    reduced_homology_ranks,
-)
-from .reduction import (
-    Preconditions,
-    ReductionError,
-    ReductionTrace,
-    TraceStep,
-    check_preconditions,
-    full_reduce,
-    remove_closed_vertex_edges,
-    remove_joints,
-    remove_union_edges,
-    replay_trace,
-)
-from .pd import (
-    PdError,
-    PdResult,
-    pd_closed_isolated,
-    pd_monotonicity_check,
-    pd_open_string,
-    pd_two_star,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BettiTable",
-    "Hypergraph",
-    "HypergraphError",
-    "IdealError",
-    "Labeling",
-    "LatticeError",
-    "Monomial",
-    "MonomialIdeal",
-    "OracleError",
-    "PdError",
-    "PdResult",
-    "Preconditions",
-    "ReductionError",
-    "ReductionTrace",
-    "SetFamilyLattice",
-    "ShapeReport",
-    "SimplicialComplex",
-    "TraceStep",
-    "add_variable_generator",
-    "betti_table",
-    "betti_table_from_lattice",
-    "check_preconditions",
-    "classify_shape",
-    "colon_by_variable",
-    "coordinatize",
-    "dual_hypergraph",
-    "full_reduce",
-    "hypergraph_coordinatization",
-    "hypergraph_from_json_dict",
-    "ideal_from_hypergraph",
-    "ideal_from_json_dict",
-    "is_separated",
-    "labeling_from_json_dict",
-    "labeling_to_json_dict",
-    "lattice_from_hypergraph",
-    "lattice_from_json_dict",
-    "lcm_lattice",
-    "make_ideal",
-    "minimalize",
-    "oracle_pd",
-    "parse_ideal",
-    "pd_closed_isolated",
-    "pd_monotonicity_check",
-    "pd_open_string",
-    "pd_two_star",
-    "remove_closed_vertex_edges",
-    "remove_joints",
-    "remove_union_edges",
-    "replay_trace",
-    "union_edge_elements",
-]

@@ -51,25 +51,8 @@ class SimplicialComplex:
         while self.faces and not self.faces[-1]:
             self.faces.pop()
 
-    @classmethod
-    def from_maximal_faces(cls, maximal) -> "SimplicialComplex":
-        vertices = sorted({v for f in maximal for v in f})
-        index = {v: i for i, v in enumerate(vertices)}
-        masks = [sum(1 << index[v] for v in set(f)) for f in maximal]
-        top = max((m.bit_count() for m in masks), default=0)
-        levels: list[set[int]] = [set() for _ in range(top)]
-        for m in masks:
-            s = m
-            while s:  # every nonempty subset of m
-                levels[s.bit_count() - 1].add(s)
-                s = (s - 1) & m
-        return cls(vertices, [sorted(level) for level in levels])
-
     def face_counts(self) -> list[int]:
         return [len(level) for level in self.faces]
-
-    def is_empty(self) -> bool:
-        return not self.faces
 
 
 def _crosscut_complex(
@@ -229,7 +212,6 @@ def _check_char(char: int):
 @dataclass
 class BettiTable:
     field_char: int
-    num_atoms: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def totals(self) -> dict[int, int]:
@@ -243,9 +225,6 @@ class BettiTable:
     def pd(self) -> int:
         totals = self.totals()
         return max((i for i, t in totals.items() if t > 0), default=0)
-
-    def total(self, i: int) -> int:
-        return self.totals().get(i, 0)
 
     def to_json_dict(self, include_entries: bool = False) -> dict:
         data = {
@@ -266,7 +245,7 @@ def betti_table_from_lattice(
     L: SetFamilyLattice, char: int = 2, chain_cap: int = DEFAULT_CHAIN_CAP
 ) -> BettiTable:
     _check_char(char)
-    table = BettiTable(field_char=char, num_atoms=L.num_atoms)
+    table = BettiTable(field_char=char)
     table.entries[(0, 0)] = 1
     ups = L.up_sets()
     for pos, p in enumerate(L.masks):

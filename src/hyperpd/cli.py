@@ -142,6 +142,8 @@ def _field_char(args) -> int:
 def _cmd_pd(args) -> str:
     kind, obj = _load(_read_input(args.input), args.input_format)
     H = _as_hypergraph(kind, obj)
+    if args.output_format == "dot":
+        raise UsageError("pd has no dot output")
     char = _field_char(args)
     result = pd(H, field_char=char)
     if args.trace and result.trace is not None:
@@ -159,8 +161,6 @@ def _cmd_pd(args) -> str:
         data["verified"] = True
     if args.output_format == "text":
         return f"pd = {result.pd} ({result.method})"
-    if args.output_format == "dot":
-        raise UsageError("pd has no dot output")
     return _json_text(data)
 
 

@@ -69,9 +69,6 @@ class Hypergraph:
     def mu(self) -> int:
         return len(self.vertices)
 
-    def has_edge(self, edge) -> bool:
-        return _canon_edge(edge) in self._edge_set
-
     def label_of(self, edge) -> tuple[str, ...]:
         return self.labels.get(_canon_edge(edge), ())
 
@@ -160,7 +157,9 @@ class Hypergraph:
 
     def components(self) -> list["Hypergraph"]:
         """Connected components under shared-edge adjacency, ordered by
-        smallest vertex; uncovered vertices count as singletons."""
+        smallest vertex; uncovered vertices count as singletons. A
+        connected hypergraph is its own only component: hypergraphs
+        are immutable, so no copy is made."""
         parent = {v: v for v in self.vertices}
 
         def find(a):
@@ -177,6 +176,8 @@ class Hypergraph:
         groups: dict[int, list[int]] = {}
         for v in self.vertices:
             groups.setdefault(find(v), []).append(v)
+        if len(groups) == 1:
+            return [self]
         out = []
         for root in sorted(groups, key=lambda r: min(groups[r])):
             verts = set(groups[root])
@@ -337,7 +338,6 @@ def is_separated(H: Hypergraph) -> bool:
 @dataclass
 class ShapeReport:
     kind: str
-    joints: tuple[int, ...]
     branch_data: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
 
     def branch_lengths(self) -> list[int]:
@@ -382,7 +382,7 @@ def classify_shape(H: Hypergraph) -> ShapeReport:
     higher = H.higher_edges()
     joints = tuple(v for v in H.vertices if deg[v] >= 3)
     branch_data = {w: _branches_from(H, w, deg) for w in joints}
-    report = ShapeReport("other", joints, branch_data)
+    report = ShapeReport("other", branch_data)
     mu = H.mu
     if not higher and not joints:
         if len(pairs) == mu - 1:

@@ -12,7 +12,7 @@ nothing here depends on it, and ROADMAP.md plans to lift it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_RING_VARIABLES = 64
 
@@ -44,16 +44,9 @@ class Monomial:
     def is_one(self) -> bool:
         return not any(self.exps)
 
-    def degree(self) -> int:
-        return sum(self.exps)
-
     def divides(self, other: "Monomial") -> bool:
         _check_ring(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _check_ring(self, other)
-        return Monomial(self.ring, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         _check_ring(self, other)
@@ -107,13 +100,11 @@ class MonomialIdeal:
     """A monomial ideal given by an ordered minimal generating set.
 
     Generator order is canonical: it fixes the vertex numbering 1..mu of
-    the dual hypergraph and every trace downstream. `dropped` records
-    input generators discarded during minimalization.
+    the dual hypergraph and every trace downstream.
     """
 
     ring: tuple[str, ...]
     generators: tuple[Monomial, ...]
-    dropped: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if len(self.ring) > MAX_RING_VARIABLES:
@@ -160,14 +151,9 @@ class MonomialIdeal:
         return self.to_text()
 
 
-def minimalize(monomials, words=None):
-    """Drop duplicates and multiples, keeping first occurrences in order.
-
-    Returns (kept monomials, dropped words). `words` supplies the
-    original spellings for the warning list.
-    """
+def minimalize(monomials) -> list[Monomial]:
+    """Drop duplicates and multiples, keeping first occurrences in order."""
     kept = []
-    dropped = []
     for idx, m in enumerate(monomials):
         redundant = False
         for jdx, other in enumerate(monomials):
@@ -177,16 +163,13 @@ def minimalize(monomials, words=None):
                 # the parenthesized clause keeps the FIRST of equal duplicates
                 redundant = True
                 break
-        if redundant:
-            dropped.append(words[idx] if words else m.to_text())
-        else:
+        if not redundant:
             kept.append(m)
-    return kept, dropped
+    return kept
 
 
-def make_ideal(ring, monomials, words=None) -> MonomialIdeal:
-    kept, dropped = minimalize(monomials, words)
-    return MonomialIdeal(tuple(ring), tuple(kept), tuple(dropped))
+def make_ideal(ring, monomials) -> MonomialIdeal:
+    return MonomialIdeal(tuple(ring), tuple(minimalize(monomials)))
 
 
 def parse_monomial_word(word: str, variables: list[str], offset: int = 0) -> list[tuple[int, int]]:
@@ -236,13 +219,12 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
     Variables are ordered by first appearance. Exponents above 1 are
     rejected here (square-free input contract); non-minimal generators
-    are dropped and recorded in the ideal's warning list.
+    are dropped.
     """
     if text.strip() == "0":
         return MonomialIdeal((), ())
     variables: list[str] = []
     raw: list[list[tuple[int, int]]] = []
-    words = []
     pos = 0
     pieces = text.split(",")
     if not any(p.strip() for p in pieces):
@@ -258,7 +240,6 @@ def parse_ideal(text: str) -> MonomialIdeal:
                     f"exponent {e} on {variables[i]!r} in {word!r}: input ideals must be square-free"
                 )
         raw.append(pairs)
-        words.append(word)
         pos += len(piece) + 1
     ring = tuple(variables)
     monomials = []
@@ -267,7 +248,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
         for i, e in pairs:
             exps[i] += e
         monomials.append(Monomial(ring, tuple(exps)))
-    return make_ideal(ring, monomials, words)
+    return make_ideal(ring, monomials)
 
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:

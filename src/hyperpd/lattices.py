@@ -154,10 +154,6 @@ class SetFamilyLattice:
     def __len__(self):
         return len(self.masks)
 
-    def __contains__(self, element):
-        m = element if isinstance(element, int) else mask_of(element)
-        return m in self._members
-
     def __eq__(self, other):
         if not isinstance(other, SetFamilyLattice):
             return NotImplemented
@@ -169,9 +165,6 @@ class SetFamilyLattice:
     def _require(self, m: int):
         if m not in self._members:
             raise LatticeError(f"{set_of(m)} is not a lattice element")
-
-    def atoms(self) -> tuple[int, ...]:
-        return tuple(1 << i for i in range(self.num_atoms))
 
     def meet_irreducibles(self) -> tuple[int, ...]:
         """Elements that are not intersections of strictly larger ones.

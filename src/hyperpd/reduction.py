@@ -3,8 +3,8 @@
 Three passes cooperate in full_reduce: joint removal on qualifying
 bushes, union-edge removal, and closed-vertex edge removal. Each rule
 is one record in RULES: its name, the one-line justification that
-every trace step carries so a trace can be audited without the
-surrounding code, and whether its step removes an edge or a vertex.
+every serialized trace step carries so a trace can be audited without
+the surrounding code, and whether its step removes an edge or a vertex.
 Recording, serializing and replaying a trace all read that table.
 """
 
@@ -50,7 +50,6 @@ class TraceStep:
     rule: str
     edge: tuple[int, ...] | None = None
     vertex: int | None = None
-    cite: str = ""
 
     def to_json_dict(self) -> dict:
         data: dict = {"rule": self.rule}
@@ -59,27 +58,24 @@ class TraceStep:
         if self.vertex is not None:
             data["vertex"] = self.vertex
         rule = RULES.get(self.rule)
-        data["cite"] = self.cite or (rule.cite if rule else "")
+        data["cite"] = rule.cite if rule else ""
         return data
 
 
 @dataclass
 class ReductionTrace:
     steps: list[TraceStep] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def record(self, rule: str, target):
         """Append a step of `rule` removing `target`, an edge or a vertex
         as the rule's record says."""
-        r = RULES[rule]
-        if r.target == "edge":
-            self.steps.append(TraceStep(rule, edge=tuple(target), cite=r.cite))
+        if RULES[rule].target == "edge":
+            self.steps.append(TraceStep(rule, edge=tuple(target)))
         else:
-            self.steps.append(TraceStep(rule, vertex=target, cite=r.cite))
+            self.steps.append(TraceStep(rule, vertex=target))
 
     def extend(self, other: "ReductionTrace"):
         self.steps.extend(other.steps)
-        self.notes.extend(other.notes)
 
     def to_jsonl(self) -> str:
         return "".join(
@@ -99,7 +95,6 @@ class ReductionTrace:
                     data["rule"],
                     tuple(data["edge"]) if "edge" in data else None,
                     data.get("vertex"),
-                    data.get("cite", ""),
                 )
             )
         return cls(steps)
@@ -191,19 +186,15 @@ def remove_union_edges(H: Hypergraph, strict: bool = False) -> tuple[Hypergraph,
     """Strip every union edge of cardinality >= 3.
 
     Pair and singleton edges are never touched even when they are
-    unions. Lenient mode leaves non-union higher edges in place and
-    notes them; strict mode refuses.
+    unions. Lenient mode leaves non-union higher edges in place;
+    strict mode refuses, naming the first.
     """
     flagged = {e for e in union_edge_elements(H) if len(e) >= 3}
-    survivors = [e for e in H.higher_edges() if e not in flagged]
-    if survivors and strict:
-        raise ReductionError(
-            f"higher edge {list(survivors[0])} is not a union of other edges"
-        )
-    out, trace = _remove_edges(H, RULE_UNION, [e for e in H.edges if e in flagged])
-    for e in survivors:
-        trace.notes.append(f"higher edge {list(e)} kept: not a union of other edges")
-    return out, trace
+    if strict:
+        kept = [e for e in H.higher_edges() if e not in flagged]
+        if kept:
+            raise ReductionError(f"higher edge {list(kept[0])} is not a union of other edges")
+    return _remove_edges(H, RULE_UNION, [e for e in H.edges if e in flagged])
 
 
 def remove_closed_vertex_edges(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:

@@ -233,7 +233,7 @@ def test_criterion_07_monotonicity():
         candidates = [
             c for size in range(1, len(verts) + 1)
             for c in itertools.combinations(verts, size)
-            if not H1.has_edge(c)
+            if c not in H1.edges
         ]
         if not candidates:
             continue

@@ -30,6 +30,17 @@ def _run(*argv, stdin=None, env_extra=None):
     )
 
 
+def _main(*argv):
+    """In-process call: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
 def test_pd_json_output():
     proc = _run("pd", "--in", FIVE_GEN)
     assert proc.returncode == 0
@@ -311,6 +322,14 @@ def test_fuzzed_json_never_ends_in_a_traceback(document, command, fmt):
 def test_dot_refused_where_meaningless(argv):
     proc = _run(*argv)
     assert proc.returncode == 2
+
+
+def test_pd_dot_is_refused_before_the_engine_runs(tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    code, out = _main("pd", "--in", FIVE_GEN, "--output-format", "dot",
+                      "--trace", str(trace_path))
+    assert (code, out) == (2, "")
+    assert not trace_path.exists()
 
 
 def test_missing_subcommand_exits_two():

@@ -58,8 +58,8 @@ def test_degree_counts_all_edges_pair_degree_only_pairs():
 def test_remove_edge_is_pure():
     H = Hypergraph([(1, 2), (2, 3)])
     H2 = H.remove_edge((1, 2))
-    assert H.has_edge((1, 2))
-    assert not H2.has_edge((1, 2))
+    assert (1, 2) in H.edges
+    assert (1, 2) not in H2.edges
     assert H2.vertices == (1, 2, 3)
     with pytest.raises(HypergraphError):
         H.remove_edge((1, 3))
@@ -71,7 +71,7 @@ def test_remove_vertex_shrinks_edges():
     assert H2.edges == ((1,), (3,))
     assert H2.vertices == (1, 3)
     # original untouched
-    assert H.has_edge((1, 2))
+    assert (1, 2) in H.edges
 
 
 def test_remove_vertex_merges_shrink_remnants():
@@ -145,6 +145,12 @@ def test_components_split_and_cover_isolated():
     assert [c.vertices for c in comps] == [(1, 2), (3,), (4, 5)]
 
 
+def test_connected_hypergraph_is_its_own_component():
+    H = Hypergraph([(1, 2), (2, 3, 4), (4,)], labels={(1, 2): ("a",)})
+    assert len(H.components()) == 1
+    assert H.components()[0] is H
+
+
 def test_separated():
     assert is_separated(dual_hypergraph(parse_ideal(FIVE_GEN)))
     # leaf 2 is inside every edge that touches it minus nothing: m_2 | m_1
@@ -169,7 +175,7 @@ def test_classify_string_cycle_two_star_bush():
     assert classify_shape(Hypergraph([(1, 2), (2, 3), (3, 1)])).kind == "cycle"
     star = classify_shape(Hypergraph([(1, 2), (1, 3), (1, 4), (2,), (3,), (4,)]))
     assert star.kind == "two_star"
-    assert star.joints == (1,)
+    assert list(star.branch_data) == [1]
     # a length-2 branch keeps it a 2-star
     assert classify_shape(Hypergraph([(1, 2), (1, 3), (1, 4), (4, 5), (2,)])).kind == "two_star"
     two_joints = Hypergraph(

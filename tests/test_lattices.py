@@ -88,11 +88,12 @@ def test_lattice_from_hypergraph_matches_lcm_lattice():
 
 def test_atoms_filter_covers():
     L = _demo_lattice()
-    assert L.atoms() == tuple(mask_of([i]) for i in (1, 2, 3, 4))
+    atoms = {mask_of([i]) for i in (1, 2, 3, 4)}
+    assert L.num_atoms == 4 and atoms <= set(L.masks)
     assert [set_of(m) for m in L.masks if m & mask_of([2]) == mask_of([2])] == [
         (2,), (1, 2), (2, 3, 4), (1, 2, 3, 4),
     ]
-    assert set(L.upper_covers(0)) == set(L.atoms())
+    assert set(L.upper_covers(0)) == atoms
     assert set(L.upper_covers(mask_of([2]))) == {mask_of([1, 2]), mask_of([2, 3, 4])}
 
 

@@ -253,12 +253,3 @@ def test_package_attribute_pd_is_the_submodule():
     assert hyperpd.pd is module
     assert hyperpd.pd.pd is pd
     assert hyperpd.pd.full_reduce.__name__ == "full_reduce"
-    assert "pd" not in hyperpd.__all__
-
-
-def test_every_exported_name_resolves():
-    import hyperpd
-
-    missing = [name for name in hyperpd.__all__ if not hasattr(hyperpd, name)]
-    assert missing == []
-    assert len(set(hyperpd.__all__)) == len(hyperpd.__all__)

@@ -89,7 +89,7 @@ def test_union_edge_removal_preserves_betti_numbers(text):
         for a in H.edges for b in H.edges
         if a < b
     )
-    unions = [u for u in unions if len(u) >= 3 and not H.has_edge(u)]
+    unions = [u for u in unions if len(u) >= 3 and u not in H.edges]
     assume(unions)
     enlarged = Hypergraph(list(H.edges) + [unions[0]])
     stripped, trace = remove_union_edges(enlarged)

@@ -72,8 +72,8 @@ def test_union_removal_lenient_keeps_non_union_higher_edges():
     # (1,2,3) is not a union of the other edges
     H = Hypergraph([(1, 2), (3, 4), (1, 2, 3)])
     out, trace = remove_union_edges(H)
-    assert out.has_edge((1, 2, 3))
-    assert any("kept" in note for note in trace.notes)
+    assert out == H
+    assert trace.steps == []
 
 
 def test_union_removal_strict_refuses_non_union_higher_edges():
