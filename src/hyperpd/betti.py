@@ -35,19 +35,18 @@ class OracleError(ValueError):
 class SimplicialComplex:
     """A chain complex of faces, each a bitmask over positions in `vertices`.
 
-    `faces[d]` lists the faces with d + 1 vertices. A plain complex is
-    closed under subsets and carries the empty face, so its homology is
-    reduced homology. A `relative` complex stands for a pair (K, A) of a
-    complex and a subcomplex: it lists only the faces of K outside A,
-    has no empty face, and its boundaries drop the facets that lie in A.
+    `faces[k]` lists the faces with k vertices, and every boundary drops
+    the facets that are not listed. A complex closed under subsets lists
+    the empty face (mask 0), so its homology is reduced homology. A pair
+    (K, A) of a complex and a subcomplex lists only the faces of K
+    outside A, so its homology is the relative homology.
     """
 
-    __slots__ = ("vertices", "faces", "relative")
+    __slots__ = ("vertices", "faces")
 
-    def __init__(self, vertices, faces, relative: bool = False):
+    def __init__(self, vertices, faces):
         self.vertices = tuple(vertices)
         self.faces = [list(level) for level in faces]
-        self.relative = relative
         while self.faces and not self.faces[-1]:
             self.faces.pop()
 
@@ -56,7 +55,7 @@ class SimplicialComplex:
 
 
 def _crosscut_complex(
-    ups: list[int], p: int, pos: int, chain_cap: int, apex: int | None = None
+    ups: list[int], p: int, pos: int, apex: int | None = None
 ) -> SimplicialComplex:
     """The crosscut complex of the atoms below p, relative to the
     closed star of one atom, the apex.
@@ -76,7 +75,7 @@ def _crosscut_complex(
     positions in the atom list.
     """
     atoms = [i for i in range(len(ups)) if (p >> i) & 1]
-    if 1 << len(atoms) > chain_cap:
+    if 1 << len(atoms) > DEFAULT_CHAIN_CAP:
         raise OracleError(
             f"crosscut complex on {len(atoms)} atoms exceeds the cap"
         )
@@ -89,6 +88,7 @@ def _crosscut_complex(
     rest = [up_apex & full] * (len(atoms) + 1)
     for k in range(len(atoms) - 1, -1, -1):
         rest[k] = rest[k + 1] & ups[atoms[k]]
+    # levels[k]: the kept faces on k atoms; the empty face is in the star
     levels: list[list[int]] = [[] for _ in atoms]
     stack: list[tuple[int, int, int]] = [(0, full, 0)]
     while stack:
@@ -101,12 +101,12 @@ def _crosscut_complex(
                 continue
             f2 = face | 1 << k
             if up2 & up_apex == only_p:
-                levels[f2.bit_count() - 1].append(f2)
+                levels[f2.bit_count()].append(f2)
             # unless the apex and every later atom join f2 up to p, no
             # extension of f2 leaves the star
             if up2 & rest[k + 1] == only_p:
                 stack.append((f2, up2, k + 1))
-    return SimplicialComplex(atoms, [sorted(level) for level in levels], relative=True)
+    return SimplicialComplex(atoms, [sorted(level) for level in levels])
 
 
 def _rank_gf2(rows: list[int]) -> int:
@@ -148,25 +148,24 @@ def _rank_gfp(rows: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-def _boundary_rank(K: SimplicialComplex, d: int, char: int) -> int:
-    """Rank of the boundary map from d-faces to (d-1)-faces."""
-    if d < 0 or d >= len(K.faces) or not K.faces[d]:
+def _boundary_rank(K: SimplicialComplex, k: int, char: int) -> int:
+    """Rank of the boundary map from the faces on k vertices to the
+    listed faces on k - 1."""
+    if k < 1 or k >= len(K.faces) or not K.faces[k] or not K.faces[k - 1]:
         return 0
-    if d == 0:
-        return 0 if K.relative else 1  # augmentation onto the empty face
-    lower = {f: i for i, f in enumerate(K.faces[d - 1])}
-    signs = [(-1) ** k % char for k in range(d + 1)]
+    lower = {f: i for i, f in enumerate(K.faces[k - 1])}
+    signs = [(-1) ** i % char for i in range(k)]
     rows = []
-    for f in K.faces[d]:
+    for f in K.faces[k]:
         row = {}
-        rest, k = f, 0
+        rest, i = f, 0
         while rest:
             bit = rest & -rest
             col = lower.get(f ^ bit)
-            if col is not None:  # a relative complex drops facets in its subcomplex
-                row[col] = signs[k]
+            if col is not None:
+                row[col] = signs[i]
             rest ^= bit
-            k += 1
+            i += 1
         rows.append(row)
     if char == 2:
         return _rank_gf2([sum(1 << c for c in row) for row in rows])
@@ -174,28 +173,25 @@ def _boundary_rank(K: SimplicialComplex, d: int, char: int) -> int:
 
 
 def reduced_homology_ranks(K: SimplicialComplex, char: int = 2) -> dict[int, int]:
-    """Ranks of reduced homology by dimension, from d = -1 up.
+    """Homology ranks by dimension d, the faces on d + 1 vertices, from
+    d = -1 up.
 
-    The empty complex has one unit of H~_{-1}. A relative complex gets
-    its relative homology, which has no empty face and so nothing in
-    degree -1. The Euler characteristic of the chain complex is
-    asserted against the homology ranks.
+    With the empty face listed this is reduced homology: the complex
+    whose only face is the empty one has one unit of H~_{-1}. A pair
+    gets its relative homology. The Euler characteristic of the chain
+    complex is asserted against the homology ranks.
     """
     _check_char(char)
     counts = K.face_counts()
-    dims = len(counts)
-    boundary_ranks = [_boundary_rank(K, d, char) for d in range(dims + 1)]
-    empty = 0 if K.relative else 1
+    boundary_ranks = [_boundary_rank(K, k, char) for k in range(len(counts) + 1)]
     ranks: dict[int, int] = {}
-    if empty - boundary_ranks[0]:
-        ranks[-1] = empty - boundary_ranks[0]
-    for d in range(dims):
-        r = counts[d] - boundary_ranks[d] - boundary_ranks[d + 1]
+    for k, count in enumerate(counts):
+        r = count - boundary_ranks[k] - boundary_ranks[k + 1]
         if r < 0:
             raise AssertionError("negative homology rank; rank computation broken")
         if r:
-            ranks[d] = r
-    lhs = -empty + sum((-1 if d % 2 else 1) * counts[d] for d in range(dims))
+            ranks[k - 1] = r
+    lhs = sum((1 if k % 2 else -1) * count for k, count in enumerate(counts))
     rhs = sum((-1 if d % 2 else 1) * r for d, r in ranks.items())
     if lhs != rhs:
         raise AssertionError(
@@ -241,9 +237,7 @@ class BettiTable:
         return data
 
 
-def betti_table_from_lattice(
-    L: SetFamilyLattice, char: int = 2, chain_cap: int = DEFAULT_CHAIN_CAP
-) -> BettiTable:
+def betti_table_from_lattice(L: SetFamilyLattice, char: int = 2) -> BettiTable:
     _check_char(char)
     table = BettiTable(field_char=char)
     table.entries[(0, 0)] = 1
@@ -254,17 +248,15 @@ def betti_table_from_lattice(
         if p.bit_count() == 1:
             table.entries[(1, p)] = 1
             continue
-        K = _crosscut_complex(ups, p, pos, chain_cap)
+        K = _crosscut_complex(ups, p, pos)
         for d, r in reduced_homology_ranks(K, char).items():
             table.entries[(d + 2, p)] = r
     return table
 
 
-def betti_table(
-    ideal: MonomialIdeal, char: int = 2, chain_cap: int = DEFAULT_CHAIN_CAP
-) -> BettiTable:
+def betti_table(ideal: MonomialIdeal, char: int = 2) -> BettiTable:
     """Betti table of R/I from its lcm-lattice."""
-    return betti_table_from_lattice(lcm_lattice(ideal), char, chain_cap)
+    return betti_table_from_lattice(lcm_lattice(ideal), char)
 
 
 def lattice_pd(L: SetFamilyLattice, char: int = 2) -> int:
@@ -281,7 +273,7 @@ def lattice_pd(L: SetFamilyLattice, char: int = 2) -> int:
     for pos, p in reversed(list(enumerate(L.masks))):
         if p.bit_count() <= best:
             break
-        ranks = reduced_homology_ranks(_crosscut_complex(ups, p, pos, DEFAULT_CHAIN_CAP), char)
+        ranks = reduced_homology_ranks(_crosscut_complex(ups, p, pos), char)
         if ranks:
             best = max(best, max(ranks) + 2)
     return best

@@ -2,8 +2,8 @@
 
 Every subcommand reads one object (ideal, hypergraph, or lattice),
 converts as needed, and emits deterministic JSON, DOT, or text.
-Domain failures exit 1 with a JSON error on stderr; usage problems
-exit 2.
+Domain failures, unreadable input and unwritable output exit 1 with a
+JSON error on stderr; usage problems exit 2.
 """
 
 from __future__ import annotations
@@ -380,18 +380,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        _emit(_COMMANDS[args.command](args), args.out)
     except UsageError as exc:
         parser.error(str(exc))
-    except DOMAIN_ERRORS as exc:
+    except DOMAIN_ERRORS + (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return 1
-    except json.JSONDecodeError as exc:
-        payload = {"error": "JSONDecodeError", "message": str(exc)}
-        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-        return 1
-    _emit(text, args.out)
     return 0
 
 

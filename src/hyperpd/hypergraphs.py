@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .ideals import IdealError, MonomialIdeal, monomial_from_indices
+from .ideals import IdealError, MonomialIdeal, is_json_int, monomial_from_indices
 
 
 class HypergraphError(ValueError):
@@ -74,9 +74,6 @@ class Hypergraph:
 
     def is_closed(self, v: int) -> bool:
         return (v,) in self._edge_set
-
-    def is_open(self, v: int) -> bool:
-        return not self.is_closed(v)
 
     def pair_degree(self, v: int) -> int:
         """Degree within the 1-skeleton's two-vertex edges."""
@@ -228,13 +225,15 @@ def _edge_key(edge) -> str:
 
 def hypergraph_from_json_dict(data: dict) -> Hypergraph:
     try:
-        mu = int(data["mu"])
+        mu = data["mu"]
         edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise HypergraphError(f"bad hypergraph JSON: {exc}")
+    if not is_json_int(mu):
+        raise HypergraphError(f"hypergraph JSON mu must be an integer, got {mu!r}")
     if "vertex_labels" in data:
         vertices = data["vertex_labels"]
-        if not isinstance(vertices, list) or not all(isinstance(v, int) for v in vertices):
+        if not isinstance(vertices, list) or not all(is_json_int(v) for v in vertices):
             raise HypergraphError("vertex_labels must be a list of integers")
         if len(set(vertices)) != len(vertices):
             raise HypergraphError("vertex_labels must be distinct")
@@ -245,17 +244,16 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
     if not isinstance(edges, list):
         raise HypergraphError("hypergraph JSON edges must be a list")
     # a vertex in no edge has no generator; checked before anything of size mu
-    covered = {v for e in edges if isinstance(e, list) for v in e if isinstance(v, int)}
+    covered = {v for e in edges if isinstance(e, list) for v in e if is_json_int(v)}
     uncovered = next((v for v in range(1, mu + 1) if v not in covered), None)
     if uncovered is not None:
         raise HypergraphError(f"vertex {vertices[uncovered - 1]} lies in no edge")
     rename = dict(zip(range(1, mu + 1), vertices))
 
     def renamed(edge) -> list[int]:
-        try:
-            return [rename[v] for v in edge]
-        except (KeyError, TypeError):
+        if not isinstance(edge, list) or not all(is_json_int(v) and v in rename for v in edge):
             raise HypergraphError(f"edge {edge!r} is not a list of vertices 1..{mu}")
+        return [rename[v] for v in edge]
 
     raw_labels = data.get("labels") or {}
     if not isinstance(raw_labels, dict):
@@ -298,7 +296,7 @@ def dual_hypergraph(ideal: MonomialIdeal) -> Hypergraph:
     return Hypergraph(edges, vertices=range(1, ideal.mu + 1), labels=labels)
 
 
-def ideal_from_hypergraph(H: Hypergraph, var_names=None) -> MonomialIdeal:
+def ideal_from_hypergraph(H: Hypergraph) -> MonomialIdeal:
     """The standard ideal of a hypergraph: one fresh variable per edge,
     one generator per vertex (the product of its incident edges'
     variables). The generating set is NOT minimalized; a non-separated
@@ -306,11 +304,7 @@ def ideal_from_hypergraph(H: Hypergraph, var_names=None) -> MonomialIdeal:
     uncovered = [v for v in H.vertices if all(v not in e for e in H.edges)]
     if uncovered:
         raise HypergraphError(f"vertex {uncovered[0]} lies in no edge")
-    if var_names is None:
-        var_names = [f"x{k}" for k in range(1, len(H.edges) + 1)]
-    if len(var_names) != len(H.edges):
-        raise HypergraphError("need exactly one variable name per edge")
-    ring = tuple(var_names)
+    ring = tuple(f"x{k}" for k in range(1, len(H.edges) + 1))
     gens = []
     for v in H.vertices:
         indices = [k for k, e in enumerate(H.edges) if v in e]
@@ -323,16 +317,31 @@ def ideal_from_hypergraph(H: Hypergraph, var_names=None) -> MonomialIdeal:
         )
 
 
+def edge_masks(H: Hypergraph) -> list[int]:
+    """Each edge as a bitmask over vertex positions in `H.vertices`."""
+    pos = {v: i for i, v in enumerate(H.vertices)}
+    return [sum(1 << pos[v] for v in e) for e in H.edges]
+
+
+def unseparated_pair(H: Hypergraph) -> tuple[int, int] | None:
+    """A vertex a and another vertex b on every edge through a, or None
+    when the edges through each vertex meet in that vertex alone."""
+    meets = [(1 << H.mu) - 1] * H.mu
+    pos = {v: i for i, v in enumerate(H.vertices)}
+    for e, m in zip(H.edges, edge_masks(H)):
+        for v in e:
+            meets[pos[v]] &= m
+    for i, a in enumerate(H.vertices):
+        others = meets[i] & ~(1 << i)
+        if others:
+            return a, H.vertices[(others & -others).bit_length() - 1]
+    return None
+
+
 def is_separated(H: Hypergraph) -> bool:
     """Every ordered vertex pair is split by an edge containing the
     first but not the second."""
-    for a in H.vertices:
-        for b in H.vertices:
-            if a == b:
-                continue
-            if not any(a in e and b not in e for e in H.edges):
-                return False
-    return True
+    return unseparated_pair(H) is None
 
 
 @dataclass

@@ -251,6 +251,12 @@ def parse_ideal(text: str) -> MonomialIdeal:
     return make_ideal(ring, monomials)
 
 
+def is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer; JSON's true and false
+    come back as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     try:
         variables = list(data["variables"])
@@ -264,7 +270,7 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
         raise IdealError("ideal JSON generators must be lists of variable indices")
     for g in gens:
         for i in g:
-            if not isinstance(i, int) or not 0 <= i < len(ring):
+            if not is_json_int(i) or not 0 <= i < len(ring):
                 raise IdealError(
                     f"generator {g} uses variable index {i!r}, outside 0..{len(ring) - 1}"
                 )

@@ -5,21 +5,21 @@ bitmask (atom j is bit j-1). Meet is intersection; the join of two
 elements is the smallest family member containing their union, which
 exists because the family is intersection-closed and has a top.
 
-Built two ways: from an ideal (the generators below each lcm of
-generators) and from a separated hypergraph (intersection-closure of
-the edge complements). The two constructions agreeing on ideal-derived
-hypergraphs is the load-bearing theorem of the whole pipeline, and is
-tested, not assumed.
+Both lattices are built the same way, as the intersection-closure of
+the complements of a hypergraph's edges: a separated hypergraph's own
+edges, or for an ideal one edge per variable power (the dual
+hypergraph of its polarization), whose lattice is the lcm-lattice.
+That theorem is load-bearing for the whole pipeline, and is tested
+against the literal definition, not assumed.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
-from .ideals import IdealError, Monomial, MonomialIdeal
-from .hypergraphs import Hypergraph, is_separated
+from .ideals import IdealError, Monomial, MonomialIdeal, is_json_int
+from .hypergraphs import Hypergraph, edge_masks, is_separated
 
 DEFAULT_ELEMENT_CAP = 1 << 18
 
@@ -232,12 +232,14 @@ class SetFamilyLattice:
 
 def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
     try:
-        n = int(data["atoms"])
+        n = data["atoms"]
         elements = data["elements"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise LatticeError(f"bad lattice JSON: {exc}")
+    if not is_json_int(n):
+        raise LatticeError(f"lattice JSON atoms must be an integer, got {n!r}")
     if not isinstance(elements, list) or not all(
-        isinstance(el, list) and all(isinstance(a, int) and a >= 1 for a in el)
+        isinstance(el, list) and all(is_json_int(a) and a >= 1 for a in el)
         for el in elements
     ):
         raise LatticeError("lattice JSON elements must be lists of atoms 1, 2, ...")
@@ -250,23 +252,26 @@ def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
     return SetFamilyLattice(n, elements)
 
 
-def _capped_closure(seeds, combine, cap: int, what: str) -> set[int]:
-    """Close the masks `seeds` under `combine` (OR or AND).
+def _capped_closure(seeds, what: str) -> set[int]:
+    """Close the masks `seeds` under intersection, leaving the empty
+    set out.
 
-    The operation is associative, commutative and idempotent, so
-    combining with one seed at a time reaches every combination of
-    seeds. Raises as soon as the family holds more than `cap` members.
+    Intersection is associative, commutative and idempotent, so meeting
+    with one seed at a time reaches every meet of seeds. Raises as soon
+    as the family holds more than `DEFAULT_ELEMENT_CAP` members.
     """
+    cap = DEFAULT_ELEMENT_CAP
+    seeds = [s for s in set(seeds) if s]
     family = set(seeds)
     if len(family) > cap:
         raise LatticeError(f"{what} exceeds the {cap}-element cap")
-    frontier = list(family)
+    frontier = seeds
     while frontier:
         fresh = []
         for a in frontier:
             for s in seeds:
-                c = combine(a, s)
-                if c not in family:
+                c = a & s
+                if c and c not in family:
                     family.add(c)
                     if len(family) > cap:
                         raise LatticeError(f"{what} exceeds the {cap}-element cap")
@@ -275,74 +280,55 @@ def _capped_closure(seeds, combine, cap: int, what: str) -> set[int]:
     return family
 
 
-def _polarize(ideal: MonomialIdeal) -> list[int]:
-    """One mask per generator, in which x_j^e sets the bits (j, 1..e).
-
-    Then lcm is OR and divisibility is containment, for square-free and
-    non-square-free ideals alike.
-    """
-    gens = [m.exps for m in ideal.generators]
-    masks = [0] * len(gens)
-    offset = 0
-    for j in range(len(ideal.ring)):
-        width = max(g[j] for g in gens)
-        for i, g in enumerate(gens):
-            masks[i] |= ((1 << g[j]) - 1) << offset
-        offset += width
-    return masks
+def _lattice_of_edges(num_atoms: int, edges: list[int], what: str) -> SetFamilyLattice:
+    """The intersection-closure of the complements of the edge masks
+    `edges` and the top, with the bottom adjoined; closure is proven
+    from those complements."""
+    full = (1 << num_atoms) - 1
+    complements = {full & ~e for e in edges} | {full}
+    family = _capped_closure(complements, what)
+    family.add(0)
+    return SetFamilyLattice(num_atoms, family, generators=complements)
 
 
-def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_ELEMENT_CAP) -> SetFamilyLattice:
+def lcm_lattice(ideal: MonomialIdeal) -> SetFamilyLattice:
     """For each lcm of a generator subset, the set of generators that
     divide it; plus the empty bottom.
 
-    Lcms are the OR-closure of the polarized generators. Distinct lcms
-    have distinct sets of generators below them, so the sets are a
-    faithful encoding. The set of an lcm t is the meet of the sets of
-    generators that lack one polarized bit missing from t, so those
-    sets and the top generate the family under intersection.
+    Distinct lcms have distinct sets of generators below them, so the
+    sets are a faithful encoding. Each variable power x_j^e gives the
+    edge of generators with exponent at least e: the dual hypergraph of
+    the polarization. The set below an lcm t is the meet of the
+    complements of the edges of the powers that t lacks, and a meet S
+    of such complements is the set below lcm(S), so the family is the
+    lattice of those edges.
     """
     if ideal.is_zero():
         raise LatticeError("the zero ideal has no lcm-lattice")
     if ideal.is_unit():
         raise LatticeError("the unit ideal has no lcm-lattice")
-    gens = _polarize(ideal)
-    lcms = _capped_closure(gens, operator.or_, cap, "lcm-lattice")
-    indexed = list(enumerate(gens))
-
-    def below(t: int) -> int:
-        m = 0
-        for j, g in indexed:
-            if g & t == g:
-                m |= 1 << j
-        return m
-
-    elements = {below(t) for t in lcms}
-    elements.add(0)
-    # below(~bit) is the set of generators that lack the bit
-    lacking = [below(~(1 << b)) for b in range(max(gens).bit_length())]
-    return SetFamilyLattice(ideal.mu, elements, generators=lacking)
+    gens = [m.exps for m in ideal.generators]
+    edges = [
+        sum(1 << i for i, g in enumerate(gens) if g[j] >= e)
+        for j in range(len(ideal.ring))
+        for e in range(1, max(g[j] for g in gens) + 1)
+    ]
+    return _lattice_of_edges(ideal.mu, edges, "lcm-lattice")
 
 
-def lattice_from_hypergraph(H: Hypergraph, cap: int = DEFAULT_ELEMENT_CAP) -> SetFamilyLattice:
-    """Intersection-closure of the edge complements, with top and
-    bottom adjoined. Atoms are vertex positions after renumbering the
-    (stable) vertex ids in increasing order."""
+def _separated_edge_masks(H: Hypergraph) -> list[int]:
     if not H.vertices:
         raise LatticeError("empty hypergraph has no lattice")
     if not is_separated(H):
         raise LatticeError("hypergraph is not separated")
-    pos = {v: i for i, v in enumerate(H.vertices)}
-    full = (1 << len(H.vertices)) - 1
-    seeds = {full}
-    for e in H.edges:
-        m = 0
-        for v in e:
-            m |= 1 << pos[v]
-        seeds.add(full & ~m)
-    family = _capped_closure(list(seeds), operator.and_, cap, "lattice")
-    family.add(0)
-    return SetFamilyLattice(len(H.vertices), family, generators=seeds)
+    return edge_masks(H)
+
+
+def lattice_from_hypergraph(H: Hypergraph) -> SetFamilyLattice:
+    """Intersection-closure of the edge complements, with top and
+    bottom adjoined. Atoms are vertex positions after renumbering the
+    (stable) vertex ids in increasing order."""
+    return _lattice_of_edges(H.mu, _separated_edge_masks(H), "lattice")
 
 
 def union_edge_elements(H: Hypergraph) -> list[tuple[int, ...]]:
@@ -427,7 +413,8 @@ def hypergraph_coordinatization(H: Hypergraph) -> tuple[Labeling, MonomialIdeal]
     """Label each edge's complement with the product of the edge's
     variables; running the atom formula then recovers the ideal the
     hypergraph came from."""
-    L = lattice_from_hypergraph(H)
+    edges = _separated_edge_masks(H)
+    L = _lattice_of_edges(H.mu, edges, "lattice")
     ring: list[str] = []
     for e in H.edges:
         names = H.label_of(e)
@@ -437,17 +424,12 @@ def hypergraph_coordinatization(H: Hypergraph) -> tuple[Labeling, MonomialIdeal]
             if name not in ring:
                 ring.append(name)
     ring_t = tuple(ring)
-    pos = {v: i for i, v in enumerate(H.vertices)}
-    full = (1 << len(H.vertices)) - 1
     assignment: dict[int, Monomial] = {}
-    for e in H.edges:
-        m = 0
-        for v in e:
-            m |= 1 << pos[v]
+    for e, m in zip(H.edges, edges):
         exps = [0] * len(ring_t)
         for name in H.label_of(e):
             exps[ring.index(name)] += 1
-        assignment[full & ~m] = Monomial(ring_t, tuple(exps))
+        assignment[L.top & ~m] = Monomial(ring_t, tuple(exps))
     lab = Labeling(ring_t, assignment)
     return lab, coordinatize(L, lab)
 
@@ -471,10 +453,12 @@ def labeling_from_json_dict(data: dict) -> tuple[SetFamilyLattice, Labeling]:
     keyed = []
     for key, word in raw.items():
         try:
-            atoms = [int(a) for a in json.loads(key)]
-            keyed.append((len(atoms), atoms, mask_of(atoms), word))
-        except (TypeError, ValueError):
+            atoms = json.loads(key)
+        except ValueError:
+            atoms = None
+        if not isinstance(atoms, list) or not all(is_json_int(a) and a >= 1 for a in atoms):
             raise LatticeError(f"bad element key {key!r}")
+        keyed.append((len(atoms), atoms, mask_of(atoms), word))
     variables: list[str] = []
     parsed = []
     for _, _, element, word in sorted(keyed, key=lambda k: k[:2]):

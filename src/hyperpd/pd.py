@@ -10,10 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .betti import oracle_pd
-from .hypergraphs import Hypergraph, HypergraphError, classify_shape, ideal_from_hypergraph
+from .hypergraphs import (
+    Hypergraph,
+    HypergraphError,
+    classify_shape,
+    ideal_from_hypergraph,
+    unseparated_pair,
+)
 from .reduction import ReductionTrace, full_reduce
 
-METHOD_OPEN_STRING = "formula_open_string"
 METHOD_TWO_STAR = "formula_two_star"
 METHOD_CLOSED_ISOLATED = "formula_closed_isolated"
 METHOD_ORACLE = "oracle"
@@ -22,13 +27,6 @@ METHOD_ADDITIVITY = "additivity"
 
 class PdError(ValueError):
     """A component the engine cannot price."""
-
-
-def pd_open_string(mu: int) -> int:
-    """pd of the string on mu vertices, all open: mu - floor(mu/3)."""
-    if mu <= 0:
-        raise PdError(f"string length must be positive, got {mu}")
-    return mu - mu // 3
 
 
 def pd_two_star(H: Hypergraph) -> int:
@@ -71,8 +69,6 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
     shape = classify_shape(comp)
     if comp.mu == 1 and comp.is_closed(next(iter(comp.vertices))):
         return PdResult(pd_closed_isolated(1), METHOD_CLOSED_ISOLATED)
-    if shape.kind == "string" and all(comp.is_open(v) for v in comp.vertices):
-        return PdResult(pd_open_string(comp.mu), METHOD_OPEN_STRING)
     # full_reduce leaves no edge whose vertices are all closed, so a
     # 2-star here has no pair edge joining two closed vertices
     if shape.kind == "two_star":
@@ -88,7 +84,18 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
 
 
 def pd(H: Hypergraph, field_char: int = 2) -> PdResult:
-    """Reduce, split into components, price each, and add."""
+    """Reduce, split into components, price each, and add.
+
+    Only a separated hypergraph is the dual of an ideal, so others are
+    refused. The passes keep separation, which leaves no all-open
+    string of two or more vertices to price.
+    """
+    pair = unseparated_pair(H)
+    if pair is not None:
+        raise PdError(
+            "no ideal has this hypergraph: every edge through vertex "
+            f"{pair[0]} holds vertex {pair[1]}"
+        )
     reduced, trace = full_reduce(H)
     parts = [(comp, _component_pd(comp, field_char)) for comp in reduced.components()]
     total = sum(sub.pd for _, sub in parts)
@@ -99,8 +106,8 @@ def pd(H: Hypergraph, field_char: int = 2) -> PdResult:
     return PdResult(total, method, parts, trace)
 
 
-def pd_monotonicity_check(H1: Hypergraph, H2: Hypergraph, field_char: int = 2) -> bool:
-    """Oracle check that a sub-hypergraph never has larger pd.
+def pd_monotonicity_check(H1: Hypergraph, H2: Hypergraph) -> bool:
+    """Oracle check, over GF(2), that a sub-hypergraph never has larger pd.
 
     H1 must use a subset of H2's vertices and edges. Returns whether
     pd(H1) <= pd(H2); raises if either side has no ideal realization.
@@ -109,6 +116,6 @@ def pd_monotonicity_check(H1: Hypergraph, H2: Hypergraph, field_char: int = 2) -
         raise PdError("H1 has vertices outside H2")
     if not set(H1.edges) <= set(H2.edges):
         raise PdError("H1 has edges outside H2")
-    pd1 = oracle_pd(ideal_from_hypergraph(H1), char=field_char)
-    pd2 = oracle_pd(ideal_from_hypergraph(H2), char=field_char)
+    pd1 = oracle_pd(ideal_from_hypergraph(H1))
+    pd2 = oracle_pd(ideal_from_hypergraph(H2))
     return pd1 <= pd2

@@ -44,17 +44,17 @@ RP2_FACES = [
 
 
 def _from_maximal_faces(maximal) -> SimplicialComplex:
-    """The plain complex generated by the given faces, with every
-    nonempty subset of each as a face."""
+    """The complex generated by the given faces: every subset of each,
+    the empty face included."""
     vertices = sorted({v for f in maximal for v in f})
     index = {v: i for i, v in enumerate(vertices)}
     masks = [sum(1 << index[v] for v in set(f)) for f in maximal]
     top = max((m.bit_count() for m in masks), default=0)
-    levels: list[set[int]] = [set() for _ in range(top)]
+    levels: list[set[int]] = [{0}] + [set() for _ in range(top)]
     for m in masks:
         s = m
         while s:  # every nonempty subset of m
-            levels[s.bit_count() - 1].add(s)
+            levels[s.bit_count()].add(s)
             s = (s - 1) & m
     return SimplicialComplex(vertices, [sorted(level) for level in levels])
 
@@ -89,11 +89,12 @@ def _open_interval(L, p: int) -> list[int]:
 
 def _chain_complex(points, chain_cap: int = betti.DEFAULT_CHAIN_CAP) -> list[list[tuple]]:
     """All chains of a family of masks ordered by strict containment,
-    as index tuples into the points sorted by size, grouped by length."""
+    as index tuples into the points sorted by size, grouped by length
+    from the empty chain up."""
     pts = sorted(points, key=lambda m: (m.bit_count(), m))
     n = len(pts)
     above = [[j for j in range(i + 1, n) if pts[i] & pts[j] == pts[i] != pts[j]] for i in range(n)]
-    levels: list[list[tuple[int, ...]]] = []
+    levels: list[list[tuple[int, ...]]] = [[()]]
     current = [(i,) for i in range(n)]
     total = n
     while current:
@@ -132,19 +133,20 @@ def _core_points(points: list[int]) -> list[int]:
 
 def _dense_reduced_homology(levels: list[list[tuple]], p: int) -> dict[int, int]:
     """Reduced homology ranks of a complex given as sorted index tuples
-    grouped by length, closed under subsets."""
-    ranks_of_boundary = [1 if levels else 0]  # augmentation onto the empty face
-    for d in range(1, len(levels)):
-        lower = {f: i for i, f in enumerate(levels[d - 1])}
-        matrix = [[0] * len(lower) for _ in levels[d]]
-        for r, f in enumerate(levels[d]):
-            for k in range(len(f)):
-                matrix[r][lower[f[:k] + f[k + 1 :]]] += (-1) ** k
+    grouped by length, the empty face first, closed under subsets."""
+    ranks_of_boundary = [0]
+    for k in range(1, len(levels)):
+        lower = {f: i for i, f in enumerate(levels[k - 1])}
+        matrix = [[0] * len(lower) for _ in levels[k]]
+        for r, f in enumerate(levels[k]):
+            for i in range(len(f)):
+                matrix[r][lower[f[:i] + f[i + 1 :]]] += (-1) ** i
         ranks_of_boundary.append(_dense_rank(matrix, p))
     ranks_of_boundary.append(0)
-    ranks = {-1: 1 - ranks_of_boundary[0]}
-    for d, level in enumerate(levels):
-        ranks[d] = len(level) - ranks_of_boundary[d] - ranks_of_boundary[d + 1]
+    ranks = {
+        k - 1: len(level) - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
+        for k, level in enumerate(levels)
+    }
     return {d: r for d, r in ranks.items() if r}
 
 
@@ -173,7 +175,8 @@ def test_order_complex_of_open_interval():
     L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
     levels = _chain_complex(_open_interval(L, L.top))
     # every element except bottom and top shows up as a vertex
-    assert len(levels[0]) == 19
+    assert levels[0] == [()]
+    assert len(levels[1]) == 19
 
 
 def test_core_dismantling_does_not_change_order_route():
@@ -193,16 +196,18 @@ def test_char_must_be_prime():
 
 def test_projective_plane_homology_depends_on_char():
     K = _from_maximal_faces(RP2_FACES)
-    assert K.face_counts() == [6, 15, 10]
+    assert K.face_counts() == [1, 6, 15, 10]
     assert reduced_homology_ranks(K, 2) == {1: 1, 2: 1}
     assert reduced_homology_ranks(K, 3) == {}
     assert reduced_homology_ranks(K, 5) == {}
 
 
 def test_reduced_homology_conventions():
-    empty = SimplicialComplex([], [])
-    assert empty.faces == []
+    empty = _from_maximal_faces([])
+    assert empty.faces == [[0]]
     assert reduced_homology_ranks(empty, 2) == {-1: 1}
+    # a pair (K, K) lists no face and has no homology
+    assert reduced_homology_ranks(SimplicialComplex([], []), 2) == {}
     point = _from_maximal_faces([(0,)])
     assert reduced_homology_ranks(point, 2) == {}
     two_points = _from_maximal_faces([(0,), (1,)])
@@ -216,7 +221,8 @@ def test_euler_characteristic_matches_homology():
     for char in (2, 3, 5):
         ranks = reduced_homology_ranks(K, char)
         counts = K.face_counts()
-        chains = -1 + sum((-1 if d % 2 else 1) * c for d, c in enumerate(counts))
+        # a face on k vertices has dimension k - 1
+        chains = sum((1 if k % 2 else -1) * c for k, c in enumerate(counts))
         homology = sum((-1 if d % 2 else 1) * r for d, r in ranks.items())
         assert chains == homology
 
@@ -233,12 +239,13 @@ def test_oracle_pd_shortcut():
     assert oracle_pd(parse_ideal("ab,bc,cd,de")) == 3
 
 
-def test_chain_cap_aborts_with_sizing_report():
+def test_chain_cap_aborts_with_sizing_report(monkeypatch):
     I = parse_ideal("ab,bcg,cdg,de,efg")
     with pytest.raises(OracleError, match="aborting"):
         _order_route_entries(lcm_lattice(I), 2, chain_cap=4)
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 4)
     with pytest.raises(OracleError, match="exceeds the cap"):
-        betti_table(I, chain_cap=4)
+        betti_table(I)
 
 
 def test_json_dict_shapes():
@@ -399,11 +406,12 @@ def _vertex_list(f: int) -> tuple[int, ...]:
     return tuple(i for i in range(f.bit_length()) if f >> i & 1)
 
 
-def _dense_boundary(K: SimplicialComplex, d: int) -> list[list[int]]:
-    """The boundary matrix from d-faces to listed (d-1)-faces."""
-    lower = {_vertex_list(f): i for i, f in enumerate(K.faces[d - 1])}
-    matrix = [[0] * len(lower) for _ in K.faces[d]]
-    for r, f in enumerate(K.faces[d]):
+def _dense_boundary(K: SimplicialComplex, k: int) -> list[list[int]]:
+    """The boundary matrix from the faces on k vertices to the listed
+    faces on k - 1."""
+    lower = {_vertex_list(f): i for i, f in enumerate(K.faces[k - 1])}
+    matrix = [[0] * len(lower) for _ in K.faces[k]]
+    for r, f in enumerate(K.faces[k]):
         vs = _vertex_list(f)
         for k in range(len(vs)):
             col = lower.get(vs[:k] + vs[k + 1 :])
@@ -416,7 +424,7 @@ def _relative_to_star(K: SimplicialComplex, v: int) -> SimplicialComplex:
     """(K, closed star of vertex v): the faces F of K with F + {v} not in K."""
     faces = {f for level in K.faces for f in level}
     kept = [[f for f in level if f | 1 << v not in faces] for level in K.faces]
-    return SimplicialComplex(K.vertices, kept, relative=True)
+    return SimplicialComplex(K.vertices, kept)
 
 
 def _random_complexes(rng, count: int) -> list[SimplicialComplex]:
@@ -434,14 +442,15 @@ def _random_complexes(rng, count: int) -> list[SimplicialComplex]:
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
 def test_boundary_rank_matches_dense_reference(p):
     rng = random.Random(100 + p)
-    complexes = _random_complexes(rng, 40)
-    complexes += [_relative_to_star(K, rng.randrange(len(K.vertices))) for K in complexes]
-    assert sum(K.relative and len(K.faces) > 1 for K in complexes) > 10
-    for K in complexes:
-        assert betti._boundary_rank(K, 0, p) == (0 if K.relative else 1)
-        for d in range(1, len(K.faces)):
-            want = _dense_rank(_dense_boundary(K, d), p)
-            assert betti._boundary_rank(K, d, p) == want, (K.faces, d, p)
+    plain = _random_complexes(rng, 40)
+    pairs = [_relative_to_star(K, rng.randrange(len(K.vertices))) for K in plain]
+    assert sum(len(K.faces) > 2 for K in pairs) > 10
+    for K in plain + pairs:
+        # onto the empty face: the augmentation, unless the star holds it
+        assert betti._boundary_rank(K, 1, p) == (1 if K in plain else 0)
+        for k in range(1, len(K.faces)):
+            want = _dense_rank(_dense_boundary(K, k), p)
+            assert betti._boundary_rank(K, k, p) == want, (K.faces, k, p)
 
 
 def test_homology_relative_to_a_star_is_reduced_homology():
@@ -507,8 +516,8 @@ def test_crosscut_route_on_more_than_62_atoms():
         # the default apex has the most elements above it up to p
         default = max(atoms, key=lambda a: sum(1 for m in L.masks[: pos + 1] if m >> a & 1))
         for apex in [None] + atoms:
-            K = betti._crosscut_complex(ups, p, pos, betti.DEFAULT_CHAIN_CAP, apex)
-            assert K.relative and list(K.vertices) == atoms
+            K = betti._crosscut_complex(ups, p, pos, apex)
+            assert list(K.vertices) == atoms
             a = default if apex is None else apex
             want = set()
             for k in range(1, len(atoms)):
@@ -526,12 +535,12 @@ def test_crosscut_route_on_more_than_62_atoms():
 
 def _full_crosscut(L, p: int) -> list[list[tuple[int, ...]]]:
     """The whole crosscut complex of p from the definition, as sorted
-    atom tuples grouped by size."""
+    atom tuples grouped by size, the empty face first."""
     atoms = [i for i in range(L.num_atoms) if p >> i & 1]
     return [
         [f for f in itertools.combinations(atoms, k)
          if _smallest_above(L, sum(1 << i for i in f)) != p]
-        for k in range(1, len(atoms))
+        for k in range(len(atoms))
     ]
 
 
@@ -553,7 +562,7 @@ def test_every_apex_gives_the_full_crosscut_ranks():
             for char in (2, 3, 5):
                 want = _dense_reduced_homology([level for level in full if level], char)
                 for apex in [None] + atoms:
-                    K = betti._crosscut_complex(ups, p, pos, betti.DEFAULT_CHAIN_CAP, apex)
+                    K = betti._crosscut_complex(ups, p, pos, apex)
                     assert reduced_homology_ranks(K, char) == want, (I.to_text(), p, apex, char)
                     checked += 1
     assert checked > 3000

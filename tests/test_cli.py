@@ -385,3 +385,46 @@ def test_unclosed_lattice_json_above_2048_elements_exits_one(tmp_path):
         "error": "LatticeError",
         "message": "not intersection-closed: (1, 2, 3) and (1, 2, 4)",
     }
+
+
+def test_pd_refuses_a_hypergraph_that_no_ideal_has():
+    for argv in (("pd",), ("pd", "--verify")):
+        proc = _run(*argv, "--in", '{"mu":2,"edges":[[1,2]]}')
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "PdError",
+            "message": "no ideal has this hypergraph: every edge through vertex 1 holds vertex 2",
+        }
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_unwritable_output_exits_one(tmp_path, flag):
+    path = tmp_path / "missing" / "out"
+    proc = _run("pd", "--in", "ab,bc", flag, str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {
+        "error": "FileNotFoundError",
+        "message": f"[Errno 2] No such file or directory: '{path}'",
+    }
+
+
+def test_undecodable_input_file_exits_one(tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x7fELF\xff\xfe")
+    proc = _run("pd", "--in", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr)["error"] == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("command,text,error", [
+    ("pd", '{"mu":2.7,"edges":[[1],[1,2]]}', "HypergraphError"),
+    ("pd", '{"mu":"2","edges":[[1],[1,2]]}', "HypergraphError"),
+    ("pd", '{"mu":2,"edges":[[1],[true,2]]}', "HypergraphError"),
+    ("lattice", '{"atoms":true,"elements":[[],[1]]}', "LatticeError"),
+    ("lattice", '{"atoms":1.0,"elements":[[],[1]]}', "LatticeError"),
+    ("lattice", '{"variables":["a","b"],"generators":[[true]]}', "IdealError"),
+])
+def test_json_sizes_and_indices_must_be_integers(command, text, error):
+    proc = _run(command, "--in", text)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr)["error"] == error

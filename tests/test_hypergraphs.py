@@ -13,6 +13,7 @@ from hyperpd.hypergraphs import (
     hypergraph_from_json_dict,
     ideal_from_hypergraph,
     is_separated,
+    unseparated_pair,
 )
 from hyperpd.ideals import parse_ideal
 
@@ -44,7 +45,6 @@ def test_vertices_always_sorted():
 def test_open_and_closed():
     H = Hypergraph([(1, 2), (2,)])
     assert H.is_closed(2)
-    assert H.is_open(1)
     assert not H.is_closed(1)
 
 
@@ -157,6 +157,37 @@ def test_separated():
     assert not is_separated(Hypergraph([(1, 2)]))
     assert not is_separated(Hypergraph([(1, 2), (2, 3)]))
     assert is_separated(Hypergraph([(1, 2), (2, 3), (1,), (3,)]))
+
+
+def _separated_by_pairs(H):
+    """The definition: every ordered vertex pair is split by an edge
+    holding the first but not the second."""
+    return all(
+        any(a in e and b not in e for e in H.edges)
+        for a in H.vertices for b in H.vertices if a != b
+    )
+
+
+def test_one_pass_separation_matches_the_pair_definition():
+    rng = random.Random(5)
+    cases = [Hypergraph([]), Hypergraph([], vertices=[1]), Hypergraph([], vertices=[1, 2]),
+             Hypergraph([(1,)], vertices=[1, 2])]
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        edges = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
+                 for _ in range(rng.randint(0, 7))]
+        cases.append(Hypergraph(edges, vertices=range(1, n + 1)))
+    verdicts = set()
+    for H in cases:
+        want = _separated_by_pairs(H)
+        verdicts.add(want)
+        assert is_separated(H) == want, H
+        pair = unseparated_pair(H)
+        if pair is not None:
+            a, b = pair
+            assert a != b and all(b in e for e in H.edges if a in e)
+    assert verdicts == {True, False}
+    assert is_separated(Hypergraph([], vertices=[1]))
 
 
 def test_ideal_hypergraph_round_trip():

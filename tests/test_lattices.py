@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import random
 
 import pytest
 
 from hyperpd import lattices
 from hyperpd.hypergraphs import Hypergraph, dual_hypergraph
-from hyperpd.ideals import parse_ideal
+from hyperpd.ideals import Monomial, make_ideal, parse_ideal
 from hyperpd.lattices import (
     Labeling,
     LatticeError,
@@ -37,6 +36,20 @@ FIVE_GEN_FAMILY = [
 ]
 
 DEMO_FAMILY = [[], [1], [2], [3], [4], [1, 2], [2, 3, 4], [1, 2, 3, 4]]
+
+
+def literal_lcm_lattice(ideal) -> SetFamilyLattice:
+    """The lcm-lattice by its definition: for every generator subset,
+    the set of generators that divide its lcm. It shares no code with
+    the library's builder and is exponential in the generator count."""
+    gens = ideal.generators
+    elements = set()
+    for k in range(len(gens) + 1):
+        for subset in itertools.combinations(gens, k):
+            exps = [max((m.exps[j] for m in subset), default=0) for j in range(len(ideal.ring))]
+            lcm = Monomial(ideal.ring, tuple(exps))
+            elements.add(sum(1 << i for i, g in enumerate(gens) if g.divides(lcm)))
+    return SetFamilyLattice(ideal.mu, elements)
 
 
 def _demo_lattice():
@@ -83,7 +96,32 @@ def test_five_gen_lattice_has_21_elements():
 
 def test_lattice_from_hypergraph_matches_lcm_lattice():
     I = parse_ideal(FIVE_GEN)
-    assert lattice_from_hypergraph(dual_hypergraph(I)) == lcm_lattice(I)
+    literal = literal_lcm_lattice(I)
+    assert [list(set_of(m)) for m in literal.masks] == FIVE_GEN_FAMILY
+    assert lattice_from_hypergraph(dual_hypergraph(I)) == literal
+    assert lcm_lattice(I) == literal
+
+
+def _random_ideal(rng, max_exp):
+    ring = tuple("abcdef")
+    gens = []
+    for _ in range(rng.randint(1, 7)):
+        exps = [0] * len(ring)
+        for i in rng.sample(range(len(ring)), rng.randint(1, 3)):
+            exps[i] = rng.randint(1, max_exp)
+        gens.append(Monomial(ring, tuple(exps)))
+    return make_ideal(ring, gens)
+
+
+def test_both_constructions_match_the_definition():
+    rng = random.Random(9)
+    squarefree = [_random_ideal(rng, 1) for _ in range(150)]
+    powers = [_random_ideal(rng, 3) for _ in range(150)]
+    assert sum(not I.is_squarefree() for I in powers) > 100
+    for I in squarefree:
+        assert lattice_from_hypergraph(dual_hypergraph(I)) == literal_lcm_lattice(I), I.to_text()
+    for I in squarefree + powers:
+        assert lcm_lattice(I) == literal_lcm_lattice(I), I.to_text()
 
 
 def test_atoms_filter_covers():
@@ -165,28 +203,41 @@ def test_closure_is_proven_above_the_pairwise_limit(monkeypatch):
         SetFamilyLattice(L.num_atoms, set(L.masks) - {dropped}, generators=complements)
 
 
-def test_lcm_lattice_cap():
+def test_lcm_lattice_cap(monkeypatch):
+    I = parse_ideal(FIVE_GEN)
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 10)
     with pytest.raises(LatticeError, match="cap"):
-        lcm_lattice(parse_ideal(FIVE_GEN), cap=10)
-    # the cap counts the elements above the bottom, as before
-    assert len(lcm_lattice(parse_ideal(FIVE_GEN), cap=20)) == 21
-    with pytest.raises(LatticeError, match="19-element cap"):
-        lcm_lattice(parse_ideal(FIVE_GEN), cap=19)
+        lcm_lattice(I)
+    # both routes count the elements above the bottom
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 20)
+    assert len(lcm_lattice(I)) == len(lattice_from_hypergraph(dual_hypergraph(I))) == 21
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 19)
+    with pytest.raises(LatticeError, match="lcm-lattice exceeds the 19-element cap"):
+        lcm_lattice(I)
+    with pytest.raises(LatticeError, match="lattice exceeds the 19-element cap"):
+        lattice_from_hypergraph(dual_hypergraph(I))
 
 
-def test_capped_closure_stops_at_the_first_element_over_the_cap():
-    seeds = [1 << i for i in range(16)]
+def test_capped_closure_stops_at_the_first_element_over_the_cap(monkeypatch):
     calls = []
 
-    def counting_or(a, b):
-        calls.append(1)
-        return a | b
+    class Mask(int):
+        def __and__(self, other):
+            calls.append(1)
+            return int(self) & int(other)
 
-    assert len(lattices._capped_closure(seeds[:12], operator.or_, 4095, "x")) == 4095
+    # the sets missing one of 16 atoms; their meets are every proper
+    # nonempty subset
+    seeds = [Mask(0xFFFF ^ 1 << i) for i in range(16)]
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 4095)
+    low = [Mask(0xFFF ^ 1 << i) for i in range(12)] + [Mask(0xFFF)]
+    assert len(lattices._capped_closure(low, "x")) == 4095
+    calls.clear()
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 20)
     with pytest.raises(LatticeError, match="x exceeds the 20-element cap"):
-        lattices._capped_closure(seeds, counting_or, 20, "x")
-    # the fifth new element is found while the first seed is joined;
-    # a check after each round would come only after 16 * 16 joins
+        lattices._capped_closure(seeds, "x")
+    # the fifth new element is found while the first seed is met; a
+    # check after each round would come only after 16 * 16 meets
     assert len(calls) <= len(seeds)
 
 
@@ -266,7 +317,9 @@ def test_labeling_rejects_shared_variable_on_incomparable_elements():
 def test_hypergraph_coordinatization_round_trip():
     H = dual_hypergraph(parse_ideal(FIVE_GEN))
     lab, I = hypergraph_coordinatization(H)
-    assert lcm_lattice(I) == lattice_from_hypergraph(H)
+    literal = literal_lcm_lattice(I)
+    assert literal == literal_lcm_lattice(parse_ideal(FIVE_GEN))
+    assert lcm_lattice(I) == lattice_from_hypergraph(H) == literal
     assert I.mu == 5
 
 

@@ -19,14 +19,12 @@ from hyperpd.ideals import ideal_from_json_dict, parse_ideal
 from hyperpd.pd import (
     METHOD_ADDITIVITY,
     METHOD_CLOSED_ISOLATED,
-    METHOD_OPEN_STRING,
     METHOD_ORACLE,
     METHOD_TWO_STAR,
     PdError,
     pd,
     pd_closed_isolated,
     pd_monotonicity_check,
-    pd_open_string,
     pd_two_star,
 )
 from hyperpd.reduction import check_preconditions
@@ -57,16 +55,6 @@ def _figure4():
         return hypergraph_from_json_dict(json.load(f))
 
 
-@pytest.mark.parametrize("mu,expected", list(enumerate([1, 2, 2, 3, 4, 4, 5, 6, 6], start=1)))
-def test_open_string_formula(mu, expected):
-    assert pd_open_string(mu) == expected
-
-
-def test_open_string_formula_rejects_nonpositive():
-    with pytest.raises(PdError):
-        pd_open_string(0)
-
-
 def test_two_star_formula():
     H = Hypergraph([(1, 2), (1, 3), (1, 4), (2,), (3,), (4,)])
     assert pd_two_star(H) == 3
@@ -86,9 +74,16 @@ def test_dispatch_single_closed_vertex():
     assert (result.pd, result.method) == (1, METHOD_CLOSED_ISOLATED)
 
 
-def test_dispatch_open_string():
-    result = pd(Hypergraph([(1, 2), (2, 3)]))
-    assert (result.pd, result.method) == (2, METHOD_OPEN_STRING)
+@pytest.mark.parametrize("edges,a,b", [
+    ([(1, 2), (2, 3)], 1, 2),  # an all-open string
+    ([(1, 2)], 1, 2),
+    ([(1,), (1, 2), (2, 3)], 3, 2),
+])
+def test_pd_refuses_a_hypergraph_no_ideal_has(edges, a, b):
+    H = Hypergraph(edges)
+    assert not is_separated(H)
+    with pytest.raises(PdError, match=f"every edge through vertex {a} holds vertex {b}$"):
+        pd(H)
 
 
 def test_dispatch_two_star_with_closed_leaves():
@@ -159,21 +154,24 @@ def test_figure4_big_component_betti_totals():
     assert totals == FIG4_BIG_TOTALS
 
 
+TWO_STAR_EDGES = [(1, 2), (1, 3), (1, 4), (2,), (3,), (4,)]
+
+
 def test_result_json_shape():
-    result = pd(Hypergraph([(1, 2), (2, 3), (10,)]))
+    result = pd(Hypergraph(TWO_STAR_EDGES + [(10,)]))
     data = result.to_json_dict()
-    assert data["pd"] == 3
+    assert data["pd"] == 4
     assert data["method"] == METHOD_ADDITIVITY
     assert data["components"] == [
-        {"vertices": [1, 2, 3], "pd": 2, "method": METHOD_OPEN_STRING},
+        {"vertices": [1, 2, 3, 4], "pd": 3, "method": METHOD_TWO_STAR},
         {"vertices": [10], "pd": 1, "method": METHOD_CLOSED_ISOLATED},
     ]
 
 
 def test_additivity_across_components():
-    left = pd(Hypergraph([(1, 2), (2, 3)])).pd
+    left = pd(Hypergraph(TWO_STAR_EDGES)).pd
     right = pd(Hypergraph([(10,)])).pd
-    both = pd(Hypergraph([(1, 2), (2, 3), (10,)]))
+    both = pd(Hypergraph(TWO_STAR_EDGES + [(10,)]))
     assert both.pd == left + right
 
 

@@ -16,6 +16,7 @@ from hyperpd.ideals import ideal_from_json_dict, parse_ideal
 from hyperpd.lattices import hypergraph_coordinatization, lattice_from_hypergraph, lcm_lattice
 from hyperpd.pd import pd, pd_monotonicity_check
 from hyperpd.reduction import full_reduce, remove_union_edges
+from test_lattices import literal_lcm_lattice
 
 ALPHABET = "abcdefghij"
 
@@ -48,7 +49,7 @@ def test_dual_lattice_matches_lcm_lattice(text):
     I = parse_ideal(text)
     H = dual_hypergraph(I)
     assert is_separated(H)
-    assert lattice_from_hypergraph(H) == lcm_lattice(I)
+    assert lattice_from_hypergraph(H) == lcm_lattice(I) == literal_lcm_lattice(I)
 
 
 @given(random_ideal_text())
@@ -119,4 +120,4 @@ def test_sub_hypergraph_never_has_larger_pd(text, data):
 def test_coordinatization_reproduces_the_lattice(text):
     H = dual_hypergraph(parse_ideal(text))
     _, J = hypergraph_coordinatization(H)
-    assert lcm_lattice(J) == lattice_from_hypergraph(H)
+    assert lcm_lattice(J) == lattice_from_hypergraph(H) == literal_lcm_lattice(J)
