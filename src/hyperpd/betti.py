@@ -74,10 +74,16 @@ def _crosscut_complex(
     joins to p exactly when p is all that is left. Faces are masks over
     positions in the atom list.
     """
-    atoms = [i for i in range(len(ups)) if (p >> i) & 1]
+    atoms = []
+    bits = p
+    while bits:
+        low = bits & -bits
+        atoms.append(low.bit_length() - 1)
+        bits ^= low
     if 1 << len(atoms) > DEFAULT_CHAIN_CAP:
         raise OracleError(
-            f"crosscut complex on {len(atoms)} atoms exceeds the cap"
+            f"crosscut complex on {len(atoms)} atoms has {1 << len(atoms)} "
+            f"candidate faces, which exceeds the cap of {DEFAULT_CHAIN_CAP}"
         )
     only_p = 1 << pos
     full = (only_p << 1) - 1
@@ -150,7 +156,7 @@ def _rank_gfp(rows: list[dict[int, int]], p: int) -> int:
 
 def _boundary_rank(K: SimplicialComplex, k: int, char: int) -> int:
     """Rank of the boundary map from the faces on k vertices to the
-    listed faces on k - 1."""
+    listed faces on k - 1; 0 unless both levels are listed and non-empty."""
     if k < 1 or k >= len(K.faces) or not K.faces[k] or not K.faces[k - 1]:
         return 0
     lower = {f: i for i, f in enumerate(K.faces[k - 1])}
@@ -183,7 +189,9 @@ def reduced_homology_ranks(K: SimplicialComplex, char: int = 2) -> dict[int, int
     """
     _check_char(char)
     counts = K.face_counts()
-    boundary_ranks = [_boundary_rank(K, k, char) for k in range(len(counts) + 1)]
+    # from the faces on k vertices to those on k - 1; none leaves the
+    # lowest level or enters the one above the top
+    boundary_ranks = [0] + [_boundary_rank(K, k, char) for k in range(1, len(counts))] + [0]
     ranks: dict[int, int] = {}
     for k, count in enumerate(counts):
         r = count - boundary_ranks[k] - boundary_ranks[k + 1]

@@ -314,73 +314,75 @@ def _cmd_check(args) -> str:
     return _json_text(data)
 
 
-_COMMANDS = {
-    "pd": _cmd_pd,
-    "hypergraph": _cmd_hypergraph,
-    "lattice": _cmd_lattice,
-    "reduce": _cmd_reduce,
-    "betti": _cmd_betti,
-    "coordinatize": _cmd_coordinatize,
-    "check": _cmd_check,
+_FIELD_CHAR = ("--field-char", {"type": int, "default": None,
+                                 "help": "field characteristic (default: HYPERPD_FIELD_CHAR or 2)"})
+_TRACE = ("--trace", {"default": None, "help": "write a JSONL trace here"})
+
+
+def _switch(flag: str, help_text: str):
+    return flag, {"action": "store_true", "help": help_text}
+
+
+# name -> (handler, help, arguments after the common ones)
+_SUBCOMMANDS = {
+    "pd": (_cmd_pd, "projective dimension of R/I", [
+        _FIELD_CHAR, _TRACE,
+        _switch("--verify", "also run the homology oracle and require agreement"),
+    ]),
+    "hypergraph": (_cmd_hypergraph, "dual hypergraph of an ideal", []),
+    "lattice": (_cmd_lattice, "lcm-lattice of an ideal or hypergraph", []),
+    "reduce": (_cmd_reduce, "run the reduction pipeline", [
+        _TRACE, _switch("--strict", "refuse higher edges that are not unions"),
+    ]),
+    "betti": (_cmd_betti, "total Betti numbers via lattice homology", [
+        _FIELD_CHAR, _switch("--entries", "include the per-degree breakdown"),
+    ]),
+    "coordinatize": (_cmd_coordinatize, "recover an ideal from labels", []),
+    "check": (_cmd_check, "report reduction preconditions", []),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, trace: bool = False, field_char: bool = False):
-    sub.add_argument("--in", dest="input", required=True,
-                     help="path, inline text, or - for stdin")
-    sub.add_argument("--out", dest="out", default=None, help="output path")
-    sub.add_argument("--input-format", choices=INPUT_FORMATS, default=None)
-    sub.add_argument("--output-format", choices=OUTPUT_FORMATS, default="json")
-    if field_char:
-        sub.add_argument("--field-char", type=int, default=None,
-                         help="field characteristic (default: HYPERPD_FIELD_CHAR or 2)")
-    if trace:
-        sub.add_argument("--trace", default=None, help="write a JSONL trace here")
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or, given `command`, a parser
+    that holds that subcommand alone and parses its calls the same way.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    A subcommand's help and errors do not depend on the other
+    subcommands. The top-level parser's own errors print a usage line
+    that names them all, so the narrow parser hands those to the full
+    one.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperpd",
         description="projective dimension and Betti numbers of square-free "
                     "monomial ideals via dual-hypergraph reduction",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("pd", help="projective dimension of R/I")
-    _add_common(p, trace=True, field_char=True)
-    p.add_argument("--verify", action="store_true",
-                   help="also run the homology oracle and require agreement")
-
-    p = subs.add_parser("hypergraph", help="dual hypergraph of an ideal")
-    _add_common(p)
-
-    p = subs.add_parser("lattice", help="lcm-lattice of an ideal or hypergraph")
-    _add_common(p)
-
-    p = subs.add_parser("reduce", help="run the reduction pipeline")
-    _add_common(p, trace=True)
-    p.add_argument("--strict", action="store_true",
-                   help="refuse higher edges that are not unions")
-
-    p = subs.add_parser("betti", help="total Betti numbers via lattice homology")
-    _add_common(p, field_char=True)
-    p.add_argument("--entries", action="store_true",
-                   help="include the per-degree breakdown")
-
-    p = subs.add_parser("coordinatize", help="recover an ideal from labels")
-    _add_common(p)
-
-    p = subs.add_parser("check", help="report reduction preconditions")
-    _add_common(p)
-
+    for name, (_, help_text, arguments) in _SUBCOMMANDS.items():
+        if command is not None and name != command:
+            continue
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--in", dest="input", required=True,
+                         help="path, inline text, or - for stdin")
+        sub.add_argument("--out", dest="out", default=None, help="output path")
+        sub.add_argument("--input-format", choices=INPUT_FORMATS, default=None)
+        sub.add_argument("--output-format", choices=OUTPUT_FORMATS, default="json")
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+    if command is not None:
+        parser.error = lambda message: build_parser().error(message)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only where its output names the other subcommands:
+    # top-level help and an unknown or missing command; a narrow parser
+    # hands its own errors, usage errors included, to the full one
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser = build_parser(command)
     args = parser.parse_args(argv)
     try:
-        _emit(_COMMANDS[args.command](args), args.out)
+        _emit(_SUBCOMMANDS[args.command][0](args), args.out)
     except UsageError as exc:
         parser.error(str(exc))
     except DOMAIN_ERRORS + (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:

@@ -231,6 +231,8 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
         raise HypergraphError(f"bad hypergraph JSON: {exc}")
     if not is_json_int(mu):
         raise HypergraphError(f"hypergraph JSON mu must be an integer, got {mu!r}")
+    if mu < 1:
+        raise HypergraphError(f"hypergraph JSON mu must be at least 1, got {mu}")
     if "vertex_labels" in data:
         vertices = data["vertex_labels"]
         if not isinstance(vertices, list) or not all(is_json_int(v) for v in vertices):

@@ -46,6 +46,20 @@ def set_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _size_order(masks) -> list[int]:
+    """Masks by size, then by their atoms in increasing order: the
+    order of `(m.bit_count(), set_of(m))`.
+
+    Of two masks of one size, the one holding the lowest atom where
+    they differ comes first. Read from atom 1 up, its binary string
+    has a 1 where the other's has a 0, so it sorts later ascending;
+    a stable sort by size then keeps that descending order.
+    """
+    out = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+    out.sort(key=int.bit_count)
+    return out
+
+
 class SetFamilyLattice:
     """An intersection-closed family of masks with bottom, top and atoms.
 
@@ -68,7 +82,7 @@ class SetFamilyLattice:
             if m & ~full:
                 raise LatticeError(f"element {set_of(m)} exceeds the atom count")
             members.add(m)
-        self.masks = tuple(sorted(members, key=lambda m: (m.bit_count(), set_of(m))))
+        self.masks = tuple(_size_order(members))
         self._members = frozenset(members)
         self._check_invariants(full)
         if generators is not None:
@@ -86,11 +100,16 @@ class SetFamilyLattice:
                 raise LatticeError(f"missing atom {i + 1}")
 
     def up_sets(self) -> list[int]:
-        """Per atom i, an int whose bit j is set when masks[j] holds i."""
-        return [
-            int("".join("1" if (m >> i) & 1 else "0" for m in reversed(self.masks)), 2)
-            for i in range(self.num_atoms)
-        ]
+        """Per atom i, an int whose bit j is set when masks[j] holds i.
+
+        Write each mask as n binary digits, last mask first; digit
+        column k then spells the up-set of bit n - 1 - k in binary.
+        """
+        n = self.num_atoms
+        if not n:
+            return []
+        rows = [format(m, f"0{n}b") for m in reversed(self.masks)]
+        return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
     def _check_up_sets(self):
         """Intersection-closure from the up-sets, at any size.
@@ -374,7 +393,7 @@ def _validate_labeling(L: SetFamilyLattice, lab: Labeling):
             raise LatticeError(
                 f"unlabeled meet-irreducible element {list(set_of(mi))}"
             )
-    labeled = sorted(lab.assignment, key=lambda m: (m.bit_count(), set_of(m)))
+    labeled = _size_order(lab.assignment)
     for i, p in enumerate(labeled):
         for q in labeled[i + 1 :]:
             if p & q != p and p & q != q:
@@ -438,7 +457,7 @@ def labeling_to_json_dict(L: SetFamilyLattice, lab: Labeling) -> dict:
     data = L.to_json_dict()
     data["labels"] = {
         json.dumps(list(set_of(m)), separators=(",", ":")): lab.assignment[m].to_text()
-        for m in sorted(lab.assignment, key=lambda m: (m.bit_count(), set_of(m)))
+        for m in _size_order(lab.assignment)
     }
     return data
 

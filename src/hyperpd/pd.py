@@ -13,6 +13,7 @@ from .betti import oracle_pd
 from .hypergraphs import (
     Hypergraph,
     HypergraphError,
+    ShapeReport,
     classify_shape,
     ideal_from_hypergraph,
     unseparated_pair,
@@ -29,9 +30,9 @@ class PdError(ValueError):
     """A component the engine cannot price."""
 
 
-def pd_two_star(H: Hypergraph) -> int:
-    """pd of a 2-star on mu vertices: mu - 1."""
-    shape = classify_shape(H)
+def pd_two_star(H: Hypergraph, shape: ShapeReport) -> int:
+    """pd of a 2-star on mu vertices: mu - 1. `shape` is H's
+    `classify_shape` report."""
     if shape.kind != "two_star":
         raise PdError(f"hypergraph is a {shape.kind}, not a 2-star")
     return H.mu - 1
@@ -72,7 +73,7 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
     # full_reduce leaves no edge whose vertices are all closed, so a
     # 2-star here has no pair edge joining two closed vertices
     if shape.kind == "two_star":
-        return PdResult(pd_two_star(comp), METHOD_TWO_STAR)
+        return PdResult(pd_two_star(comp, shape), METHOD_TWO_STAR)
     try:
         ideal = ideal_from_hypergraph(comp)
         component_pd = oracle_pd(ideal, char=field_char)

@@ -356,6 +356,18 @@ def test_lattice_pd_keeps_sizing_and_char_checks(monkeypatch):
         lattice_pd(L, 4)
 
 
+def test_chain_cap_error_names_the_size_and_the_cap(monkeypatch):
+    L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 31)
+    with pytest.raises(OracleError) as err:
+        lattice_pd(L)
+    assert str(err.value) == (
+        "crosscut complex on 5 atoms has 32 candidate faces, which exceeds the cap of 31"
+    )
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 32)
+    assert lattice_pd(L) == 4
+
+
 def _dense_rank(matrix: list[list[int]], p: int) -> int:
     """Textbook Gauss-Jordan rank over GF(p), column by column."""
     rows = [[v % p for v in row] for row in matrix]

@@ -11,7 +11,8 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperpd.cli import main
+from hyperpd import cli
+from hyperpd.cli import build_parser, main
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
 
@@ -428,3 +429,68 @@ def test_json_sizes_and_indices_must_be_integers(command, text, error):
     proc = _run(command, "--in", text)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert json.loads(proc.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("command", ["pd", "hypergraph", "reduce", "check"])
+@pytest.mark.parametrize("mu", [-1, 0])
+def test_hypergraph_json_needs_a_vertex(command, mu):
+    proc = _run(command, "--in", json.dumps({"mu": mu, "edges": []}))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {
+        "error": "HypergraphError",
+        "message": f"hypergraph JSON mu must be at least 1, got {mu}",
+    }
+
+
+COMMANDS = ["pd", "hypergraph", "lattice", "reduce", "betti", "coordinatize", "check"]
+BARE_LATTICE = '{"atoms":1,"elements":[[],[1]]}'
+LABELED_LATTICE = '{"atoms":1,"elements":[[],[1]],"labels":{"[1]":"a"}}'
+# one call per command that ends in a UsageError
+USAGE_ERRORS = [
+    ("pd", "--in", "ab", "--output-format", "dot"),
+    ("hypergraph", "--in", BARE_LATTICE),
+    ("lattice", "--in", '{"neither": 1}'),
+    ("reduce", "--in", BARE_LATTICE),
+    ("betti", "--in", LABELED_LATTICE),
+    ("coordinatize", "--in", BARE_LATTICE),
+    ("check", "--in", "ab", "--output-format", "dot"),
+]
+
+
+def _outcome(argv):
+    """In-process call: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",),
+    *[(command, "-h") for command in COMMANDS],
+    ("nope", "--in", "ab"),
+    (),
+    ("pd",),
+    ("lattice", "--output-format", "text"),
+    ("pd", "--in", "ab", "--bogus"),
+    ("hypergraph", "--in", "ab", "--field-char", "3"),
+    ("pd", "--in", "ab", "stray"),
+    ("betti", "--in", "ab", "--output-format", "xml"),
+    *USAGE_ERRORS,
+], ids=repr)
+def test_one_subcommand_parser_answers_like_the_full_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("HYPERPD_FIELD_CHAR", raising=False)
+    narrow = _outcome(argv)
+    assert narrow[0] in (0, 2)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _outcome(argv) == narrow
+
+
+def test_a_subcommand_parser_holds_that_subcommand_alone():
+    assert build_parser("pd").format_usage() == "usage: hyperpd [-h] {pd} ...\n"
+    assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_usage()

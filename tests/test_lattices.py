@@ -444,3 +444,34 @@ def test_lattice_on_70_atoms_round_trips():
 def test_lattice_json_sizes_are_checked_before_masks_are_built(data, message):
     with pytest.raises(LatticeError, match=message):
         lattice_from_json_dict(data)
+
+
+def _random_closed_family(rng, n: int) -> set[int]:
+    """An intersection-closed family on n atoms with bottom, top and
+    every atom: the closure of a few random masks and the top."""
+    full = (1 << n) - 1
+    family = {full} | {rng.getrandbits(n) | rng.getrandbits(n) for _ in range(rng.randint(0, 7))}
+    frontier = set(family)
+    while frontier:
+        fresh = {a & b for a in frontier for b in family} - family
+        family |= fresh
+        frontier = fresh
+    # an atom meets any mask in itself or the bottom
+    return family | {0} | {1 << i for i in range(n)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 63, 64, 65, 80])
+def test_masks_are_sorted_by_size_then_atoms_and_up_sets_transpose_them(n):
+    rng = random.Random(300 + n)
+    for _ in range(20):
+        family = _random_closed_family(rng, n)
+        elements = list(family)
+        rng.shuffle(elements)
+        if rng.random() < 0.5:
+            elements = [list(set_of(m)) for m in elements]
+        L = SetFamilyLattice(n, elements)
+        assert L.masks == tuple(sorted(family, key=lambda m: (m.bit_count(), set_of(m))))
+        ups = L.up_sets()
+        assert len(ups) == n
+        for i, up in enumerate(ups):
+            assert up == sum(1 << j for j, m in enumerate(L.masks) if (m >> i) & 1)

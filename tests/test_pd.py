@@ -57,9 +57,10 @@ def _figure4():
 
 def test_two_star_formula():
     H = Hypergraph([(1, 2), (1, 3), (1, 4), (2,), (3,), (4,)])
-    assert pd_two_star(H) == 3
+    assert pd_two_star(H, classify_shape(H)) == 3
+    string = Hypergraph([(1, 2), (2, 3)])
     with pytest.raises(PdError, match="not a 2-star"):
-        pd_two_star(Hypergraph([(1, 2), (2, 3)]))
+        pd_two_star(string, classify_shape(string))
 
 
 def test_closed_isolated_formula():
@@ -166,6 +167,23 @@ def test_result_json_shape():
         {"vertices": [1, 2, 3, 4], "pd": 3, "method": METHOD_TWO_STAR},
         {"vertices": [10], "pd": 1, "method": METHOD_CLOSED_ISOLATED},
     ]
+
+
+def test_each_component_is_classified_once(monkeypatch):
+    module = importlib.import_module("hyperpd.pd")
+    classified = []
+
+    def counting(H):
+        classified.append(sorted(H.vertices))
+        return classify_shape(H)
+
+    monkeypatch.setattr(module, "classify_shape", counting)
+    second_star = [tuple(v + 4 for v in e) for e in TWO_STAR_EDGES]
+    result = pd(Hypergraph(TWO_STAR_EDGES + second_star + [(10,)]))
+    assert [sub.method for _, sub in result.per_component] == [
+        METHOD_TWO_STAR, METHOD_TWO_STAR, METHOD_CLOSED_ISOLATED,
+    ]
+    assert classified == [sorted(comp.vertices) for comp, _ in result.per_component]
 
 
 def test_additivity_across_components():
