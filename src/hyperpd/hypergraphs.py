@@ -40,15 +40,10 @@ class Hypergraph:
     __slots__ = ("vertices", "edges", "labels", "_edge_set")
 
     def __init__(self, edges, vertices=None, labels=None):
-        seen = []
-        for e in edges:
-            t = _canon_edge(e)
-            if t not in seen:
-                seen.append(t)
-        self.edges = tuple(seen)
-        self._edge_set = frozenset(seen)
+        self.edges = tuple(dict.fromkeys(_canon_edge(e) for e in edges))
+        self._edge_set = frozenset(self.edges)
         covered = set()
-        for e in seen:
+        for e in self.edges:
             covered.update(e)
         if vertices is None:
             self.vertices = tuple(sorted(covered))

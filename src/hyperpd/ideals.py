@@ -114,11 +114,15 @@ class MonomialIdeal:
         for m in self.generators:
             if m.ring != self.ring:
                 raise IdealError("generator in wrong ring")
-        gens = self.generators
-        for i, a in enumerate(gens):
-            for j, b in enumerate(gens):
-                if i != j and a.divides(b):
-                    raise IdealError(f"non-minimal generating set: {a} divides {b}")
+        # every generator is in this ring, so exponents compare directly
+        exps = [m.exps for m in self.generators]
+        for i, a in enumerate(exps):
+            for j, b in enumerate(exps):
+                if i != j and all(x <= y for x, y in zip(a, b)):
+                    raise IdealError(
+                        "non-minimal generating set: "
+                        f"{self.generators[i]} divides {self.generators[j]}"
+                    )
 
     @property
     def mu(self) -> int:

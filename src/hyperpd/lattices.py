@@ -60,13 +60,27 @@ def _size_order(masks) -> list[int]:
     return out
 
 
+def atom_columns(num_atoms: int, masks) -> list[int]:
+    """Per atom i, an int whose bit j is set when masks[j] holds i; for
+    a lattice's masks these are the atoms' up-sets.
+
+    Write each mask as n binary digits, last mask first; digit column k
+    then spells the column of atom n - 1 - k in binary.
+    """
+    if not num_atoms or not masks:
+        return [0] * num_atoms
+    rows = [format(m, f"0{num_atoms}b") for m in reversed(masks)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
 class SetFamilyLattice:
     """An intersection-closed family of masks with bottom, top and atoms.
 
     A construction passes the `generators` whose intersection-closure
     its family is; closure is then proven in |L|*|G| steps. Without
     them, closure is proven from the up-sets in |L|*n steps on
-    |L|-bit ints. Either proof runs at any size.
+    |L|-bit ints, so such a family is refused first when it holds more
+    than `DEFAULT_ELEMENT_CAP` elements above the bottom.
     """
 
     __slots__ = ("num_atoms", "masks", "_members")
@@ -82,6 +96,12 @@ class SetFamilyLattice:
             if m & ~full:
                 raise LatticeError(f"element {set_of(m)} exceeds the atom count")
             members.add(m)
+        size = len(members) - (0 in members)
+        if generators is None and size > DEFAULT_ELEMENT_CAP:
+            raise LatticeError(
+                f"lattice of {size} elements above the bottom exceeds the "
+                f"{DEFAULT_ELEMENT_CAP}-element cap"
+            )
         self.masks = tuple(_size_order(members))
         self._members = frozenset(members)
         self._check_invariants(full)
@@ -99,18 +119,6 @@ class SetFamilyLattice:
             if (1 << i) not in self._members:
                 raise LatticeError(f"missing atom {i + 1}")
 
-    def up_sets(self) -> list[int]:
-        """Per atom i, an int whose bit j is set when masks[j] holds i.
-
-        Write each mask as n binary digits, last mask first; digit
-        column k then spells the up-set of bit n - 1 - k in binary.
-        """
-        n = self.num_atoms
-        if not n:
-            return []
-        rows = [format(m, f"0{n}b") for m in reversed(self.masks)]
-        return [int("".join(column), 2) for column in zip(*rows)][::-1]
-
     def _check_up_sets(self):
         """Intersection-closure from the up-sets, at any size.
 
@@ -121,7 +129,7 @@ class SetFamilyLattice:
         is x & y. Otherwise some y in up(a) & ups[i] misses part of b,
         and b & y, above a + {i} but smaller than b, is not an element.
         """
-        ups = self.up_sets()
+        ups = atom_columns(self.num_atoms, self.masks)
 
         def up_of(m: int) -> int:
             up = (1 << len(self.masks)) - 1
@@ -310,29 +318,32 @@ def _lattice_of_edges(num_atoms: int, edges: list[int], what: str) -> SetFamilyL
     return SetFamilyLattice(num_atoms, family, generators=complements)
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> SetFamilyLattice:
-    """For each lcm of a generator subset, the set of generators that
-    divide it; plus the empty bottom.
-
-    Distinct lcms have distinct sets of generators below them, so the
-    sets are a faithful encoding. Each variable power x_j^e gives the
-    edge of generators with exponent at least e: the dual hypergraph of
-    the polarization. The set below an lcm t is the meet of the
-    complements of the edges of the powers that t lacks, and a meet S
-    of such complements is the set below lcm(S), so the family is the
-    lattice of those edges.
-    """
+def polarized_edges(ideal: MonomialIdeal) -> list[int]:
+    """One edge mask per variable power x_j^e: the generators with
+    exponent at least e, the dual hypergraph of the polarization."""
     if ideal.is_zero():
         raise LatticeError("the zero ideal has no lcm-lattice")
     if ideal.is_unit():
         raise LatticeError("the unit ideal has no lcm-lattice")
     gens = [m.exps for m in ideal.generators]
-    edges = [
+    return [
         sum(1 << i for i, g in enumerate(gens) if g[j] >= e)
         for j in range(len(ideal.ring))
         for e in range(1, max(g[j] for g in gens) + 1)
     ]
-    return _lattice_of_edges(ideal.mu, edges, "lcm-lattice")
+
+
+def lcm_lattice(ideal: MonomialIdeal) -> SetFamilyLattice:
+    """For each lcm of a generator subset, the set of generators that
+    divide it; plus the empty bottom.
+
+    Distinct lcms have distinct sets of generators below them, so the
+    sets are a faithful encoding. The set below an lcm t is the meet of
+    the complements of the polarized edges of the powers that t lacks,
+    and a meet S of such complements is the set below lcm(S), so the
+    family is the lattice of those edges.
+    """
+    return _lattice_of_edges(ideal.mu, polarized_edges(ideal), "lcm-lattice")
 
 
 def _separated_edge_masks(H: Hypergraph) -> list[int]:

@@ -1,23 +1,23 @@
 """Projective dimension of R/I from the reduced dual hypergraph.
 
 Each component after full reduction is matched against a shape with a
-closed-form answer; anything else goes to the homology oracle through
-its ideal realization. Components add.
+closed-form answer; anything else goes to the homology oracle, which
+walks the top of the lattice of its edges. Components add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .betti import oracle_pd
+from .betti import lattice_pd, oracle_pd
 from .hypergraphs import (
     Hypergraph,
-    HypergraphError,
     ShapeReport,
     classify_shape,
     ideal_from_hypergraph,
     unseparated_pair,
 )
+from .lattices import _separated_edge_masks
 from .reduction import ReductionTrace, full_reduce
 
 METHOD_TWO_STAR = "formula_two_star"
@@ -74,10 +74,10 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
     # 2-star here has no pair edge joining two closed vertices
     if shape.kind == "two_star":
         return PdResult(pd_two_star(comp, shape), METHOD_TWO_STAR)
+    # a separated hypergraph's lattice is the lcm-lattice of its ideal
     try:
-        ideal = ideal_from_hypergraph(comp)
-        component_pd = oracle_pd(ideal, char=field_char)
-    except (HypergraphError, ValueError) as exc:
+        component_pd = lattice_pd(comp.mu, _separated_edge_masks(comp), char=field_char)
+    except ValueError as exc:
         raise PdError(
             f"component {sorted(comp.vertices)} needs the oracle but {exc}"
         ) from exc

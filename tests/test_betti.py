@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hyperpd import betti
+from hyperpd import betti, lattices
 from hyperpd.betti import (
     OracleError,
     SimplicialComplex,
@@ -20,11 +20,14 @@ from hyperpd.hypergraphs import dual_hypergraph, hypergraph_from_json_dict, idea
 from hyperpd.ideals import Monomial, ideal_from_json_dict, make_ideal, parse_ideal
 from hyperpd.lattices import (
     Labeling,
+    LatticeError,
+    _separated_edge_masks,
     coordinatize,
     labeling_from_json_dict,
     lcm_lattice,
     lattice_from_hypergraph,
     mask_of,
+    polarized_edges,
 )
 from hyperpd.reduction import full_reduce
 
@@ -325,16 +328,16 @@ def test_lattice_pd_matches_full_table():
     ]
     cases.append((union, 2))
     for I, c in cases:
-        L = lcm_lattice(I)
-        assert lattice_pd(L, c) == betti_table_from_lattice(L, c).pd, (I.to_text(), c)
+        want = betti_table_from_lattice(lcm_lattice(I), c).pd
+        assert lattice_pd(I.mu, polarized_edges(I), c) == want, (I.to_text(), c)
+        assert oracle_pd(I, c) == want, (I.to_text(), c)
 
 
-def test_lattice_pd_visits_few_intervals_on_figure4_core(monkeypatch):
+def test_lattice_pd_walks_few_elements_on_figure4_core(monkeypatch):
     with open("fixtures/figure4.json") as f:
         reduced, _ = full_reduce(hypergraph_from_json_dict(json.load(f)))
     core = next(c for c in reduced.components() if c.mu > 1)
-    L = lcm_lattice(ideal_from_hypergraph(core))
-    assert len(L) == 1443
+    assert len(lcm_lattice(ideal_from_hypergraph(core))) == 1443
     visited = []
     ranks = betti.reduced_homology_ranks
 
@@ -343,29 +346,50 @@ def test_lattice_pd_visits_few_intervals_on_figure4_core(monkeypatch):
         return ranks(K, char)
 
     monkeypatch.setattr(betti, "reduced_homology_ranks", counting)
-    assert lattice_pd(L, 2) == 9
+    # the walk builds at most 100 elements above the bottom
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 100)
+    assert lattice_pd(core.mu, _separated_edge_masks(core), 2) == 9
     assert 0 < len(visited) < 50
 
 
 def test_lattice_pd_keeps_sizing_and_char_checks(monkeypatch):
-    L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
+    I = parse_ideal("ab,bcg,cdg,de,efg")
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 4)
     with pytest.raises(OracleError, match="exceeds the cap"):
-        lattice_pd(L)
+        oracle_pd(I)
     with pytest.raises(OracleError, match="prime"):
-        lattice_pd(L, 4)
+        oracle_pd(I, 4)
+
+
+def test_lattice_pd_caps_the_elements_it_builds(monkeypatch):
+    I = parse_ideal("ab,bc,cd,de,ef,fg,gh,hi,ij,jk")
+    size = len(lcm_lattice(I)) - 1  # above the bottom
+    seeds = len(set(polarized_edges(I))) + 1  # and the top
+    built = []
+    for cap in range(1, 40):
+        monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", cap)
+        try:
+            assert oracle_pd(I) == 7
+        except LatticeError as exc:
+            assert str(exc) == f"lcm-lattice exceeds the {cap}-element cap"
+        else:
+            built.append(cap)
+    # the smallest cap that lets the walk through is what it builds:
+    # the seeds, some of their meets, and far less than the lattice
+    assert built == list(range(built[0], 40))
+    assert seeds < built[0] < size
 
 
 def test_chain_cap_error_names_the_size_and_the_cap(monkeypatch):
-    L = lcm_lattice(parse_ideal("ab,bcg,cdg,de,efg"))
+    I = parse_ideal("ab,bcg,cdg,de,efg")
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 31)
     with pytest.raises(OracleError) as err:
-        lattice_pd(L)
+        oracle_pd(I)
     assert str(err.value) == (
         "crosscut complex on 5 atoms has 32 candidate faces, which exceeds the cap of 31"
     )
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 32)
-    assert lattice_pd(L) == 4
+    assert oracle_pd(I) == 4
 
 
 def _dense_rank(matrix: list[list[int]], p: int) -> int:
@@ -485,50 +509,87 @@ def _staircase(rng, mu):
     return make_ideal(ring, [Monomial(ring, (a, b)) for a, b in zip(xs, ys)])
 
 
-def test_up_set_join_is_the_smallest_superset():
+def _complements(I) -> list[int]:
+    full = (1 << I.mu) - 1
+    return [full & ~e for e in polarized_edges(I)]
+
+
+def _joined(supports, face: int) -> int:
+    out = 0
+    for i in _vertex_list(face):
+        out |= supports[i]
+    return out
+
+
+def test_support_join_is_the_smallest_superset():
+    """A face's join is the meet of the complements its supports miss,
+    and an element p above the face is its join exactly when the OR of
+    the face's supports equals p's."""
     rng = random.Random(7)
     ideals = [_random_ideal(rng, rng.randint(1, 3)) for _ in range(30)]
     ideals.append(_staircase(rng, 70))
-    assert max(I.mu for I in ideals) > 62
+    assert max(I.mu for I in ideals) == 70
     for I in ideals:
         L = lcm_lattice(I)
-        ups = L.up_sets()
-        assert len(ups) == L.num_atoms
+        complements = _complements(I)
+        supports = betti._supports(L.num_atoms, complements)
+        assert len(supports) == L.num_atoms
         subsets = [s for k in range(min(L.num_atoms, 3) + 1)
                    for s in itertools.combinations(range(L.num_atoms), k)]
         subsets = rng.sample(subsets, min(len(subsets), 200))
         subsets += [rng.sample(range(L.num_atoms), rng.randint(0, L.num_atoms)) for _ in range(50)]
         for atoms in subsets:
             face = sum(1 << i for i in atoms)
-            up = (1 << len(L)) - 1
-            for i in atoms:
-                up &= ups[i]
-            got = L.masks[(up & -up).bit_length() - 1]
+            joined = _joined(supports, face)
             supersets = [m for m in L.masks if m & face == face]
             smallest = min(supersets, key=int.bit_count)
             assert all(m & smallest == smallest for m in supersets)
-            assert got == smallest, (I.to_text(), atoms)
+            if face:
+                meet = L.top
+                for j, c in enumerate(complements):
+                    if not joined >> j & 1:
+                        meet &= c
+                assert meet == smallest, (I.to_text(), atoms)
+            for m in supersets:
+                assert (_joined(supports, m) == joined) == (m == smallest), (I.to_text(), atoms)
 
 
 def _smallest_above(L, face: int) -> int:
     return min((m for m in L.masks if m & face == face), key=int.bit_count)
 
 
+def _support_forms(I, L):
+    """The supports of the polarized edges' complements, as the walk
+    builds them, and of the lattice's own elements, as a lattice given
+    by its elements builds them."""
+    return (
+        betti._supports(L.num_atoms, _complements(I)),
+        betti._supports(L.num_atoms, L.masks),
+    )
+
+
 def test_crosscut_route_on_more_than_62_atoms():
     """On 66 atoms, the faces kept are those of the definition: the apex
     is absent, the join is not p, and the join with the apex is p."""
-    L = lcm_lattice(_staircase(random.Random(3), 66))
+    I = _staircase(random.Random(3), 66)
+    L = lcm_lattice(I)
     assert L.num_atoms == 66
     # the top's interval has 2^66 atom subsets; smaller ones are computed
-    small = [[pos for pos, p in enumerate(L.masks) if p.bit_count() == k][:12] for k in (2, 3, 4)]
-    ups = L.up_sets()
-    for pos in sum(small, []):
-        p = L.masks[pos]
+    small = [[p for p in L.masks if p.bit_count() == k][:12] for k in (2, 3, 4)]
+    for p, supports in itertools.product(sum(small, []), _support_forms(I, L)):
         atoms = [i for i in range(L.num_atoms) if p >> i & 1]
-        # the default apex has the most elements above it up to p
-        default = max(atoms, key=lambda a: sum(1 for m in L.masks[: pos + 1] if m >> a & 1))
+        # the default apex has the fewest support bits no other atom has,
+        # then the fewest support bits, then the lowest index
+        def own_bits(a):
+            others = 0
+            for b in atoms:
+                if b != a:
+                    others |= supports[b]
+            return (supports[a] & ~others).bit_count()
+
+        default = min(atoms, key=lambda a: (own_bits(a), supports[a].bit_count()))
         for apex in [None] + atoms:
-            K = betti._crosscut_complex(ups, p, pos, apex)
+            K = betti._crosscut_complex(supports, p, apex)
             assert list(K.vertices) == atoms
             a = default if apex is None else apex
             want = set()
@@ -565,16 +626,16 @@ def test_every_apex_gives_the_full_crosscut_ranks():
     checked = 0
     for I in ideals:
         L = lcm_lattice(I)
-        ups = L.up_sets()
-        for pos, p in enumerate(L.masks):
+        forms = _support_forms(I, L)
+        for p in L.masks:
             if p.bit_count() < 2:
                 continue
             full = _full_crosscut(L, p)
             atoms = [i for i in range(L.num_atoms) if p >> i & 1]
             for char in (2, 3, 5):
                 want = _dense_reduced_homology([level for level in full if level], char)
-                for apex in [None] + atoms:
-                    K = betti._crosscut_complex(ups, p, pos, apex)
+                for supports, apex in itertools.product(forms, [None] + atoms):
+                    K = betti._crosscut_complex(supports, p, apex)
                     assert reduced_homology_ranks(K, char) == want, (I.to_text(), p, apex, char)
                     checked += 1
-    assert checked > 3000
+    assert checked > 6000

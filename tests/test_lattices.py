@@ -13,6 +13,7 @@ from hyperpd.lattices import (
     Labeling,
     LatticeError,
     SetFamilyLattice,
+    atom_columns,
     coordinatize,
     hypergraph_coordinatization,
     labeling_from_json_dict,
@@ -239,6 +240,24 @@ def test_capped_closure_stops_at_the_first_element_over_the_cap(monkeypatch):
     # the fifth new element is found while the first seed is met; a
     # check after each round would come only after 16 * 16 meets
     assert len(calls) <= len(seeds)
+
+
+def test_lattice_json_over_the_cap_is_refused_before_the_closure_proof(monkeypatch):
+    # the 12-atom power set: 4,095 elements above the bottom
+    data = {"atoms": 12, "elements": [list(set_of(m)) for m in range(1 << 12)]}
+    proofs = []
+    check = SetFamilyLattice._check_up_sets
+    monkeypatch.setattr(SetFamilyLattice, "_check_up_sets", lambda L: proofs.append(check(L)))
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 4094)
+    with pytest.raises(LatticeError) as err:
+        lattice_from_json_dict(data)
+    assert str(err.value) == (
+        "lattice of 4095 elements above the bottom exceeds the 4094-element cap"
+    )
+    assert proofs == []
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 4095)
+    assert len(lattice_from_json_dict(data)) == 4096
+    assert proofs == [None]
 
 
 def test_lattice_from_hypergraph_needs_separated():
@@ -471,7 +490,7 @@ def test_masks_are_sorted_by_size_then_atoms_and_up_sets_transpose_them(n):
             elements = [list(set_of(m)) for m in elements]
         L = SetFamilyLattice(n, elements)
         assert L.masks == tuple(sorted(family, key=lambda m: (m.bit_count(), set_of(m))))
-        ups = L.up_sets()
+        ups = atom_columns(n, L.masks)
         assert len(ups) == n
         for i, up in enumerate(ups):
             assert up == sum(1 << j for j, m in enumerate(L.masks) if (m >> i) & 1)

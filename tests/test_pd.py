@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import importlib
+import importlib.util
+import io
 import json
 import random
+import sys
 
 import pytest
 
-from hyperpd.betti import betti_table
+from hyperpd.betti import betti_table, oracle_pd
+from hyperpd.cli import main
 from hyperpd.hypergraphs import (
     Hypergraph,
     classify_shape,
@@ -27,7 +32,7 @@ from hyperpd.pd import (
     pd_monotonicity_check,
     pd_two_star,
 )
-from hyperpd.reduction import check_preconditions
+from hyperpd.reduction import check_preconditions, full_reduce
 
 # component of the 43-vertex fixture that survives reduction, and its
 # frozen homology-oracle answer
@@ -269,3 +274,52 @@ def test_package_attribute_pd_is_the_submodule():
     assert hyperpd.pd is module
     assert hyperpd.pd.pd is pd
     assert hyperpd.pd.full_reduce.__name__ == "full_reduce"
+
+
+def _workloads(monkeypatch):
+    """The benchmark's input generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("workloads", "perfbench/workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    monkeypatch.setitem(sys.modules, "workloads", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_component_walk_matches_the_ideal_oracle(monkeypatch):
+    """Each component priced by the oracle gets the pd of its ideal
+    realization, on the frozen bushes and the benchmark's random ideals."""
+    workloads = _workloads(monkeypatch)
+    hypergraphs = [Hypergraph(edges) for edges in workloads.load_inputs()["bushes"]]
+    gen = random.Random(workloads.RANDOM_IDEALS_SEED)
+    hypergraphs += [
+        dual_hypergraph(parse_ideal(workloads.random_ideal_text(gen))) for _ in range(100)
+    ]
+    priced = 0
+    for H in hypergraphs:
+        for char in (2, 3):
+            for comp, sub in pd(H, field_char=char).per_component:
+                if sub.method != METHOD_ORACLE:
+                    continue
+                ideal = ideal_from_hypergraph(comp)
+                assert sub.pd == oracle_pd(ideal, char) == betti_table(ideal, char).pd
+                priced += 1
+    assert priced > 200
+
+
+def test_pd_builds_no_lattice_and_no_ideal(monkeypatch):
+    def refused(*args):
+        raise AssertionError("called")
+
+    for module in ("betti", "cli", "lattices"):
+        monkeypatch.setattr(importlib.import_module(f"hyperpd.{module}"), "lcm_lattice", refused)
+    for module in ("cli", "hypergraphs", "pd"):
+        monkeypatch.setattr(
+            importlib.import_module(f"hyperpd.{module}"), "ideal_from_hypergraph", refused
+        )
+    result = pd(dual_hypergraph(parse_ideal("ab,bcg,cdg,de,efg")))
+    assert (result.pd, result.method) == (4, METHOD_ORACLE)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["pd", "--in", "ab,bc,cd,de,ef,fg", "--verify"]) == 0
+    assert json.loads(out.getvalue())["oracle_pd"] == 4
