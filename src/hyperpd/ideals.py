@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import le
 
 MAX_RING_VARIABLES = 64
 
@@ -44,10 +45,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not any(self.exps)
 
-    def divides(self, other: "Monomial") -> bool:
-        _check_ring(self, other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
     def gcd(self, other: "Monomial") -> "Monomial":
         _check_ring(self, other)
         return Monomial(self.ring, tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
@@ -55,13 +52,6 @@ class Monomial:
     def times(self, other: "Monomial") -> "Monomial":
         _check_ring(self, other)
         return Monomial(self.ring, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def without_variable(self, index: int) -> "Monomial":
-        """Divide by the variable once (colon); no-op when it is absent."""
-        exps = list(self.exps)
-        if exps[index] > 0:
-            exps[index] -= 1
-        return Monomial(self.ring, tuple(exps))
 
     def to_text(self) -> str:
         if self.is_one():
@@ -157,19 +147,17 @@ class MonomialIdeal:
 
 def minimalize(monomials) -> list[Monomial]:
     """Drop duplicates and multiples, keeping first occurrences in order."""
-    kept = []
-    for idx, m in enumerate(monomials):
-        redundant = False
-        for jdx, other in enumerate(monomials):
-            if jdx == idx:
-                continue
-            if other.divides(m) and not (m.divides(other) and jdx > idx):
-                # the parenthesized clause keeps the FIRST of equal duplicates
-                redundant = True
-                break
-        if not redundant:
-            kept.append(m)
-    return kept
+    for m in monomials:
+        _check_ring(m, monomials[0])
+    # every monomial is in one ring, so exponents compare directly
+    exps = [m.exps for m in monomials]
+    return [
+        monomials[i]
+        for i, a in enumerate(exps)
+        # a goes when another b divides it, unless b equals a and comes
+        # later: the first of equal duplicates stays
+        if not any(all(map(le, b, a)) and (b != a or j < i) for j, b in enumerate(exps) if j != i)
+    ]
 
 
 def make_ideal(ring, monomials) -> MonomialIdeal:
@@ -281,32 +269,3 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     monomials = [monomial_from_indices(ring, indices) for indices in gens]
     return make_ideal(ring, monomials)
 
-
-def colon_by_variable(ideal: MonomialIdeal, name: str) -> MonomialIdeal:
-    """The ideal (I : x) for a single ring variable x.
-
-    Returns a unit-ideal marker when x itself is a generator.
-    """
-    index = _variable_index(ideal, name)
-    quotients = [m.without_variable(index) for m in ideal.generators]
-    if any(m.is_one() for m in quotients):
-        one = Monomial(ideal.ring, (0,) * len(ideal.ring))
-        return MonomialIdeal(ideal.ring, (one,))
-    return make_ideal(ideal.ring, quotients)
-
-
-def add_variable_generator(ideal: MonomialIdeal, name: str) -> MonomialIdeal:
-    """The ideal (x) + I: adjoin x as a generator, in front."""
-    index = _variable_index(ideal, name)
-    exps = [0] * len(ideal.ring)
-    exps[index] = 1
-    var = Monomial(ideal.ring, tuple(exps))
-    survivors = [m for m in ideal.generators if m.exps[index] == 0]
-    return make_ideal(ideal.ring, [var] + survivors)
-
-
-def _variable_index(ideal: MonomialIdeal, name: str) -> int:
-    try:
-        return ideal.ring.index(name)
-    except ValueError:
-        raise IdealError(f"{name!r} is not a ring variable")

@@ -42,7 +42,8 @@ RULES = {
 
 
 class ReductionError(ValueError):
-    """Precondition or replay failure in a reduction pass."""
+    """A strict union pass meeting a non-union higher edge, or a trace
+    that does not replay."""
 
 
 @dataclass(frozen=True)
@@ -225,22 +226,20 @@ def _is_joint(H: Hypergraph, i: int) -> bool:
     return False
 
 
-def _find_joint(H: Hypergraph, start: int | None) -> int | None:
-    """First joint >= start having a branch of length 2."""
-    for i in sorted(H.vertices):
-        if (start is None or i >= start) and _is_joint(H, i):
-            return i
-    return None
+def _edge_passes(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
+    """One union-edge pass, then one closed-edge pass: a fixpoint of both.
 
-
-def _edge_passes_to_fixpoint(H: Hypergraph) -> Hypergraph:
-    """Union-edge and closed-edge removal, repeated until neither fires."""
-    while True:
-        out, t_union = remove_union_edges(H)
-        out, t_closed = remove_closed_vertex_edges(out)
-        if not t_union.steps and not t_closed.steps:
-            return out
-        H = out
+    Neither pass removes a singleton, so which vertices are closed never
+    changes, and the closed pass leaves no edge for a second one.
+    Every edge the union pass removes is the union of kept edges inside
+    it, so each recorded step still removes a union when the steps are
+    replayed one at a time. Removing edges never makes an edge a union,
+    so no kept edge becomes one later.
+    """
+    out, trace = remove_union_edges(H)
+    out, t_closed = remove_closed_vertex_edges(out)
+    trace.extend(t_closed)
+    return out, trace
 
 
 def _joint_still_qualifies(H: Hypergraph, i: int) -> bool:
@@ -251,56 +250,46 @@ def _joint_still_qualifies(H: Hypergraph, i: int) -> bool:
     higher edge into a union, before either edge is stripped; the gates
     are about the hypergraph those pd-preserving passes would leave.
     """
-    comp = next(c for c in _edge_passes_to_fixpoint(H).components() if i in c.vertices)
+    comp = next(c for c in _edge_passes(H)[0].components() if i in c.vertices)
     return check_preconditions(comp).all_ok and _is_joint(comp, i)
 
 
 def remove_joints(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
     """Remove joints having a branch of length 2, ascending, until none
-    qualify. The gates are checked on entry, and again before each
-    removal on the joint's component as the edge passes would leave it."""
-    pre = check_preconditions(H)
-    if not pre.all_ok:
-        failing = [k for k in ("bush", "higher_edges_same_joint", "no_connected_closed")
-                   if not getattr(pre, k)]
-        detail = "; ".join(pre.witnesses.get(k, k) for k in failing)
-        raise ReductionError(f"joint removal preconditions violated: {detail}")
+    qualify. The gates are checked on entry, where a failure returns H
+    with no steps, and again before each removal on the joint's
+    component as the edge passes would leave it."""
     trace = ReductionTrace()
+    if not check_preconditions(H).all_ok:
+        return H, trace
     out = H
     while True:
-        removed_this_sweep = False
-        start: int | None = None
-        while True:
-            i = _find_joint(out, start)
-            if i is None:
-                break
-            start = i + 1
-            if not _joint_still_qualifies(out, i):
-                continue
-            out = out.remove_vertex(i)
-            trace.record(RULE_JOINT, i)
-            removed_this_sweep = True
-        if not removed_this_sweep:
+        removed = False
+        for i in out.vertices:  # the sweep's starting vertices; out is rebound below
+            if _is_joint(out, i) and _joint_still_qualifies(out, i):
+                out = out.remove_vertex(i)
+                trace.record(RULE_JOINT, i)
+                removed = True
+        if not removed:
             return out, trace
 
 
 def full_reduce(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
-    """Run joint removal (where the gates allow), union-edge removal,
-    and closed-edge removal per component until nothing changes."""
+    """Run joint removal (where the gates allow) on every component,
+    then the edge passes, until a round changes nothing. A round's
+    joints leave the whole hypergraph in one surgery."""
     trace = ReductionTrace()
     out = H
     while True:
         before = (len(out.vertices), len(out.edges))
+        joints = []
         for comp in out.components():
-            if not check_preconditions(comp).all_ok:
-                continue
             _, t = remove_joints(comp)
-            if t.steps:
-                out = out.remove_vertices(step.vertex for step in t.steps)
+            joints.extend(step.vertex for step in t.steps)
             trace.extend(t)
-        out, t = remove_union_edges(out)
-        trace.extend(t)
-        out, t = remove_closed_vertex_edges(out)
+        if joints:
+            out = out.remove_vertices(joints)
+        out, t = _edge_passes(out)
         trace.extend(t)
         if (len(out.vertices), len(out.edges)) == before:
             return out, trace

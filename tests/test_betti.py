@@ -323,8 +323,13 @@ def test_lattice_pd_matches_full_table():
     assert len(coordinatized) >= 10
     five, union, labeled = _fixture_ideals()
     principal = [make_ideal(("a", "b"), [Monomial(("a", "b"), (2, 1))]), parse_ideal("abc")]
+    # totals {0: 1, 1: 4, 2: 3}: a walk that skips the level below its
+    # best degree answers 1 here
+    level_gap = parse_ideal("x1*x2*x6,x1*x3*x6,x2*x4*x6,x1*x2*x5")
     cases = [
-        (I, c) for I in ideals + coordinatized + principal + [five, labeled] for c in (2, 3)
+        (I, c)
+        for I in ideals + coordinatized + principal + [five, labeled, level_gap]
+        for c in (2, 3)
     ]
     cases.append((union, 2))
     for I, c in cases:

@@ -8,8 +8,6 @@ from hyperpd.ideals import (
     IdealError,
     Monomial,
     MonomialIdeal,
-    add_variable_generator,
-    colon_by_variable,
     ideal_from_json_dict,
     make_ideal,
     minimalize,
@@ -88,9 +86,6 @@ def test_monomial_operations():
     b = _mono("xyz", (0, 1, 1))
     assert a.gcd(b).to_text() == "y"
     assert a.times(b).exps == (1, 2, 1)
-    assert not a.divides(b)
-    assert a.gcd(b).divides(a)
-    assert a.without_variable(0).to_text() == "y"
     assert a.support == (0, 1)
 
 
@@ -121,29 +116,9 @@ def test_ideal_text_round_trip():
     assert parse_ideal(I.to_text()) == I
 
 
-def test_colon_by_variable():
-    I = parse_ideal("ab,bc")
-    J = colon_by_variable(I, "b")
-    assert sorted(m.to_text() for m in J.generators) == ["a", "c"]
-    # generators not involving the variable pass through
-    K = colon_by_variable(parse_ideal("ab,cd"), "a")
-    assert sorted(m.to_text() for m in K.generators) == ["b", "cd"]
-
-
-def test_colon_unknown_variable():
-    with pytest.raises(IdealError):
-        colon_by_variable(parse_ideal("ab"), "q")
-
-
-def test_add_variable_generator():
-    I = parse_ideal("ab,bc")
-    J = add_variable_generator(I, "b")
-    assert sorted(m.to_text() for m in J.generators) == ["b"]
-    with pytest.raises(IdealError):
-        add_variable_generator(I, "z")
-
-
 def test_make_ideal_minimalizes():
     ring = ("a", "b")
     I = make_ideal(ring, [_mono("ab", (1, 0)), _mono("ab", (1, 1))])
     assert I.mu == 1
+    with pytest.raises(IdealError, match="ring mismatch"):
+        minimalize([_mono("ab", (1, 0)), _mono("ac", (1, 1))])

@@ -48,8 +48,9 @@ def literal_lcm_lattice(ideal) -> SetFamilyLattice:
     for k in range(len(gens) + 1):
         for subset in itertools.combinations(gens, k):
             exps = [max((m.exps[j] for m in subset), default=0) for j in range(len(ideal.ring))]
-            lcm = Monomial(ideal.ring, tuple(exps))
-            elements.add(sum(1 << i for i, g in enumerate(gens) if g.divides(lcm)))
+            elements.add(sum(
+                1 << i for i, g in enumerate(gens) if all(a <= b for a, b in zip(g.exps, exps))
+            ))
     return SetFamilyLattice(ideal.mu, elements)
 
 

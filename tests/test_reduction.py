@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hyperpd import reduction
 from hyperpd.betti import betti_table, oracle_pd
 from hyperpd.hypergraphs import (
     Hypergraph,
@@ -23,6 +24,7 @@ from hyperpd.reduction import (
     ReductionError,
     ReductionTrace,
     TraceStep,
+    _edge_passes,
     check_preconditions,
     full_reduce,
     remove_closed_vertex_edges,
@@ -151,8 +153,16 @@ def test_joint_removal_needs_length_two_branch():
 
 
 def test_joint_removal_refuses_bad_preconditions():
-    with pytest.raises(ReductionError, match="preconditions"):
-        remove_joints(Hypergraph([(1,), (2,), (1, 2)]))
+    # the second input has a qualifying joint 1, but the pair (4, 5)
+    # joins two closed vertices
+    for H in (
+        Hypergraph([(1,), (2,), (1, 2)]),
+        Hypergraph([(1, 2), (2, 3), (1, 4), (1, 5), (4, 5), (3,), (4,), (5,)]),
+    ):
+        assert not check_preconditions(H).all_ok
+        out, trace = remove_joints(H)
+        assert out is H
+        assert trace.steps == []
 
 
 def test_joint_removal_on_fixture_matches_frozen_decode():
@@ -234,6 +244,42 @@ def test_full_reduce_skips_components_failing_preconditions():
     assert 1 in reduced.vertices
 
 
+def test_full_reduce_judges_each_component_once_and_rebuilds_once_per_round(monkeypatch):
+    # six disjoint 2-stars, each losing its joint in the first round; the
+    # second round finds only isolated closed vertices and removes nothing
+    bush = [(1, 2), (2, 3), (1, 4), (1, 5), (3,), (4,), (5,)]
+    H = Hypergraph([tuple(v + 10 * k for v in e) for k in range(6) for e in bush])
+    entry_checks, forest_rebuilds, judging = [], [], []
+    check, qualifies, remove_vertices = (
+        reduction.check_preconditions, reduction._joint_still_qualifies, Hypergraph.remove_vertices
+    )
+
+    def counted_check(G):
+        if not judging:
+            entry_checks.append(G.vertices)
+        return check(G)
+
+    def counted_qualifies(G, i):
+        judging.append(i)
+        try:
+            return qualifies(G, i)
+        finally:
+            judging.pop()
+
+    def counted_remove_vertices(G, vertices):
+        if len(G.vertices) > 5:  # larger than one bush
+            forest_rebuilds.append(G.vertices)
+        return remove_vertices(G, vertices)
+
+    monkeypatch.setattr(reduction, "check_preconditions", counted_check)
+    monkeypatch.setattr(reduction, "_joint_still_qualifies", counted_qualifies)
+    monkeypatch.setattr(Hypergraph, "remove_vertices", counted_remove_vertices)
+    reduced, trace = full_reduce(H)
+    assert [s.vertex for s in trace.steps if s.rule == RULE_JOINT] == [1, 11, 21, 31, 41, 51]
+    assert entry_checks == [c.vertices for c in H.components() + reduced.components()]
+    assert forest_rebuilds == [H.vertices]
+
+
 def _random_separated(rng):
     """A separated hypergraph on 3-8 vertices with singletons, pairs and
     a few 3- or 4-vertex edges."""
@@ -246,6 +292,20 @@ def _random_separated(rng):
         H = Hypergraph(edges, vertices=vertices)
         if is_separated(H):
             return H
+
+
+def test_edge_passes_reach_a_fixpoint():
+    rng = random.Random(5)
+    union_fired = closed_fired = 0
+    for _ in range(2000):
+        out, trace = _edge_passes(_random_separated(rng))
+        rules = {s.rule for s in trace.steps}
+        union_fired += RULE_UNION in rules
+        closed_fired += RULE_CLOSED in rules
+        assert remove_union_edges(out)[1].steps == []
+        assert remove_closed_vertex_edges(out)[1].steps == []
+    assert union_fired >= 100
+    assert closed_fired >= 100
 
 
 def _ideal_or_none(H):

@@ -26,8 +26,6 @@ PACKAGE = ROOT / "src" / "hyperpd"
 CALLER_DIRS = ("src", "perfbench", "scripts")
 
 KEEP = {
-    "colon_by_variable": "the bound engine of ROADMAP item 1 takes (I : x)",
-    "add_variable_generator": "the bound engine of ROADMAP item 1 takes (x) + I",
     "pd_monotonicity_check": "acceptance criterion 7 runs it",
     "replay_trace": "README shows how to replay a trace file",
     "from_jsonl": "README shows how to read a trace file back for replay",
