@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -74,6 +75,30 @@ def test_duplicate_generators_keep_first():
     first, second = _mono("ab", (1, 1)), _mono("ab", (1, 1))
     kept = minimalize([first, second])
     assert len(kept) == 1 and kept[0] is first
+
+
+def test_minimalize_keeps_first_of_each_minimal_exponent_vector():
+    # lists drawn with duplicates and multiples; the expected list is the
+    # first occurrence of each exponent vector that no other divides
+    rng = random.Random(17)
+    ring = "abcd"
+    for _ in range(300):
+        monomials = [_mono(ring, [rng.randrange(3) for _ in ring]) for _ in range(rng.randrange(1, 9))]
+        monomials += [_mono(ring, m.exps) for m in rng.sample(monomials, rng.randrange(len(monomials) + 1))]
+        rng.shuffle(monomials)
+        vectors = {m.exps for m in monomials}
+        minimal = {
+            e for e in vectors
+            if not any(f != e and all(x <= y for x, y in zip(f, e)) for f in vectors)
+        }
+        seen, expected = set(), []
+        for m in monomials:
+            if m.exps in minimal and m.exps not in seen:
+                seen.add(m.exps)
+                expected.append(m)
+        kept = minimalize(monomials)
+        assert len(kept) == len(expected)
+        assert all(k is e for k, e in zip(kept, expected))
 
 
 def test_minimal_ideal_constructor_rejects_divisible_pair():

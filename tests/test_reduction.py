@@ -308,6 +308,27 @@ def test_edge_passes_reach_a_fixpoint():
     assert closed_fired >= 100
 
 
+def test_full_reduce_skips_surgery_when_no_joint_goes(monkeypatch):
+    # without a joint step no round has vertices to remove, so neither
+    # full_reduce nor remove_joints rebuilds a hypergraph by removal
+    rng = random.Random(23)
+    calls, remove_vertices = [], Hypergraph.remove_vertices
+
+    def counted_remove_vertices(G, vertices):
+        calls.append(tuple(vertices))
+        return remove_vertices(G, vertices)
+
+    monkeypatch.setattr(Hypergraph, "remove_vertices", counted_remove_vertices)
+    jointless = 0
+    for _ in range(300):
+        calls.clear()
+        _, trace = full_reduce(_random_separated(rng))
+        if all(s.rule != RULE_JOINT for s in trace.steps):
+            jointless += 1
+            assert calls == []
+    assert jointless >= 50
+
+
 def _ideal_or_none(H):
     try:
         return ideal_from_hypergraph(H)
