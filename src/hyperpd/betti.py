@@ -43,6 +43,7 @@ from .lattices import (
 )
 
 DEFAULT_CHAIN_CAP = 10**7
+MAX_FIELD_CHAR = 2**31 - 1  # so the primality check tries about 46,000 divisors
 
 
 class OracleError(ValueError):
@@ -237,6 +238,8 @@ def reduced_homology_ranks(K: SimplicialComplex, char: int = 2) -> dict[int, int
 
 
 def _check_char(char: int):
+    if char > MAX_FIELD_CHAR:
+        raise OracleError(f"characteristic {char} exceeds the cap of {MAX_FIELD_CHAR}")
     if char < 2 or any(char % q == 0 for q in range(2, int(char**0.5) + 1)):
         raise OracleError(f"{char} is not a prime characteristic")
 

@@ -245,8 +245,7 @@ def _cmd_betti(args) -> str:
 def _cmd_coordinatize(args) -> str:
     kind, obj = _load(_read_input(args.input), args.input_format)
     if kind == "hypergraph":
-        labeling, ideal = hypergraph_coordinatization(obj)
-        lattice = lattice_from_hypergraph(obj)
+        lattice, labeling, ideal = hypergraph_coordinatization(obj)
     elif kind == "labeling":
         lattice, labeling = obj
         ideal = coordinatize(lattice, labeling)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from operator import le
 
 MAX_RING_VARIABLES = 64
+MAX_EXPONENT = 1000  # the ideal JSON spells exponent e as e repeated indices
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
@@ -190,9 +191,14 @@ def parse_monomial_word(word: str, variables: list[str], offset: int = 0) -> lis
                 base, _, exp_text = factor.partition("^")
                 base = base.strip()
                 exp_text = exp_text.strip()
-                if not exp_text.isdigit() or int(exp_text) < 1:
+                digits = exp_text.lstrip("0")
+                if not (exp_text.isascii() and exp_text.isdigit() and digits):
                     raise IdealError(f"bad exponent {exp_text!r} in {word!r} at position {offset}")
-                exp = int(exp_text)
+                # lengths first: int() refuses strings of over 4,300 digits
+                if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                    raise IdealError(f"exponent {digits} in {word!r} at position {offset} "
+                                     f"exceeds the cap of {MAX_EXPONENT}")
+                exp = int(digits)
             else:
                 base, exp = factor, 1
             if not _NAME_RE.fullmatch(base):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ideals import IdealError, Monomial, MonomialIdeal, is_json_int
+from .ideals import IdealError, Monomial, MonomialIdeal, is_json_int, parse_monomial_word
 from .hypergraphs import Hypergraph, edge_masks, is_separated
 
 DEFAULT_ELEMENT_CAP = 1 << 18
@@ -36,14 +36,7 @@ def mask_of(atoms) -> int:
 
 
 def set_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _size_order(masks) -> list[int]:
@@ -281,29 +274,24 @@ def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
 
 def _capped_closure(seeds, what: str) -> set[int]:
     """Close the masks `seeds` under intersection, leaving the empty
-    set out.
+    set out, in one pass over the distinct seeds.
 
-    Intersection is associative, commutative and idempotent, so meeting
-    with one seed at a time reaches every meet of seeds. Raises as soon
-    as the family holds more than `DEFAULT_ELEMENT_CAP` members.
+    Each seed s is met with a snapshot of the members so far, and s and
+    every new nonzero meet are added. If the members before s are every
+    nonzero meet of the seeds before it, a meet that uses s is s itself
+    or s & m for one of those members m; so once s has met every member
+    so far, the family holds every meet of the seeds seen. Raises as
+    soon as the family holds more than `DEFAULT_ELEMENT_CAP` members.
     """
     cap = DEFAULT_ELEMENT_CAP
-    seeds = [s for s in set(seeds) if s]
-    family = set(seeds)
-    if len(family) > cap:
-        raise LatticeError(f"{what} exceeds the {cap}-element cap")
-    frontier = seeds
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for s in seeds:
-                c = a & s
-                if c and c not in family:
-                    family.add(c)
-                    if len(family) > cap:
-                        raise LatticeError(f"{what} exceeds the {cap}-element cap")
-                    fresh.append(c)
-        frontier = fresh
+    family: set[int] = set()
+    for s in set(seeds):
+        for m in [s, *family]:
+            c = s & m
+            if c and c not in family:
+                family.add(c)
+                if len(family) > cap:
+                    raise LatticeError(f"{what} exceeds the {cap}-element cap")
     return family
 
 
@@ -439,10 +427,12 @@ def coordinatize(L: SetFamilyLattice, lab: Labeling) -> MonomialIdeal:
         raise LatticeError(f"labeling does not coordinatize: {exc}")
 
 
-def hypergraph_coordinatization(H: Hypergraph) -> tuple[Labeling, MonomialIdeal]:
-    """Label each edge's complement with the product of the edge's
-    variables; running the atom formula then recovers the ideal the
-    hypergraph came from."""
+def hypergraph_coordinatization(
+    H: Hypergraph,
+) -> tuple[SetFamilyLattice, Labeling, MonomialIdeal]:
+    """The lattice of H, labeled by the product of each edge's
+    variables on the edge's complement, and the ideal the atom formula
+    gives: the ideal the hypergraph came from."""
     edges = _separated_edge_masks(H)
     L = _lattice_of_edges(H.mu, edges, "lattice")
     ring: list[str] = []
@@ -461,7 +451,7 @@ def hypergraph_coordinatization(H: Hypergraph) -> tuple[Labeling, MonomialIdeal]
             exps[ring.index(name)] += 1
         assignment[L.top & ~m] = Monomial(ring_t, tuple(exps))
     lab = Labeling(ring_t, assignment)
-    return lab, coordinatize(L, lab)
+    return L, lab, coordinatize(L, lab)
 
 
 def labeling_to_json_dict(L: SetFamilyLattice, lab: Labeling) -> dict:
@@ -474,8 +464,6 @@ def labeling_to_json_dict(L: SetFamilyLattice, lab: Labeling) -> dict:
 
 
 def labeling_from_json_dict(data: dict) -> tuple[SetFamilyLattice, Labeling]:
-    from .ideals import parse_monomial_word
-
     L = lattice_from_json_dict(data)
     raw = data.get("labels") or {}
     if not isinstance(raw, dict):

@@ -17,7 +17,7 @@ from hyperpd.cli import build_parser, main
 FIVE_GEN = "ab,bcg,cdg,de,efg"
 
 
-def _run(*argv, stdin=None, env_extra=None):
+def _run(*argv, stdin=None, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("HYPERPD_FIELD_CHAR", None)
     if env_extra:
@@ -28,6 +28,7 @@ def _run(*argv, stdin=None, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -266,6 +267,28 @@ def test_field_char_must_be_prime_even_without_the_oracle(argv, env):
         "error": "OracleError",
         "message": f"{argv[-1] if env is None else env['HYPERPD_FIELD_CHAR']} "
                    "is not a prime characteristic",
+    }
+
+
+@pytest.mark.parametrize("env", [None, {"HYPERPD_FIELD_CHAR": "2305843009213693951"}])
+def test_field_char_over_the_cap_is_refused_before_trial_division(env):
+    # 2**61 - 1 is prime; proving it by trial division takes 1.5e9 steps
+    argv = ["pd", "--in", "ab,bc"] + ([] if env else ["--field-char", "2305843009213693951"])
+    proc = _run(*argv, env_extra=env, timeout=30)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {
+        "error": "OracleError",
+        "message": "characteristic 2305843009213693951 exceeds the cap of 2147483647",
+    }
+
+
+def test_label_exponent_over_the_cap_is_refused():
+    data = {"atoms": 1, "elements": [[], [1]], "labels": {"[]": "a^3000000"}}
+    proc = _run("coordinatize", "--in", json.dumps(data))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {
+        "error": "IdealError",
+        "message": "exponent 3000000 in 'a^3000000' at position 0 exceeds the cap of 1000",
     }
 
 

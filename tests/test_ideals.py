@@ -13,6 +13,7 @@ from hyperpd.ideals import (
     make_ideal,
     minimalize,
     parse_ideal,
+    parse_monomial_word,
 )
 
 
@@ -53,6 +54,24 @@ def test_parse_rejects_garbage():
         parse_ideal("a,,b")
     with pytest.raises(IdealError):
         parse_ideal("")
+
+
+def test_exponents_up_to_the_cap_parse():
+    assert parse_monomial_word("a^1000*b^007", []) == [(0, 1000), (1, 7)]
+
+
+@pytest.mark.parametrize("exp", ["1001", "3000000", "9" * 5000], ids=["1001", "3e6", "5000-digits"])
+def test_exponent_over_the_cap_is_refused(exp):
+    # 5,000 digits is past what int() converts from a string
+    with pytest.raises(IdealError) as err:
+        parse_monomial_word(f"a^{exp}", [])
+    assert str(err.value) == f"exponent {exp} in 'a^{exp}' at position 0 exceeds the cap of 1000"
+
+
+@pytest.mark.parametrize("exp", ["0", "000", "\u00b2", "\u0663", "-1", ""])
+def test_exponent_must_be_ascii_digits_above_zero(exp):
+    with pytest.raises(IdealError, match="bad exponent"):
+        parse_monomial_word(f"a^{exp}", [])
 
 
 def test_parse_zero_ideal():

@@ -228,6 +228,8 @@ def test_capped_closure_stops_at_the_first_element_over_the_cap(monkeypatch):
             calls.append(1)
             return int(self) & int(other)
 
+        __rand__ = __and__
+
     # the sets missing one of 16 atoms; their meets are every proper
     # nonempty subset
     seeds = [Mask(0xFFFF ^ 1 << i) for i in range(16)]
@@ -238,9 +240,11 @@ def test_capped_closure_stops_at_the_first_element_over_the_cap(monkeypatch):
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 20)
     with pytest.raises(LatticeError, match="x exceeds the 20-element cap"):
         lattices._capped_closure(seeds, "x")
-    # the fifth new element is found while the first seed is met; a
-    # check after each round would come only after 16 * 16 meets
-    assert len(calls) <= len(seeds)
+    # seed k is met with itself and the 2**(k-1) - 1 meets of the seeds
+    # before it: 15 meets for four seeds, whose meets are 15 elements.
+    # The fifth seed and its first five new meets make 21. A check
+    # after each whole seed would come only after 15 + 16 meets.
+    assert len(calls) == 21
 
 
 def test_lattice_json_over_the_cap_is_refused_before_the_closure_proof(monkeypatch):
@@ -336,10 +340,10 @@ def test_labeling_rejects_shared_variable_on_incomparable_elements():
 
 def test_hypergraph_coordinatization_round_trip():
     H = dual_hypergraph(parse_ideal(FIVE_GEN))
-    lab, I = hypergraph_coordinatization(H)
+    L, _, I = hypergraph_coordinatization(H)
     literal = literal_lcm_lattice(I)
     assert literal == literal_lcm_lattice(parse_ideal(FIVE_GEN))
-    assert lcm_lattice(I) == lattice_from_hypergraph(H) == literal
+    assert lcm_lattice(I) == L == lattice_from_hypergraph(H) == literal
     assert I.mu == 5
 
 

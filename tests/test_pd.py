@@ -55,6 +55,19 @@ CYCLIC_WITNESS_EDGES = [
 ]
 
 
+# pd answers one below the oracle on each of these (ROADMAP item 1):
+# the CHANGES.md witness, then the benchmark's random ideals 5, 33,
+# 49, 71 and 80, with the oracle's pd
+JOINT_FAULTS = [
+    (Hypergraph([[3, 4, 5, 6], [1, 2], [1, 5], [3, 5, 6], [1, 4], [2, 3], [1, 6], [4], [5], [6]]), 5),
+    ("x1*x12, x3*x11, x0*x6, x6*x8, x7*x9*x13, x1*x6, x3*x4*x9, x3*x6, x1*x11*x13, x7*x8", 6),
+    ("x6*x9*x13, x9*x10*x12, x3*x6, x4*x8, x2*x8, x4*x5*x6, x7*x8*x10, x11*x12, x4*x7, x0*x3", 7),
+    ("x3*x7*x12, x7*x9*x10, x2*x7*x8, x0*x1*x13, x5*x11, x4*x8, x8*x12, x1*x8*x13, x0*x3*x11, x2*x10", 7),
+    ("x4*x8, x3*x4*x12, x7*x9*x12, x0*x5*x9, x1*x5*x11, x2*x6, x4*x5*x13, x2*x11, x4*x7*x13, x1*x10", 8),
+    ("x0*x2*x6, x2*x13, x11*x12*x13, x4*x9, x0*x3, x9*x12, x4*x7*x12, x4*x5*x8, x1*x2*x10, x1*x8*x11", 8),
+]
+
+
 def _figure4():
     with open("fixtures/figure4.json") as f:
         return hypergraph_from_json_dict(json.load(f))
@@ -323,3 +336,21 @@ def test_pd_builds_no_lattice_and_no_ideal(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert main(["pd", "--in", "ab,bc,cd,de,ef,fg", "--verify"]) == 0
     assert json.loads(out.getvalue())["oracle_pd"] == 4
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: joint removal next to a higher edge",
+)
+@pytest.mark.parametrize(
+    "source, oracle", JOINT_FAULTS,
+    ids=["witness", "ideal5", "ideal33", "ideal49", "ideal71", "ideal80"],
+)
+def test_pd_matches_the_oracle_next_to_a_higher_edge(source, oracle):
+    if isinstance(source, Hypergraph):
+        H, ideal = source, ideal_from_hypergraph(source)
+    else:
+        ideal = parse_ideal(source)
+        H = dual_hypergraph(ideal)
+    assert oracle_pd(ideal) == oracle
+    assert pd(H).pd == oracle

@@ -119,5 +119,5 @@ def test_sub_hypergraph_never_has_larger_pd(text, data):
 @settings(max_examples=40, deadline=None)
 def test_coordinatization_reproduces_the_lattice(text):
     H = dual_hypergraph(parse_ideal(text))
-    _, J = hypergraph_coordinatization(H)
-    assert lcm_lattice(J) == lattice_from_hypergraph(H) == literal_lcm_lattice(J)
+    L, _, J = hypergraph_coordinatization(H)
+    assert lcm_lattice(J) == L == lattice_from_hypergraph(H) == literal_lcm_lattice(J)
