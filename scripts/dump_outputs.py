@@ -1,20 +1,24 @@
-"""Hash every benchmark query's output, to show that a change leaves
-the program's answers byte for byte as they were.
+"""Hash the program's answers, to show that a change leaves them byte
+for byte as they were.
 
     python3 scripts/dump_outputs.py [seeds...]
 
-Seeds default to 3 and 29. For each seed it asks every query of the
-four perfbench workloads once, in process, through `run.ask`; `pd`
-queries also write a `--trace` file. It prints one sha256 per query,
-over the exit code, stdout, stderr and trace, and then the sha256 of
-those lines with the query count. Run it on two checkouts and compare
-the last lines.
+Seeds default to 3 and 29. For each seed it asks, in process through
+`run.ask`, every query of the four perfbench workloads once, with
+`--trace` on `pd` queries. Then it asks `lattice` (JSON and DOT),
+`check` and `coordinatize` on the four fixtures and on path and cycle
+ideals of 3 to 13 variables, relabeled by the seed; `coordinatize` of
+an ideal reads the `hypergraph` command's output for it. It prints one
+sha256 per query, over the exit code, stdout, stderr and trace, and
+then the sha256 of those lines with the query count. Run it on two
+checkouts and compare the last lines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sys
 import tempfile
 
@@ -23,7 +27,24 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import hyperpd.cli  # noqa: E402
 from run import ask  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, cycle_edges, graph_ideal_text, path_edges  # noqa: E402
+
+FIXTURES = ["figure4", "five_gen", "labeled_lattice", "union_demo"]
+
+
+def lattice_queries(seed: int):
+    """(workload name, query name, argv) for the lattice-side commands."""
+    rng = random.Random(seed)
+    inputs = [(name, f"fixtures/{name}.json") for name in FIXTURES]
+    for n in range(3, 14):
+        inputs.append((f"P{n}", graph_ideal_text(n, path_edges(n), rng)))
+        inputs.append((f"C{n}", graph_ideal_text(n, cycle_edges(n), rng)))
+    for name, source in inputs:
+        yield "lattice", name, ["lattice", "--in", source]
+        yield "lattice", f"{name}-dot", ["lattice", "--in", source, "--output-format", "dot"]
+        yield "check", name, ["check", "--in", source]
+        code, hypergraph, _ = ask(hyperpd.cli.main, ["hypergraph", "--in", source])
+        yield "coordinatize", name, ["coordinatize", "--in", hypergraph if code == 0 else source]
 
 
 def main(argv: list[str]) -> int:
@@ -34,24 +55,28 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.jsonl")
         for seed in seeds:
-            for workload, make in WORKLOADS.items():
-                for q in make(seed):
-                    argv_q = list(q.argv)
-                    if argv_q[0] == "pd":
-                        argv_q += ["--trace", trace_path]
-                    code, out, err = ask(hyperpd.cli.main, argv_q)
-                    trace = ""
-                    if os.path.exists(trace_path):
-                        with open(trace_path) as fh:
-                            trace = fh.read()
-                        os.remove(trace_path)
-                    digest = hashlib.sha256(
-                        "\0".join([str(code), out, err, trace]).encode()
-                    ).hexdigest()
-                    line = f"{digest} seed{seed} {workload} {q.name}"
-                    print(line)
-                    total.update(line.encode() + b"\n")
-                    count += 1
+            queries = [
+                (workload, q.name, list(q.argv))
+                for workload, make in WORKLOADS.items()
+                for q in make(seed)
+            ]
+            queries += lattice_queries(seed)
+            for workload, name, argv_q in queries:
+                if argv_q[0] == "pd":
+                    argv_q += ["--trace", trace_path]
+                code, out, err = ask(hyperpd.cli.main, argv_q)
+                trace = ""
+                if os.path.exists(trace_path):
+                    with open(trace_path) as fh:
+                        trace = fh.read()
+                    os.remove(trace_path)
+                digest = hashlib.sha256(
+                    "\0".join([str(code), out, err, trace]).encode()
+                ).hexdigest()
+                line = f"{digest} seed{seed} {workload} {name}"
+                print(line)
+                total.update(line.encode() + b"\n")
+                count += 1
     print(f"total {total.hexdigest()} over {count} queries")
     return 0
 

@@ -4,9 +4,10 @@ For each lattice element p above the bottom, the Betti number in
 homological degree i is the rank of reduced homology H~_{i-2} of the
 open interval (bottom, p), computed over a prime field
 (Gasharov-Peeva-Welker). The projective dimension is the top nonzero
-degree, which `lattice_pd` finds by walking only the top of the
-lattice. Everything downstream is checked against this module; nothing
-here depends on the reduction rules.
+degree, which `lattice_pd` finds by stopping the lattice walk of
+`lattices.walk_lattice` below the best degree found. Everything
+downstream is checked against this module; nothing here depends on the
+reduction rules.
 
 A lattice here is the intersection-closure of a list of complements,
 with a top and a bottom. Atom i's support is the bitmask of the
@@ -27,19 +28,18 @@ outside the star are built and ranked; the star holds most of them.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 
-from . import lattices
 from .ideals import MonomialIdeal
 from .lattices import (
-    LatticeError,
     SetFamilyLattice,
     atom_columns,
+    edge_complements,
     lcm_lattice,
     polarized_edges,
     set_of,
+    walk_lattice,
 )
 
 DEFAULT_CHAIN_CAP = 10**7
@@ -304,47 +304,24 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
     edge masks `edges`, without building the rest of the lattice.
 
     The crosscut complex of an element p on k atoms has dimension at
-    most k - 2, so p carries Betti numbers in degrees at most k. A
-    max-heap, seeded with the edge complements and the top, pops
-    elements by falling atom count and pushes each popped element's
-    unseen meets with the complements; the walk stops once no element
-    left can beat the best degree found. Each atom count is complete
-    when its first element is popped: an element that is not a
-    complement is the meet of a larger element with one complement.
-    The walk counts what it builds against `DEFAULT_ELEMENT_CAP`, and
-    checks that each popped element is the meet of the complements
-    above it.
+    most k - 2, so p carries Betti numbers in degrees at most k. The
+    lattice walk visits elements by falling atom count, and the best
+    degree found is its floor: no element on that many atoms or fewer
+    can beat it.
     """
     _check_char(char)
-    full = (1 << num_atoms) - 1
-    complements = [c for c in dict.fromkeys(full & ~e for e in edges) if c]
+    complements = edge_complements(num_atoms, edges)
     supports = _supports(num_atoms, complements)
     best = 1 if num_atoms else 0  # each atom carries beta_1 = 1
-    seen = set(complements) | {full}
-    cap = lattices.DEFAULT_ELEMENT_CAP
-    if len(seen) > cap:
-        raise LatticeError(f"lcm-lattice exceeds the {cap}-element cap")
-    heap = [(-m.bit_count(), m) for m in seen]
-    heapq.heapify(heap)
-    while heap:
-        neg_count, p = heapq.heappop(heap)
-        if -neg_count <= best:
-            break
+
+    def visit(p: int) -> int:
+        nonlocal best
         ranks = reduced_homology_ranks(_crosscut_complex(supports, p), char)
         if ranks:
             best = max(best, max(ranks) + 2)
-        meet = full
-        for c in complements:
-            m = p & c
-            if m == p:
-                meet &= c
-            elif m.bit_count() > best and m not in seen:
-                seen.add(m)
-                if len(seen) > cap:
-                    raise LatticeError(f"lcm-lattice exceeds the {cap}-element cap")
-                heapq.heappush(heap, (-m.bit_count(), m))
-        if meet != p:
-            raise AssertionError(f"{set_of(p)} is not the meet of the complements above it")
+        return best
+
+    walk_lattice(num_atoms, complements, visit, "lcm-lattice")
     return best
 
 

@@ -5,16 +5,20 @@ bitmask (atom j is bit j-1). Meet is intersection; the join of two
 elements is the smallest family member containing their union, which
 exists because the family is intersection-closed and has a top.
 
-Both lattices are built the same way, as the intersection-closure of
-the complements of a hypergraph's edges: a separated hypergraph's own
-edges, or for an ideal one edge per variable power (the dual
-hypergraph of its polarization), whose lattice is the lcm-lattice.
-That theorem is load-bearing for the whole pipeline, and is tested
-against the literal definition, not assumed.
+Both lattices are the intersection-closure of the complements of a
+hypergraph's edges: a separated hypergraph's own edges, or for an
+ideal one edge per variable power (the dual hypergraph of its
+polarization), whose lattice is the lcm-lattice. That theorem is
+load-bearing for the whole pipeline, and is tested against the literal
+definition, not assumed. One walk, `walk_lattice`, enumerates that
+closure from the top down: the lattice builders here keep every
+element it visits, and `betti.lattice_pd` stops it below the best
+degree found.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -69,19 +73,18 @@ def atom_columns(num_atoms: int, masks) -> list[int]:
 class SetFamilyLattice:
     """An intersection-closed family of masks with bottom, top and atoms.
 
-    A construction passes the `generators` whose intersection-closure
-    its family is; closure is then proven in |L|*|G| steps. Without
-    them, closure is proven from the up-sets in |L|*n steps on
-    |L|-bit ints, so such a family is refused first when it holds more
-    than `DEFAULT_ELEMENT_CAP` elements above the bottom.
+    Closure is proven from the up-sets in |L|*n steps on |L|-bit ints,
+    so a family is refused first when it holds more than
+    `DEFAULT_ELEMENT_CAP` elements above the bottom. A lattice that
+    `walk_lattice` built is closed by the walk's own proof and enters
+    through `_walked`.
     """
 
     __slots__ = ("num_atoms", "masks", "_members")
 
-    def __init__(self, num_atoms: int, elements, generators=None):
+    def __init__(self, num_atoms: int, elements):
         if num_atoms < 0:
             raise LatticeError("atom count must not be negative")
-        self.num_atoms = num_atoms
         full = (1 << num_atoms) - 1
         members = set()
         for el in elements:
@@ -90,27 +93,40 @@ class SetFamilyLattice:
                 raise LatticeError(f"element {set_of(m)} exceeds the atom count")
             members.add(m)
         size = len(members) - (0 in members)
-        if generators is None and size > DEFAULT_ELEMENT_CAP:
+        if size > DEFAULT_ELEMENT_CAP:
             raise LatticeError(
                 f"lattice of {size} elements above the bottom exceeds the "
                 f"{DEFAULT_ELEMENT_CAP}-element cap"
             )
+        self._fill(num_atoms, members)
+        self._check_up_sets()
+
+    @classmethod
+    def _walked(cls, num_atoms: int, members: set[int]) -> SetFamilyLattice:
+        L = cls.__new__(cls)
+        L._fill(num_atoms, members)
+        return L
+
+    def _fill(self, num_atoms: int, members: set[int]):
+        self.num_atoms = num_atoms
         self.masks = tuple(_size_order(members))
         self._members = frozenset(members)
-        self._check_invariants(full)
-        if generators is not None:
-            self._check_generated(full, generators)
-        else:
-            self._check_up_sets()
-
-    def _check_invariants(self, full: int):
-        if 0 not in self._members:
+        if 0 not in members:
             raise LatticeError("missing bottom element")
-        if full not in self._members:
+        if self.top not in members:
             raise LatticeError("missing top element")
-        for i in range(self.num_atoms):
-            if (1 << i) not in self._members:
+        for i in range(num_atoms):
+            if (1 << i) not in members:
                 raise LatticeError(f"missing atom {i + 1}")
+
+    def _up_of(self, ups: list[int], m: int) -> int:
+        """The positions in `masks` of the elements holding the atom set
+        m, from the atoms' up-sets `ups`."""
+        up = (1 << len(self.masks)) - 1
+        for i, row in enumerate(ups):
+            if (m >> i) & 1:
+                up &= row
+        return up
 
     def _check_up_sets(self):
         """Intersection-closure from the up-sets, at any size.
@@ -123,49 +139,19 @@ class SetFamilyLattice:
         and b & y, above a + {i} but smaller than b, is not an element.
         """
         ups = atom_columns(self.num_atoms, self.masks)
-
-        def up_of(m: int) -> int:
-            up = (1 << len(self.masks)) - 1
-            for i, row in enumerate(ups):
-                if (m >> i) & 1:
-                    up &= row
-            return up
-
         # up(b) lies inside up, so sizes decide; keeping sizes keeps memory O(|L|)
-        up_size = [up_of(m).bit_count() for m in self.masks]
+        up_size = [self._up_of(ups, m).bit_count() for m in self.masks]
         for a in self.masks:
-            up_a = up_of(a)
+            up_a = self._up_of(ups, a)
             for row in ups:
                 up = up_a & row
                 b = (up & -up).bit_length() - 1
                 if up.bit_count() != up_size[b]:
-                    missed = up & ~up_of(self.masks[b])
+                    missed = up & ~self._up_of(ups, self.masks[b])
                     y = self.masks[(missed & -missed).bit_length() - 1]
                     raise LatticeError(
                         f"not intersection-closed: {set_of(self.masks[b])} and {set_of(y)}"
                     )
-
-    def _check_generated(self, full: int, generators):
-        """Intersection-closure from a generating set G with the top.
-
-        If a & g is in L for all a in L and g in G, and every nonzero
-        b in L is the meet of the g above it, then a & b = a & g1 & g2
-        & ... stays in L step by step.
-        """
-        gens = set(generators) | {full}
-        for a in self.masks:
-            meet = full
-            for g in gens:
-                if a & g not in self._members:
-                    raise LatticeError(
-                        f"not intersection-closed: {set_of(a)} and {set_of(g)}"
-                    )
-                if a & g == a:
-                    meet &= g
-            if a and meet != a:
-                raise LatticeError(
-                    f"{set_of(a)} is not a meet of the generating family"
-                )
 
     @property
     def top(self) -> int:
@@ -182,29 +168,14 @@ class SetFamilyLattice:
     def __hash__(self):
         return hash((self.num_atoms, self._members))
 
-    def _require(self, m: int):
-        if m not in self._members:
-            raise LatticeError(f"{set_of(m)} is not a lattice element")
-
     def meet_irreducibles(self) -> tuple[int, ...]:
-        """Elements that are not intersections of strictly larger ones.
-
-        The top is included (vacuously irreducible); everything else is
-        irreducible iff the intersection of its strict supersets stays
-        strictly larger, i.e. there is a unique upper cover.
-        """
-        out = []
-        for x in self.masks:
-            if x == self.top:
-                out.append(x)
-                continue
-            t = self.top
-            for y in self.masks:
-                if y != x and y & x == x:
-                    t &= y
-            if t != x:
-                out.append(x)
-        return tuple(out)
+        """Elements that are not intersections of strictly larger ones:
+        the top and every element with one upper cover."""
+        return tuple(
+            x
+            for x, covers in zip(self.masks, self.upper_covers())
+            if x == self.top or len(covers) == 1
+        )
 
     def check_remark22(self) -> bool:
         """Every proper element is the meet of the meet-irreducibles
@@ -221,14 +192,31 @@ class SetFamilyLattice:
                 return False
         return True
 
-    def upper_covers(self, x: int) -> tuple[int, ...]:
-        self._require(x)
-        sups = [y for y in self.masks if y != x and y & x == x]
-        covers = []
-        for y in sups:
-            if not any(z != y and y & z == z for z in sups):
-                covers.append(y)
-        return tuple(covers)
+    def upper_covers(self) -> list[list[int]]:
+        """Each element's upper covers, both in `masks` order.
+
+        The join of x and an atom i not in x is the first element above
+        x + {i}, read from the atoms' up-sets. Every upper cover of x is
+        such a join, and the covers are the minimal joins. `masks` lists
+        each element after its subsets, so a join is minimal when no
+        cover before it lies in it.
+        """
+        ups = atom_columns(self.num_atoms, self.masks)
+        out = []
+        for x in self.masks:
+            up_x = self._up_of(ups, x)
+            joins = set()
+            for i, row in enumerate(ups):
+                if not (x >> i) & 1:
+                    up = up_x & row
+                    joins.add((up & -up).bit_length() - 1)
+            covers: list[int] = []
+            for b in sorted(joins):
+                y = self.masks[b]
+                if all(c & y != c for c in covers):
+                    covers.append(y)
+            out.append(covers)
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,8 +231,8 @@ class SetFamilyLattice:
         lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=none];"]
         for m in self.masks:
             lines.append(f"  {name(m)};")
-        for m in self.masks:
-            for c in self.upper_covers(m):
+        for m, covers in zip(self.masks, self.upper_covers()):
+            for c in covers:
                 lines.append(f"  {name(m)} -> {name(c)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -272,38 +260,65 @@ def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
     return SetFamilyLattice(n, elements)
 
 
-def _capped_closure(seeds, what: str) -> set[int]:
-    """Close the masks `seeds` under intersection, leaving the empty
-    set out, in one pass over the distinct seeds.
+def edge_complements(num_atoms: int, edges) -> list[int]:
+    """The distinct nonzero complements of the edge masks `edges`, in
+    the order first seen."""
+    full = (1 << num_atoms) - 1
+    return [c for c in dict.fromkeys(full & ~e for e in edges) if c]
 
-    Each seed s is met with a snapshot of the members so far, and s and
-    every new nonzero meet are added. If the members before s are every
-    nonzero meet of the seeds before it, a meet that uses s is s itself
-    or s & m for one of those members m; so once s has met every member
-    so far, the family holds every meet of the seeds seen. Raises as
-    soon as the family holds more than `DEFAULT_ELEMENT_CAP` members.
+
+def walk_lattice(num_atoms: int, complements: list[int], visit, what: str):
+    """Visit the elements of the intersection-closure of `complements`
+    and the top, by falling atom count. `visit(p)` returns a floor, and
+    from then on no element on floor or fewer atoms is built or visited.
+
+    A max-heap, seeded with the top, pops elements and builds each
+    popped element's unseen meets with the complements. Every element
+    but the top is the meet of a larger element with one complement, so
+    each atom count is complete when its first element is popped. The
+    walk also proves what it visits intersection-closed: each element
+    is met with every complement and checked to be the meet of the
+    complements above it, so a meet of two elements is reached one
+    complement at a time. Raises as soon as more than
+    `DEFAULT_ELEMENT_CAP` elements are built, the top included.
     """
+    full = (1 << num_atoms) - 1
     cap = DEFAULT_ELEMENT_CAP
-    family: set[int] = set()
-    for s in set(seeds):
-        for m in [s, *family]:
-            c = s & m
-            if c and c not in family:
-                family.add(c)
-                if len(family) > cap:
-                    raise LatticeError(f"{what} exceeds the {cap}-element cap")
-    return family
+    seen = {full}
+    heap = [(-num_atoms, full)]
+    floor = 0
+    while heap:
+        neg_count, p = heapq.heappop(heap)
+        if -neg_count <= floor:
+            break
+        floor = visit(p)
+        meet = full
+        for c in complements:
+            m = p & c
+            if m == p:
+                meet &= c
+            elif m not in seen:
+                count = m.bit_count()
+                if count > floor:
+                    seen.add(m)
+                    if len(seen) > cap:
+                        raise LatticeError(f"{what} exceeds the {cap}-element cap")
+                    heapq.heappush(heap, (-count, m))
+        if meet != p:
+            raise AssertionError(f"{set_of(p)} is not the meet of the complements above it")
 
 
 def _lattice_of_edges(num_atoms: int, edges: list[int], what: str) -> SetFamilyLattice:
-    """The intersection-closure of the complements of the edge masks
-    `edges` and the top, with the bottom adjoined; closure is proven
-    from those complements."""
-    full = (1 << num_atoms) - 1
-    complements = {full & ~e for e in edges} | {full}
-    family = _capped_closure(complements, what)
-    family.add(0)
-    return SetFamilyLattice(num_atoms, family, generators=complements)
+    """The lattice of the edge masks `edges`: every element a walk with
+    floor 0 visits, and the bottom."""
+    members = {0}
+
+    def visit(p: int) -> int:
+        members.add(p)
+        return 0
+
+    walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, what)
+    return SetFamilyLattice._walked(num_atoms, members)
 
 
 def polarized_edges(ideal: MonomialIdeal) -> list[int]:

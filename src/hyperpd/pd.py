@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from .betti import lattice_pd, oracle_pd
 from .hypergraphs import (
     Hypergraph,
-    ShapeReport,
     classify_shape,
     ideal_from_hypergraph,
     unseparated_pair,
@@ -28,21 +27,6 @@ METHOD_ADDITIVITY = "additivity"
 
 class PdError(ValueError):
     """A component the engine cannot price."""
-
-
-def pd_two_star(H: Hypergraph, shape: ShapeReport) -> int:
-    """pd of a 2-star on mu vertices: mu - 1. `shape` is H's
-    `classify_shape` report."""
-    if shape.kind != "two_star":
-        raise PdError(f"hypergraph is a {shape.kind}, not a 2-star")
-    return H.mu - 1
-
-
-def pd_closed_isolated(count: int) -> int:
-    """Each isolated closed vertex contributes exactly 1."""
-    if count < 0:
-        raise PdError("negative count")
-    return count
 
 
 @dataclass
@@ -67,13 +51,14 @@ class PdResult:
 
 
 def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
-    shape = classify_shape(comp)
+    # an isolated closed vertex contributes exactly 1
     if comp.mu == 1 and comp.is_closed(next(iter(comp.vertices))):
-        return PdResult(pd_closed_isolated(1), METHOD_CLOSED_ISOLATED)
+        return PdResult(1, METHOD_CLOSED_ISOLATED)
     # full_reduce leaves no edge whose vertices are all closed, so a
-    # 2-star here has no pair edge joining two closed vertices
-    if shape.kind == "two_star":
-        return PdResult(pd_two_star(comp, shape), METHOD_TWO_STAR)
+    # 2-star here has no pair edge joining two closed vertices; a 2-star
+    # on mu vertices has pd mu - 1
+    if classify_shape(comp).kind == "two_star":
+        return PdResult(comp.mu - 1, METHOD_TWO_STAR)
     # a separated hypergraph's lattice is the lcm-lattice of its ideal
     try:
         component_pd = lattice_pd(comp.mu, _separated_edge_masks(comp), char=field_char)

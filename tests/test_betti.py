@@ -19,7 +19,6 @@ from hyperpd.betti import (
 from hyperpd.hypergraphs import dual_hypergraph, hypergraph_from_json_dict, ideal_from_hypergraph
 from hyperpd.ideals import Monomial, ideal_from_json_dict, make_ideal, parse_ideal
 from hyperpd.lattices import (
-    Labeling,
     LatticeError,
     _separated_edge_masks,
     coordinatize,
@@ -30,6 +29,7 @@ from hyperpd.lattices import (
     polarized_edges,
 )
 from hyperpd.reduction import full_reduce
+from test_lattices import chain_coordinatized
 
 FROZEN_TOTALS = {
     "x": {0: 1, 1: 1},
@@ -280,30 +280,6 @@ def _random_ideal(rng, max_exp):
     return make_ideal(ring, gens)
 
 
-def _chain_coordinatized(rng, ideal):
-    """Coordinatize the lcm-lattice of `ideal` with one variable per
-    random chain of meet-irreducibles; chains longer than one element
-    give non-square-free generators."""
-    L = lcm_lattice(ideal)
-    chains: list[list[int]] = []
-    for m in L.meet_irreducibles():
-        if m == L.top:
-            continue
-        home = next((c for c in chains if all(m & o in (m, o) for o in c)), None)
-        if home is not None and rng.random() < 0.9:
-            home.append(m)
-        else:
-            chains.append([m])
-    ring = tuple(f"v{i}" for i in range(len(chains)))
-    assignment = {}
-    for i, chain in enumerate(chains):
-        exps = [0] * len(ring)
-        exps[i] = 1
-        for m in chain:
-            assignment[m] = Monomial(ring, tuple(exps))
-    return coordinatize(L, Labeling(ring, assignment))
-
-
 def _fixture_ideals():
     with open("fixtures/five_gen.json") as f:
         five = ideal_from_json_dict(json.load(f))
@@ -318,7 +294,7 @@ def test_lattice_pd_matches_full_table():
     rng = random.Random(4)
     ideals = [_random_ideal(rng, 1) for _ in range(40)]
     ideals += [_random_ideal(rng, 3) for _ in range(40)]
-    coordinatized = [_chain_coordinatized(rng, _random_ideal(rng, 1)) for _ in range(100)]
+    coordinatized = [chain_coordinatized(rng, _random_ideal(rng, 1)) for _ in range(100)]
     coordinatized = [I for I in coordinatized if not I.is_squarefree()]
     assert len(coordinatized) >= 10
     five, union, labeled = _fixture_ideals()

@@ -115,15 +115,60 @@ def _random_ideal(rng, max_exp):
     return make_ideal(ring, gens)
 
 
+def chain_coordinatized(rng, ideal):
+    """Coordinatize the lcm-lattice of `ideal` with one variable per
+    random chain of meet-irreducibles; chains longer than one element
+    give non-square-free generators."""
+    L = lcm_lattice(ideal)
+    chains: list[list[int]] = []
+    for m in L.meet_irreducibles():
+        if m == L.top:
+            continue
+        home = next((c for c in chains if all(m & o in (m, o) for o in c)), None)
+        if home is not None and rng.random() < 0.9:
+            home.append(m)
+        else:
+            chains.append([m])
+    ring = tuple(f"v{i}" for i in range(len(chains)))
+    assignment = {}
+    for i, chain in enumerate(chains):
+        exps = [0] * len(ring)
+        exps[i] = 1
+        for m in chain:
+            assignment[m] = Monomial(ring, tuple(exps))
+    return coordinatize(L, Labeling(ring, assignment))
+
+
+def test_large_walk_built_lattice_passes_the_up_sets_proof():
+    I = parse_ideal(",".join(f"x{i}*x{i + 1}" for i in range(14)))
+    L = lcm_lattice(I)
+    assert len(L) > 2048
+    assert lattice_from_hypergraph(dual_hypergraph(I)) == L
+    assert SetFamilyLattice(L.num_atoms, L.masks) == L
+    # the up-sets proof catches a dropped meet of two larger elements
+    irreducible = set(L.meet_irreducibles())
+    dropped = next(m for m in L.masks if m.bit_count() > 1 and m not in irreducible)
+    with pytest.raises(LatticeError, match="not intersection-closed"):
+        SetFamilyLattice(L.num_atoms, set(L.masks) - {dropped})
+
+
 def test_both_constructions_match_the_definition():
     rng = random.Random(9)
     squarefree = [_random_ideal(rng, 1) for _ in range(150)]
     powers = [_random_ideal(rng, 3) for _ in range(150)]
     assert sum(not I.is_squarefree() for I in powers) > 100
-    for I in squarefree:
-        assert lattice_from_hypergraph(dual_hypergraph(I)) == literal_lcm_lattice(I), I.to_text()
-    for I in squarefree + powers:
-        assert lcm_lattice(I) == literal_lcm_lattice(I), I.to_text()
+    coordinatized = [chain_coordinatized(rng, I) for I in squarefree]
+    coordinatized = [I for I in coordinatized if not I.is_squarefree()]
+    assert len(coordinatized) >= 10
+    for I in squarefree + powers + coordinatized:
+        literal = literal_lcm_lattice(I)
+        walked = [lcm_lattice(I)]
+        if I.is_squarefree():
+            H = dual_hypergraph(I)
+            walked += [lattice_from_hypergraph(H), hypergraph_coordinatization(H)[0]]
+        for L in walked:
+            # the up-sets proof shares no code with the walk's own proof
+            assert SetFamilyLattice(L.num_atoms, L.masks) == L == literal, I.to_text()
 
 
 def test_atoms_filter_covers():
@@ -133,8 +178,29 @@ def test_atoms_filter_covers():
     assert [set_of(m) for m in L.masks if m & mask_of([2]) == mask_of([2])] == [
         (2,), (1, 2), (2, 3, 4), (1, 2, 3, 4),
     ]
-    assert set(L.upper_covers(0)) == atoms
-    assert set(L.upper_covers(mask_of([2]))) == {mask_of([1, 2]), mask_of([2, 3, 4])}
+    covers = dict(zip(L.masks, L.upper_covers()))
+    assert set(covers[0]) == atoms
+    assert covers[mask_of([2])] == [mask_of([1, 2]), mask_of([2, 3, 4])]
+    assert covers[L.top] == []
+
+
+def test_upper_covers_and_meet_irreducibles_match_their_definitions():
+    rng = random.Random(5)
+    lattices_ = [lcm_lattice(_random_ideal(rng, 2)) for _ in range(60)]
+    lattices_ += [_demo_lattice(), lcm_lattice(parse_ideal(FIVE_GEN))]
+    for L in lattices_:
+        irreducible = []
+        for x, covers in zip(L.masks, L.upper_covers()):
+            above = [y for y in L.masks if y != x and y & x == x]
+            assert covers == [
+                y for y in above if not any(z != y and z & y == z for z in above)
+            ]
+            meet = L.top
+            for y in above:
+                meet &= y
+            if x == L.top or meet != x:
+                irreducible.append(x)
+        assert list(L.meet_irreducibles()) == irreducible
 
 
 def test_meet_irreducibles_five_gen():
@@ -169,42 +235,6 @@ def test_invalid_families_rejected():
         SetFamilyLattice(3, [mask_of(s) for s in ([], [1], [3], [1, 2], [2, 3], [1, 2, 3])])
 
 
-def test_generating_set_proof_rejects_non_closed_family():
-    # {1,2,3} ∩ {2,3,4} = {2,3} is missing
-    family = [mask_of(s) for s in ([], [1], [2], [3], [4], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4])]
-    with pytest.raises(LatticeError, match="not intersection-closed"):
-        SetFamilyLattice(4, family, generators=[m for m in family if m])
-    closed = [mask_of(s) for s in ([], [1], [2], [1, 2])]
-    with pytest.raises(LatticeError, match="not a meet"):
-        SetFamilyLattice(2, closed, generators=[])
-    assert len(SetFamilyLattice(2, closed, generators=[mask_of([1]), mask_of([2])])) == 4
-
-
-def test_closure_is_proven_above_the_pairwise_limit(monkeypatch):
-    I = parse_ideal(",".join(f"x{i}*x{i + 1}" for i in range(14)))
-    proofs = []
-    check = SetFamilyLattice._check_generated
-
-    def spy(self, full, generators):
-        proofs.append(len(self))
-        return check(self, full, generators)
-
-    monkeypatch.setattr(SetFamilyLattice, "_check_generated", spy)
-    L = lcm_lattice(I)
-    assert len(L) > 2048  # the pairwise limit of the test's name
-    assert lattice_from_hypergraph(dual_hypergraph(I)) == L
-    assert proofs == [len(L), len(L)]
-    # dropping an element that meets of the generators reach is caught
-    pos = {v: i for i, v in enumerate(dual_hypergraph(I).vertices)}
-    full = L.top
-    complements = {full & ~mask_of(pos[v] + 1 for v in e) for e in dual_hypergraph(I).edges}
-    dropped = next(
-        m for m in L.masks if m.bit_count() > 1 and m not in complements and m != full
-    )
-    with pytest.raises(LatticeError, match="not intersection-closed"):
-        SetFamilyLattice(L.num_atoms, set(L.masks) - {dropped}, generators=complements)
-
-
 def test_lcm_lattice_cap(monkeypatch):
     I = parse_ideal(FIVE_GEN)
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 10)
@@ -220,7 +250,7 @@ def test_lcm_lattice_cap(monkeypatch):
         lattice_from_hypergraph(dual_hypergraph(I))
 
 
-def test_capped_closure_stops_at_the_first_element_over_the_cap(monkeypatch):
+def test_walk_stops_at_the_first_element_over_the_cap(monkeypatch):
     calls = []
 
     class Mask(int):
@@ -230,21 +260,28 @@ def test_capped_closure_stops_at_the_first_element_over_the_cap(monkeypatch):
 
         __rand__ = __and__
 
-    # the sets missing one of 16 atoms; their meets are every proper
-    # nonempty subset
-    seeds = [Mask(0xFFFF ^ 1 << i) for i in range(16)]
+    visited = []
+
+    def visit(p):
+        visited.append(p)
+        return 0
+
+    # the sets missing one of n atoms; their meets are every proper
+    # nonempty subset, so a full walk visits 2**n - 1 elements
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 4095)
-    low = [Mask(0xFFF ^ 1 << i) for i in range(12)] + [Mask(0xFFF)]
-    assert len(lattices._capped_closure(low, "x")) == 4095
+    lattices.walk_lattice(12, [Mask(0xFFF ^ 1 << i) for i in range(12)], visit, "x")
+    assert len(visited) == len(set(visited)) == 4095
+    visited.clear()
     calls.clear()
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 20)
     with pytest.raises(LatticeError, match="x exceeds the 20-element cap"):
-        lattices._capped_closure(seeds, "x")
-    # seed k is met with itself and the 2**(k-1) - 1 meets of the seeds
-    # before it: 15 meets for four seeds, whose meets are 15 elements.
-    # The fifth seed and its first five new meets make 21. A check
-    # after each whole seed would come only after 15 + 16 meets.
-    assert len(calls) == 21
+        lattices.walk_lattice(16, [Mask(0xFFFF ^ 1 << i) for i in range(16)], visit, "x")
+    # the top's 16 meets build the 16 complements, 17 elements; the
+    # first complement popped builds its meets with the others, and the
+    # fourth of those is the 21st. A check after each whole visit would
+    # come only after 16 + 16 meets.
+    assert visited == [0xFFFF, 0x7FFF]
+    assert len(calls) == 20
 
 
 def test_lattice_json_over_the_cap_is_refused_before_the_closure_proof(monkeypatch):

@@ -28,9 +28,7 @@ from hyperpd.pd import (
     METHOD_TWO_STAR,
     PdError,
     pd,
-    pd_closed_isolated,
     pd_monotonicity_check,
-    pd_two_star,
 )
 from hyperpd.reduction import check_preconditions, full_reduce
 
@@ -73,19 +71,28 @@ def _figure4():
         return hypergraph_from_json_dict(json.load(f))
 
 
+def _closed_leaf_star(mu):
+    return Hypergraph([(1, v) for v in range(2, mu + 1)] + [(v,) for v in range(2, mu + 1)])
+
+
 def test_two_star_formula():
-    H = Hypergraph([(1, 2), (1, 3), (1, 4), (2,), (3,), (4,)])
-    assert pd_two_star(H, classify_shape(H)) == 3
-    string = Hypergraph([(1, 2), (2, 3)])
-    with pytest.raises(PdError, match="not a 2-star"):
-        pd_two_star(string, classify_shape(string))
+    # a 2-star on mu vertices is priced mu - 1 without the oracle
+    for mu in range(4, 9):
+        result = pd(_closed_leaf_star(mu))
+        assert (result.pd, result.method) == (mu - 1, METHOD_TWO_STAR)
+    # three vertices make a string, not a 2-star: the formula stays out
+    string = _closed_leaf_star(3)
+    assert classify_shape(string).kind == "string"
+    assert pd(string).method != METHOD_TWO_STAR
 
 
 def test_closed_isolated_formula():
-    assert pd_closed_isolated(0) == 0
-    assert pd_closed_isolated(27) == 27
-    with pytest.raises(PdError):
-        pd_closed_isolated(-1)
+    # each isolated closed vertex contributes exactly 1
+    assert pd(Hypergraph([])).pd == 0
+    result = pd(Hypergraph([(v,) for v in range(1, 28)]))
+    assert result.pd == 27
+    assert [sub.pd for _, sub in result.per_component] == [1] * 27
+    assert {sub.method for _, sub in result.per_component} == {METHOD_CLOSED_ISOLATED}
 
 
 def test_dispatch_single_closed_vertex():
@@ -201,7 +208,12 @@ def test_each_component_is_classified_once(monkeypatch):
     assert [sub.method for _, sub in result.per_component] == [
         METHOD_TWO_STAR, METHOD_TWO_STAR, METHOD_CLOSED_ISOLATED,
     ]
-    assert classified == [sorted(comp.vertices) for comp, _ in result.per_component]
+    # the closed singleton is priced before any shape is asked for
+    assert classified == [
+        sorted(comp.vertices)
+        for comp, sub in result.per_component
+        if sub.method != METHOD_CLOSED_ISOLATED
+    ]
 
 
 def test_additivity_across_components():
