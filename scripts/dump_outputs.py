@@ -8,7 +8,10 @@ Seeds default to 3 and 29. For each seed it asks, in process through
 `--trace` on `pd` queries. Then it asks `lattice` (JSON and DOT),
 `check` and `coordinatize` on the four fixtures and on path and cycle
 ideals of 3 to 13 variables, relabeled by the seed; `coordinatize` of
-an ideal reads the `hypergraph` command's output for it. It prints one
+an ideal reads the `hypergraph` command's output for it. Last it asks
+`betti` (JSON with `--entries`, and text) at characteristics 2 and 3
+on the same inputs and on each ideal's `lattice` output read back as
+input. It prints one
 sha256 per query, over the exit code, stdout, stderr and trace, and
 then the sha256 of those lines with the query count. Run it on two
 checkouts and compare the last lines.
@@ -32,19 +35,41 @@ from workloads import WORKLOADS, cycle_edges, graph_ideal_text, path_edges  # no
 FIXTURES = ["figure4", "five_gen", "labeled_lattice", "union_demo"]
 
 
+def lattice_inputs(seed: int) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """(name, --in value) of the fixtures, and of the path and cycle
+    ideals relabeled by the seed."""
+    rng = random.Random(seed)
+    ideals = []
+    for n in range(3, 14):
+        ideals.append((f"P{n}", graph_ideal_text(n, path_edges(n), rng)))
+        ideals.append((f"C{n}", graph_ideal_text(n, cycle_edges(n), rng)))
+    return [(name, f"fixtures/{name}.json") for name in FIXTURES], ideals
+
+
 def lattice_queries(seed: int):
     """(workload name, query name, argv) for the lattice-side commands."""
-    rng = random.Random(seed)
-    inputs = [(name, f"fixtures/{name}.json") for name in FIXTURES]
-    for n in range(3, 14):
-        inputs.append((f"P{n}", graph_ideal_text(n, path_edges(n), rng)))
-        inputs.append((f"C{n}", graph_ideal_text(n, cycle_edges(n), rng)))
-    for name, source in inputs:
+    fixtures, ideals = lattice_inputs(seed)
+    for name, source in fixtures + ideals:
         yield "lattice", name, ["lattice", "--in", source]
         yield "lattice", f"{name}-dot", ["lattice", "--in", source, "--output-format", "dot"]
         yield "check", name, ["check", "--in", source]
         code, hypergraph, _ = ask(hyperpd.cli.main, ["hypergraph", "--in", source])
         yield "coordinatize", name, ["coordinatize", "--in", hypergraph if code == 0 else source]
+
+
+def betti_queries(seed: int):
+    """(workload name, query name, argv) for `betti` on the lattice-side
+    inputs and on each ideal's lattice JSON."""
+    fixtures, ideals = lattice_inputs(seed)
+    inputs = fixtures + ideals
+    for name, source in ideals:
+        code, lattice, _ = ask(hyperpd.cli.main, ["lattice", "--in", source])
+        inputs.append((f"{name}-lattice", lattice if code == 0 else source))
+    for name, source in inputs:
+        for char in ("2", "3"):
+            argv = ["betti", "--field-char", char, "--in", source]
+            yield "betti", f"{name}-char{char}", argv + ["--entries"]
+            yield "betti", f"{name}-char{char}-text", argv + ["--output-format", "text"]
 
 
 def main(argv: list[str]) -> int:
@@ -61,6 +86,7 @@ def main(argv: list[str]) -> int:
                 for q in make(seed)
             ]
             queries += lattice_queries(seed)
+            queries += betti_queries(seed)
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":
                     argv_q += ["--trace", trace_path]

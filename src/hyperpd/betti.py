@@ -9,13 +9,14 @@ degree, which `lattice_pd` finds by stopping the lattice walk of
 downstream is checked against this module; nothing here depends on the
 reduction rules.
 
-A lattice here is the intersection-closure of a list of complements,
-with a top and a bottom. Atom i's support is the bitmask of the
-complements that miss i, and the join of a set of atoms is the meet of
-the complements that none of them misses: a face joins to p exactly
-when the OR of its supports equals p's. An ideal's complements are
-those of its polarized edges; a lattice given by its elements uses
-all of them as complements.
+A lattice here is the intersection-closure of the complements of a
+list of edges, with a top and a bottom. A support is the edges through
+an atom: atom i's support is the bitmask of the edges that hold i, so
+of the complements that miss i. The join of a set of atoms is the meet
+of the complements that none of them misses, so a face joins to p
+exactly when the OR of its supports equals p's. An ideal's edges are
+its polarized edges; a lattice given by its elements has the
+complements of those elements as its edges.
 
 The interval's homology is that of its crosscut complex (Bjorner): the
 sets of atoms below p whose join is not p. Each interval is computed
@@ -72,13 +73,6 @@ class SimplicialComplex:
         return [len(level) for level in self.faces]
 
 
-def _supports(num_atoms: int, complements) -> list[int]:
-    """Per atom i, the bitmask whose bit j is set when complements[j]
-    misses i."""
-    full = (1 << num_atoms) - 1
-    return atom_columns(num_atoms, [full & ~c for c in complements])
-
-
 def _crosscut_complex(supports: list[int], p: int, apex: int | None = None) -> SimplicialComplex:
     """The crosscut complex of the atoms below p, relative to the
     closed star of one atom, the apex.
@@ -95,12 +89,7 @@ def _crosscut_complex(supports: list[int], p: int, apex: int | None = None) -> S
     fewer faces than either count alone. Faces are masks over positions
     in the atom list.
     """
-    atoms = []
-    bits = p
-    while bits:
-        low = bits & -bits
-        atoms.append(low.bit_length() - 1)
-        bits ^= low
+    atoms = [i for i in range(p.bit_length()) if p >> i & 1]
     if 1 << len(atoms) > DEFAULT_CHAIN_CAP:
         raise OracleError(
             f"crosscut complex on {len(atoms)} atoms has {1 << len(atoms)} "
@@ -214,9 +203,9 @@ def reduced_homology_ranks(K: SimplicialComplex, char: int = 2) -> dict[int, int
     With the empty face listed this is reduced homology: the complex
     whose only face is the empty one has one unit of H~_{-1}. A pair
     gets its relative homology. The Euler characteristic of the chain
-    complex is asserted against the homology ranks.
+    complex is asserted against the homology ranks. `char` must be
+    prime; callers prove it with `_check_char` once, not per interval.
     """
-    _check_char(char)
     counts = K.face_counts()
     # from the faces on k vertices to those on k - 1; none leaves the
     # lowest level or enters the one above the top
@@ -276,21 +265,26 @@ class BettiTable:
         return data
 
 
+def _betti_numbers(supports: list[int], p: int, char: int) -> dict[int, int]:
+    """The nonzero Betti numbers of the element p by degree: beta_i is
+    the rank of H~_{i-2} of p's crosscut complex, and an atom carries
+    beta_1 = 1."""
+    if p.bit_count() == 1:
+        return {1: 1}
+    ranks = reduced_homology_ranks(_crosscut_complex(supports, p), char)
+    return {d + 2: r for d, r in ranks.items()}
+
+
 def betti_table_from_lattice(L: SetFamilyLattice, char: int = 2) -> BettiTable:
-    """Every interval of L, with L's own elements as the complements."""
+    """Every interval of L, with its supports read from L's edges."""
     _check_char(char)
     table = BettiTable(field_char=char)
     table.entries[(0, 0)] = 1
-    supports = _supports(L.num_atoms, L.masks)
+    supports = atom_columns(L.num_atoms, L.edges)
     for p in L.masks:
-        if p == 0:
-            continue
-        if p.bit_count() == 1:
-            table.entries[(1, p)] = 1
-            continue
-        K = _crosscut_complex(supports, p)
-        for d, r in reduced_homology_ranks(K, char).items():
-            table.entries[(d + 2, p)] = r
+        if p:
+            for i, r in _betti_numbers(supports, p, char).items():
+                table.entries[(i, p)] = r
     return table
 
 
@@ -310,18 +304,15 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
     can beat it.
     """
     _check_char(char)
-    complements = edge_complements(num_atoms, edges)
-    supports = _supports(num_atoms, complements)
-    best = 1 if num_atoms else 0  # each atom carries beta_1 = 1
+    supports = atom_columns(num_atoms, edges)
+    best = 0
 
     def visit(p: int) -> int:
         nonlocal best
-        ranks = reduced_homology_ranks(_crosscut_complex(supports, p), char)
-        if ranks:
-            best = max(best, max(ranks) + 2)
+        best = max(best, max(_betti_numbers(supports, p, char), default=0))
         return best
 
-    walk_lattice(num_atoms, complements, visit, "lcm-lattice")
+    walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, "lcm-lattice")
     return best
 
 

@@ -170,12 +170,13 @@ class Hypergraph:
             groups.setdefault(find(v), []).append(v)
         if len(groups) == 1:
             return [self]
+        edges: dict[int, list[tuple[int, ...]]] = {root: [] for root in groups}
+        for e in self.edges:
+            edges[find(e[0])].append(e)
         out = []
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            verts = set(groups[root])
-            edges = [e for e in self.edges if verts.issuperset(e)]
-            labels = {e: ns for e, ns in self.labels.items() if verts.issuperset(e)}
-            out.append(Hypergraph(edges, vertices=verts, labels=labels))
+        for root, verts in groups.items():
+            labels = {e: self.labels[e] for e in edges[root] if e in self.labels}
+            out.append(Hypergraph(edges[root], vertices=verts, labels=labels))
         return out
 
     # -- serialization -----------------------------------------------

@@ -77,10 +77,11 @@ class SetFamilyLattice:
     so a family is refused first when it holds more than
     `DEFAULT_ELEMENT_CAP` elements above the bottom. A lattice that
     `walk_lattice` built is closed by the walk's own proof and enters
-    through `_walked`.
+    through `_walked`. `edges` are the edge masks whose complements
+    generate the family: the walk's, or the given elements' complements.
     """
 
-    __slots__ = ("num_atoms", "masks", "_members")
+    __slots__ = ("num_atoms", "masks", "edges", "_members")
 
     def __init__(self, num_atoms: int, elements):
         if num_atoms < 0:
@@ -100,11 +101,13 @@ class SetFamilyLattice:
             )
         self._fill(num_atoms, members)
         self._check_up_sets()
+        self.edges = tuple(self.top & ~m for m in self.masks)
 
     @classmethod
-    def _walked(cls, num_atoms: int, members: set[int]) -> SetFamilyLattice:
+    def _walked(cls, num_atoms: int, members: set[int], edges) -> SetFamilyLattice:
         L = cls.__new__(cls)
         L._fill(num_atoms, members)
+        L.edges = tuple(edges)
         return L
 
     def _fill(self, num_atoms: int, members: set[int]):
@@ -318,7 +321,7 @@ def _lattice_of_edges(num_atoms: int, edges: list[int], what: str) -> SetFamilyL
         return 0
 
     walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, what)
-    return SetFamilyLattice._walked(num_atoms, members)
+    return SetFamilyLattice._walked(num_atoms, members, edges)
 
 
 def polarized_edges(ideal: MonomialIdeal) -> list[int]:

@@ -13,10 +13,10 @@ from .betti import lattice_pd, oracle_pd
 from .hypergraphs import (
     Hypergraph,
     classify_shape,
+    edge_masks,
     ideal_from_hypergraph,
     unseparated_pair,
 )
-from .lattices import _separated_edge_masks
 from .reduction import ReductionTrace, full_reduce
 
 METHOD_TWO_STAR = "formula_two_star"
@@ -59,9 +59,10 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
     # on mu vertices has pd mu - 1
     if classify_shape(comp).kind == "two_star":
         return PdResult(comp.mu - 1, METHOD_TWO_STAR)
-    # a separated hypergraph's lattice is the lcm-lattice of its ideal
+    # a separated hypergraph's lattice is the lcm-lattice of its ideal;
+    # pd() refused unseparated input, and the passes keep separation
     try:
-        component_pd = lattice_pd(comp.mu, _separated_edge_masks(comp), char=field_char)
+        component_pd = lattice_pd(comp.mu, edge_masks(comp), char=field_char)
     except ValueError as exc:
         raise PdError(
             f"component {sorted(comp.vertices)} needs the oracle but {exc}"

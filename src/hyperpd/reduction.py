@@ -102,7 +102,8 @@ class ReductionTrace:
 
 
 def replay_trace(H: Hypergraph, trace: ReductionTrace) -> Hypergraph:
-    """Re-apply recorded steps; raises if any step no longer applies."""
+    """Re-apply recorded steps. Raises on an unknown rule or on an edge or
+    vertex that is not given or not present; rule conditions are unchecked."""
     out = H
     for step in trace.steps:
         rule = RULES.get(step.rule)

@@ -21,10 +21,12 @@ from hyperpd.ideals import Monomial, ideal_from_json_dict, make_ideal, parse_ide
 from hyperpd.lattices import (
     LatticeError,
     _separated_edge_masks,
+    atom_columns,
     coordinatize,
     labeling_from_json_dict,
     lcm_lattice,
     lattice_from_hypergraph,
+    lattice_from_json_dict,
     mask_of,
     polarized_edges,
 )
@@ -333,6 +335,45 @@ def test_lattice_pd_walks_few_elements_on_figure4_core(monkeypatch):
     assert 0 < len(visited) < 50
 
 
+def test_char_is_proven_once_per_call(monkeypatch):
+    # proving a large prime tries about 46,000 divisors, so it must not
+    # run once per interval
+    calls = []
+    check = betti._check_char
+
+    def counting(char):
+        calls.append(char)
+        return check(char)
+
+    monkeypatch.setattr(betti, "_check_char", counting)
+    I = parse_ideal("ab,bc,cd,de,ef,fg")
+    for char in (2, 3):
+        calls.clear()
+        assert betti_table(I, char).pd == 4
+        assert calls == [char]
+        calls.clear()
+        assert oracle_pd(I, char) == 4
+        assert calls == [char]
+
+
+def test_json_lattice_gives_the_walk_built_betti_table():
+    """A lattice read back from its own JSON has the complements of its
+    elements as its edges, not the polarized edges; every Betti entry
+    agrees."""
+    rng = random.Random(12)
+    ideals = [_random_ideal(rng, 1) for _ in range(25)]
+    coordinatized = [chain_coordinatized(rng, _random_ideal(rng, 1)) for _ in range(40)]
+    coordinatized = [I for I in coordinatized if not I.is_squarefree()]
+    assert len(coordinatized) >= 5
+    for I in ideals + coordinatized:
+        L = lcm_lattice(I)
+        given = lattice_from_json_dict(L.to_json_dict())
+        assert given.edges != L.edges
+        for char in (2, 3):
+            want = betti_table_from_lattice(L, char).entries
+            assert betti_table_from_lattice(given, char).entries == want, (I.to_text(), char)
+
+
 def test_lattice_pd_keeps_sizing_and_char_checks(monkeypatch):
     I = parse_ideal("ab,bcg,cdg,de,efg")
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 4)
@@ -490,9 +531,15 @@ def _staircase(rng, mu):
     return make_ideal(ring, [Monomial(ring, (a, b)) for a, b in zip(xs, ys)])
 
 
-def _complements(I) -> list[int]:
-    full = (1 << I.mu) - 1
-    return [full & ~e for e in polarized_edges(I)]
+def _edge_forms(I, L) -> tuple[list[int], tuple[int, ...]]:
+    """The two sources of a lattice's edges: the polarized edges, which
+    the walk-built lattice keeps, and the complements of the elements
+    of the lattice read back from its own JSON."""
+    edges = polarized_edges(I)
+    assert L.edges == tuple(edges)
+    given = lattice_from_json_dict(L.to_json_dict())
+    assert given == L and given.edges == tuple(L.top & ~m for m in L.masks)
+    return edges, given.edges
 
 
 def _joined(supports, face: int) -> int:
@@ -512,27 +559,27 @@ def test_support_join_is_the_smallest_superset():
     assert max(I.mu for I in ideals) == 70
     for I in ideals:
         L = lcm_lattice(I)
-        complements = _complements(I)
-        supports = betti._supports(L.num_atoms, complements)
-        assert len(supports) == L.num_atoms
         subsets = [s for k in range(min(L.num_atoms, 3) + 1)
                    for s in itertools.combinations(range(L.num_atoms), k)]
         subsets = rng.sample(subsets, min(len(subsets), 200))
         subsets += [rng.sample(range(L.num_atoms), rng.randint(0, L.num_atoms)) for _ in range(50)]
-        for atoms in subsets:
-            face = sum(1 << i for i in atoms)
-            joined = _joined(supports, face)
-            supersets = [m for m in L.masks if m & face == face]
-            smallest = min(supersets, key=int.bit_count)
-            assert all(m & smallest == smallest for m in supersets)
-            if face:
-                meet = L.top
-                for j, c in enumerate(complements):
-                    if not joined >> j & 1:
-                        meet &= c
-                assert meet == smallest, (I.to_text(), atoms)
-            for m in supersets:
-                assert (_joined(supports, m) == joined) == (m == smallest), (I.to_text(), atoms)
+        for edges in _edge_forms(I, L):
+            supports = atom_columns(L.num_atoms, edges)
+            assert len(supports) == L.num_atoms
+            for atoms in subsets:
+                face = sum(1 << i for i in atoms)
+                joined = _joined(supports, face)
+                supersets = [m for m in L.masks if m & face == face]
+                smallest = min(supersets, key=int.bit_count)
+                assert all(m & smallest == smallest for m in supersets)
+                if face:
+                    meet = L.top
+                    for j, e in enumerate(edges):
+                        if not joined >> j & 1:
+                            meet &= L.top & ~e
+                    assert meet == smallest, (I.to_text(), atoms)
+                for m in supersets:
+                    assert (_joined(supports, m) == joined) == (m == smallest), (I.to_text(), atoms)
 
 
 def _smallest_above(L, face: int) -> int:
@@ -540,13 +587,8 @@ def _smallest_above(L, face: int) -> int:
 
 
 def _support_forms(I, L):
-    """The supports of the polarized edges' complements, as the walk
-    builds them, and of the lattice's own elements, as a lattice given
-    by its elements builds them."""
-    return (
-        betti._supports(L.num_atoms, _complements(I)),
-        betti._supports(L.num_atoms, L.masks),
-    )
+    """The supports from each of `_edge_forms`."""
+    return tuple(atom_columns(L.num_atoms, edges) for edges in _edge_forms(I, L))
 
 
 def test_crosscut_route_on_more_than_62_atoms():

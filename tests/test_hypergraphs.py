@@ -145,6 +145,16 @@ def test_components_split_and_cover_isolated():
     assert [c.vertices for c in comps] == [(1, 2), (3,), (4, 5)]
 
 
+def test_components_keep_vertex_and_edge_order():
+    edges = [(7, 8), (5, 6), (2, 7), (1, 3), (6,), (3, 4)]
+    labels = {(7, 8): ("b",), (6,): ("c",), (1, 3): ("a",)}
+    H = Hypergraph(edges, vertices=range(1, 10), labels=labels)
+    comps = H.components()
+    assert [c.vertices for c in comps] == [(1, 3, 4), (2, 7, 8), (5, 6), (9,)]
+    assert [c.edges for c in comps] == [((1, 3), (3, 4)), ((7, 8), (2, 7)), ((5, 6), (6,)), ()]
+    assert [c.labels for c in comps] == [{(1, 3): ("a",)}, {(7, 8): ("b",)}, {(6,): ("c",)}, {}]
+
+
 def test_connected_hypergraph_is_its_own_component():
     H = Hypergraph([(1, 2), (2, 3, 4), (4,)], labels={(1, 2): ("a",)})
     assert len(H.components()) == 1

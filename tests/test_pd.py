@@ -30,7 +30,7 @@ from hyperpd.pd import (
     pd,
     pd_monotonicity_check,
 )
-from hyperpd.reduction import check_preconditions, full_reduce
+from hyperpd.reduction import RULE_JOINT, check_preconditions, full_reduce
 
 # component of the 43-vertex fixture that survives reduction, and its
 # frozen homology-oracle answer
@@ -366,3 +366,33 @@ def test_pd_matches_the_oracle_next_to_a_higher_edge(source, oracle):
         H = dual_hypergraph(ideal)
     assert oracle_pd(ideal) == oracle
     assert pd(H).pd == oracle
+
+
+def _random_separated_with_joints(rng):
+    """A separated hypergraph on 4-12 vertices: a tree of pairs in which
+    each vertex hangs off one of the three before it, random singletons
+    and up to two 3-vertex edges; the joint pass often fires."""
+    while True:
+        n = rng.randint(4, 12)
+        edges = [(rng.randint(max(1, v - 3), v - 1), v) for v in range(2, n + 1)]
+        edges += [(v,) for v in range(1, n + 1) if rng.random() < 0.4]
+        edges += [rng.sample(range(1, n + 1), 3) for _ in range(rng.randint(0, 2))]
+        H = Hypergraph(edges)
+        if is_separated(H):
+            return H
+
+
+def test_full_reduce_keeps_every_component_separated():
+    """The oracle takes each component's edges as they are, so the
+    passes must keep separation: a removed union edge leaves a sub-edge
+    through each of its vertices, a closed edge's vertices keep their
+    singletons, and removing a vertex shrinks every intersection."""
+    rng = random.Random(11)
+    joint_steps = 0
+    for _ in range(1000):
+        H = _random_separated_with_joints(rng)
+        reduced, trace = full_reduce(H)
+        joint_steps += sum(s.rule == RULE_JOINT for s in trace.steps)
+        for comp in reduced.components():
+            assert is_separated(comp), ([list(e) for e in H.edges], comp)
+    assert joint_steps >= 100
