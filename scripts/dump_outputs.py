@@ -10,8 +10,9 @@ Seeds default to 3 and 29. For each seed it asks, in process through
 ideals of 3 to 13 variables, relabeled by the seed; `coordinatize` of
 an ideal reads the `hypergraph` command's output for it. Last it asks
 `betti` (JSON with `--entries`, and text) at characteristics 2 and 3
-on the same inputs and on each ideal's `lattice` output read back as
-input. It prints one
+on the same inputs, on the 84-edge hypergraph of all two- and
+three-vertex subsets of 8 vertices, and on each ideal's `lattice`
+output read back as input. It prints one
 sha256 per query, over the exit code, stdout, stderr and trace, and
 then the sha256 of those lines with the query count. Run it on two
 checkouts and compare the last lines.
@@ -20,6 +21,8 @@ checkouts and compare the last lines.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
 import os
 import random
 import sys
@@ -61,7 +64,9 @@ def betti_queries(seed: int):
     """(workload name, query name, argv) for `betti` on the lattice-side
     inputs and on each ideal's lattice JSON."""
     fixtures, ideals = lattice_inputs(seed)
-    inputs = fixtures + ideals
+    # more edges than an ideal's ring may have variables
+    edges = [list(c) for k in (2, 3) for c in itertools.combinations(range(1, 9), k)]
+    inputs = fixtures + ideals + [("K8-edges2-3", json.dumps({"mu": 8, "edges": edges}))]
     for name, source in ideals:
         code, lattice, _ = ask(hyperpd.cli.main, ["lattice", "--in", source])
         inputs.append((f"{name}-lattice", lattice if code == 0 else source))

@@ -227,18 +227,20 @@ def _cmd_reduce(args) -> str:
 def _cmd_betti(args) -> str:
     kind, obj = _load(_read_input(args.input), args.input_format)
     char = _field_char(args)
+    if kind == "labeling":
+        raise UsageError("betti takes an ideal, hypergraph, or bare lattice")
+    if args.output_format == "dot":
+        raise UsageError("betti has no dot output")
     if kind == "lattice":
         table = betti_table_from_lattice(obj, char=char)
-    elif kind == "labeling":
-        raise UsageError("betti takes an ideal, hypergraph, or bare lattice")
+    elif kind == "hypergraph":
+        table = betti_table_from_lattice(lattice_from_hypergraph(obj), char=char)
     else:
-        table = betti_table(_as_ideal(kind, obj), char=char)
+        table = betti_table(obj, char=char)
     if args.output_format == "text":
         totals = table.totals()
         row = " ".join(str(totals[i]) for i in sorted(totals))
         return f"total Betti numbers: {row} (pd {table.pd}, char {table.field_char})"
-    if args.output_format == "dot":
-        raise UsageError("betti has no dot output")
     return _json_text(table.to_json_dict(include_entries=args.entries))
 
 

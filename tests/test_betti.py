@@ -32,6 +32,7 @@ from hyperpd.lattices import (
 )
 from hyperpd.reduction import full_reduce
 from test_lattices import chain_coordinatized
+from test_pd import _workloads
 
 FROZEN_TOTALS = {
     "x": {0: 1, 1: 1},
@@ -322,13 +323,13 @@ def test_lattice_pd_walks_few_elements_on_figure4_core(monkeypatch):
     core = next(c for c in reduced.components() if c.mu > 1)
     assert len(lcm_lattice(ideal_from_hypergraph(core))) == 1443
     visited = []
-    ranks = betti.reduced_homology_ranks
+    numbers = betti._betti_numbers
 
-    def counting(K, char=2):
-        visited.append(K)
-        return ranks(K, char)
+    def counting(supports, p, char):
+        visited.append(p)
+        return numbers(supports, p, char)
 
-    monkeypatch.setattr(betti, "reduced_homology_ranks", counting)
+    monkeypatch.setattr(betti, "_betti_numbers", counting)
     # the walk builds at most 100 elements above the bottom
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 100)
     assert lattice_pd(core.mu, _separated_edge_masks(core), 2) == 9
@@ -601,16 +602,8 @@ def test_crosscut_route_on_more_than_62_atoms():
     small = [[p for p in L.masks if p.bit_count() == k][:12] for k in (2, 3, 4)]
     for p, supports in itertools.product(sum(small, []), _support_forms(I, L)):
         atoms = [i for i in range(L.num_atoms) if p >> i & 1]
-        # the default apex has the fewest support bits no other atom has,
-        # then the fewest support bits, then the lowest index
-        def own_bits(a):
-            others = 0
-            for b in atoms:
-                if b != a:
-                    others |= supports[b]
-            return (supports[a] & ~others).bit_count()
-
-        default = min(atoms, key=lambda a: (own_bits(a), supports[a].bit_count()))
+        # the default apex has the fewest support bits, then the lowest index
+        default = min(atoms, key=lambda a: supports[a].bit_count())
         for apex in [None] + atoms:
             K = betti._crosscut_complex(supports, p, apex)
             assert list(K.vertices) == atoms
@@ -662,3 +655,100 @@ def test_every_apex_gives_the_full_crosscut_ranks():
                     assert reduced_homology_ranks(K, char) == want, (I.to_text(), p, apex, char)
                     checked += 1
     assert checked > 6000
+
+
+def _unpeeled(supports, p: int, char: int) -> dict[int, int]:
+    """An element's Betti numbers from its whole crosscut complex
+    relative to the default apex, with no atom peeled off."""
+    ranks = reduced_homology_ranks(betti._crosscut_complex(supports, p), char)
+    return {d + 2: r for d, r in ranks.items()}
+
+
+def _counting_complexes(monkeypatch) -> list:
+    """Every complex `_betti_numbers` ranks, from now on."""
+    ranked = []
+    ranks = betti.reduced_homology_ranks
+
+    def counting(K, char=2):
+        ranked.append(K)
+        return ranks(K, char)
+
+    monkeypatch.setattr(betti, "reduced_homology_ranks", counting)
+    return ranked
+
+
+def _squarefree_ideal(rng, num_vars: int, mu: int, degrees: tuple[int, int]):
+    ring = tuple(f"x{i}" for i in range(num_vars))
+    supports = set()
+    while len(supports) < mu:
+        supports.add(frozenset(rng.sample(range(num_vars), rng.randint(*degrees))))
+    gens = [Monomial(ring, tuple(int(i in s) for i in range(num_vars))) for s in supports]
+    return make_ideal(ring, gens)
+
+
+def test_peel_matches_the_unpeeled_crosscut_route(monkeypatch):
+    """On every interval of the benchmark's Betti inputs, the fixtures
+    and random ideals, peeling atoms with a private support bit gives
+    the ranks of the whole crosscut complex, at chars 2, 3 and 5."""
+    workloads = _workloads(monkeypatch)
+    ideals = [parse_ideal(q.argv[-1]) for q in workloads.betti_gf3(1)]
+    ideals += _fixture_ideals()
+    rng = random.Random(16)
+    ideals += [_squarefree_ideal(rng, 9, rng.randint(4, 8), (2, 3)) for _ in range(200)]
+    ideals += [_squarefree_ideal(rng, 7, rng.randint(5, 8), (3, 5)) for _ in range(100)]
+    ideals += [_random_ideal(rng, 3) for _ in range(30)]
+    ranked = _counting_complexes(monkeypatch)
+    checked = unbuilt = shrunk = 0
+    for I in ideals:
+        L = lcm_lattice(I)
+        supports = atom_columns(L.num_atoms, L.edges)
+        for p in L.masks:
+            # the relative route needs the apex to be a vertex, which a
+            # lone atom is not; `test_beta_one_counts_generators` covers
+            # atoms
+            if p.bit_count() < 2:
+                continue
+            for char in (2, 3, 5):
+                before = len(ranked)
+                got = betti._betti_numbers(supports, p, char)
+                assert got == _unpeeled(supports, p, char), (I.to_text(), p, char)
+                checked += 1
+                if len(ranked) == before:
+                    unbuilt += 1
+                elif len(ranked[-1].vertices) < p.bit_count():
+                    shrunk += 1
+    assert checked > 20000
+    # most intervals need no complex at all, and some are ranked on
+    # fewer atoms than they have
+    assert unbuilt > checked / 2
+    assert shrunk > 300
+
+
+def test_each_exit_of_the_peel(monkeypatch):
+    ranked = _counting_complexes(monkeypatch)
+
+    def peel(supports: list[set[int]]) -> tuple[dict[int, int], int]:
+        """The Betti numbers of the element on all the given atoms, each
+        support a set of edge indices, at char 3, checked against the
+        unpeeled route; and how many complexes were ranked."""
+        masks = [sum(1 << i for i in s) for s in supports]
+        p = (1 << len(masks)) - 1
+        before = len(ranked)
+        got = betti._betti_numbers(masks, p, 3)
+        assert got == _unpeeled(masks, p, 3)
+        return got, len(ranked) - before
+
+    # every atom has a private bit: a Taylor interval, the boundary of
+    # a simplex
+    assert peel([{0, 1}, {1, 2, 3}, {3, 4}]) == ({3: 1}, 0)
+    # 8 is private; on R = {4} both other atoms cover R, which leaves the
+    # complex whose only face is empty
+    assert peel([{3, 4}, {4, 7}, {3, 7, 8}]) == ({2: 1}, 0)
+    # the private atoms cover everything: R = 0, a cone
+    assert peel([{0, 1}, {1, 2}, {2, 3}]) == ({}, 0)
+    # 0 is private; on R = {2, 3, 4} the first atom's support is empty:
+    # a cone over it, though no other atom has a private bit there
+    assert peel([{1}, {0, 1}, {2, 3}, {3, 4}, {2, 4}]) == ({}, 0)
+    # 9 is private; on R = {0, 1, 2} no atom has a private bit, so the
+    # complex of three points is built and ranked one degree up
+    assert peel([{9}, {0, 1}, {1, 2}, {0, 2}]) == ({3: 2}, 1)

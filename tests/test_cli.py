@@ -178,6 +178,28 @@ def test_betti_refuses_labeled_lattice():
     assert proc.returncode == 2
 
 
+def test_betti_on_a_hypergraph_with_more_edges_than_the_ring_cap():
+    # 84 edges, one variable each, but a lattice of 248 elements
+    edges = [list(c) for k in (2, 3) for c in itertools.combinations(range(1, 9), k)]
+    text = json.dumps({"mu": 8, "edges": edges})
+    proc = _run("betti", "--in", text, "--output-format", "text")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "total Betti numbers: 1 8 28 56 70 56 28 7 (pd 7, char 2)\n"
+    assert json.loads(_run("pd", "--in", text).stdout)["pd"] == 7
+
+
+@pytest.mark.parametrize("source", [
+    FIVE_GEN, "fixtures/figure4.json", '{"atoms":1,"elements":[[],[1]]}',
+])
+def test_betti_dot_is_refused_before_any_lattice(monkeypatch, source):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    for name in ("lattice_from_hypergraph", "betti_table", "betti_table_from_lattice"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert _main("betti", "--in", source, "--output-format", "dot") == (2, "")
+
+
 def test_coordinatize_labeled_lattice():
     text = _run("coordinatize", "--in", "fixtures/labeled_lattice.json",
                 "--output-format", "text")
