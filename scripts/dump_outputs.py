@@ -8,11 +8,13 @@ Seeds default to 3 and 29. For each seed it asks, in process through
 `--trace` on `pd` queries. Then it asks `lattice` (JSON and DOT),
 `check` and `coordinatize` on the four fixtures and on path and cycle
 ideals of 3 to 13 variables, relabeled by the seed; `coordinatize` of
-an ideal reads the `hypergraph` command's output for it. Last it asks
+an ideal reads the `hypergraph` command's output for it. Then it asks
 `betti` (JSON with `--entries`, and text) at characteristics 2 and 3
 on the same inputs, on the 84-edge hypergraph of all two- and
 three-vertex subsets of 8 vertices, and on each ideal's `lattice`
-output read back as input. It prints one
+output read back as input. Last it asks `pd --verify` on the fixtures,
+the ideals and the 84-edge hypergraph, and every subcommand once with
+`--output-format dot` on figure 4. It prints one
 sha256 per query, over the exit code, stdout, stderr and trace, and
 then the sha256 of those lines with the query count. Run it on two
 checkouts and compare the last lines.
@@ -60,13 +62,18 @@ def lattice_queries(seed: int):
         yield "coordinatize", name, ["coordinatize", "--in", hypergraph if code == 0 else source]
 
 
+def k8_edges() -> tuple[str, str]:
+    """(name, --in value) of the hypergraph of all two- and three-subsets
+    of 8 vertices: more edges than an ideal's ring may have variables."""
+    edges = [list(c) for k in (2, 3) for c in itertools.combinations(range(1, 9), k)]
+    return "K8-edges2-3", json.dumps({"mu": 8, "edges": edges})
+
+
 def betti_queries(seed: int):
     """(workload name, query name, argv) for `betti` on the lattice-side
     inputs and on each ideal's lattice JSON."""
     fixtures, ideals = lattice_inputs(seed)
-    # more edges than an ideal's ring may have variables
-    edges = [list(c) for k in (2, 3) for c in itertools.combinations(range(1, 9), k)]
-    inputs = fixtures + ideals + [("K8-edges2-3", json.dumps({"mu": 8, "edges": edges}))]
+    inputs = fixtures + ideals + [k8_edges()]
     for name, source in ideals:
         code, lattice, _ = ask(hyperpd.cli.main, ["lattice", "--in", source])
         inputs.append((f"{name}-lattice", lattice if code == 0 else source))
@@ -75,6 +82,17 @@ def betti_queries(seed: int):
             argv = ["betti", "--field-char", char, "--in", source]
             yield "betti", f"{name}-char{char}", argv + ["--entries"]
             yield "betti", f"{name}-char{char}-text", argv + ["--output-format", "text"]
+
+
+def verify_and_dot_queries(seed: int):
+    """(workload name, query name, argv) for `pd --verify` on the
+    lattice-side inputs and the 84-edge hypergraph, and for each
+    subcommand's `--output-format dot` on figure 4."""
+    fixtures, ideals = lattice_inputs(seed)
+    for name, source in fixtures + ideals + [k8_edges()]:
+        yield "verify", name, ["pd", "--in", source, "--verify"]
+    for command in hyperpd.cli._SUBCOMMANDS:
+        yield "dot", command, [command, "--in", "fixtures/figure4.json", "--output-format", "dot"]
 
 
 def main(argv: list[str]) -> int:
@@ -92,6 +110,7 @@ def main(argv: list[str]) -> int:
             ]
             queries += lattice_queries(seed)
             queries += betti_queries(seed)
+            queries += verify_and_dot_queries(seed)
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":
                     argv_q += ["--trace", trace_path]

@@ -61,7 +61,6 @@ from .lattices import (
     atom_columns,
     edge_complements,
     lcm_lattice,
-    polarized_edges,
     set_of,
     walk_lattice,
 )
@@ -363,6 +362,3 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
     walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, "lcm-lattice")
     return best
 
-
-def oracle_pd(ideal: MonomialIdeal, char: int = 2) -> int:
-    return lattice_pd(ideal.mu, polarized_edges(ideal), char)

@@ -13,17 +13,17 @@ import json
 import os
 import sys
 
-from .betti import OracleError, _check_char, betti_table, betti_table_from_lattice, oracle_pd
+from .betti import OracleError, _check_char, betti_table, betti_table_from_lattice, lattice_pd
 from .hypergraphs import (
     Hypergraph,
     HypergraphError,
     classify_shape,
     dual_hypergraph,
+    edge_masks,
     hypergraph_from_json_dict,
-    ideal_from_hypergraph,
     is_separated,
 )
-from .ideals import IdealError, MonomialIdeal, ideal_from_json_dict, parse_ideal
+from .ideals import IdealError, ideal_from_json_dict, parse_ideal
 from .lattices import (
     LatticeError,
     coordinatize,
@@ -47,7 +47,8 @@ DOMAIN_ERRORS = (
 )
 
 INPUT_FORMATS = ("ideal-text", "ideal-json", "hypergraph-json", "lattice-json")
-OUTPUT_FORMATS = ("json", "dot", "text")
+DRAWABLE = ("json", "dot", "text")  # output formats of graph-valued commands
+UNDRAWABLE = ("json", "text")
 
 
 class UsageError(Exception):
@@ -102,14 +103,6 @@ def _as_hypergraph(kind: str, obj) -> Hypergraph:
     raise UsageError(f"{kind} input cannot be used as a hypergraph")
 
 
-def _as_ideal(kind: str, obj) -> MonomialIdeal:
-    if kind == "ideal":
-        return obj
-    if kind == "hypergraph":
-        return ideal_from_hypergraph(obj)
-    raise UsageError(f"{kind} input cannot be used as an ideal")
-
-
 def _emit(text: str, out_path: str | None):
     if not text.endswith("\n"):
         text += "\n"
@@ -142,8 +135,6 @@ def _field_char(args) -> int:
 def _cmd_pd(args) -> str:
     kind, obj = _load(_read_input(args.input), args.input_format)
     H = _as_hypergraph(kind, obj)
-    if args.output_format == "dot":
-        raise UsageError("pd has no dot output")
     char = _field_char(args)
     result = pd(H, field_char=char)
     if args.trace and result.trace is not None:
@@ -151,7 +142,9 @@ def _cmd_pd(args) -> str:
             fh.write(result.trace.to_jsonl())
     data = result.to_json_dict()
     if args.verify:
-        reference = oracle_pd(_as_ideal(kind, obj), char=char)
+        # pd() refused an unseparated H, so its edge lattice is the
+        # lcm-lattice of its ideal
+        reference = lattice_pd(H.mu, edge_masks(H), char=char)
         if reference != result.pd:
             raise PdError(
                 f"verification failed: reduction gives pd {result.pd}, "
@@ -229,8 +222,6 @@ def _cmd_betti(args) -> str:
     char = _field_char(args)
     if kind == "labeling":
         raise UsageError("betti takes an ideal, hypergraph, or bare lattice")
-    if args.output_format == "dot":
-        raise UsageError("betti has no dot output")
     if kind == "lattice":
         table = betti_table_from_lattice(obj, char=char)
     elif kind == "hypergraph":
@@ -257,8 +248,6 @@ def _cmd_coordinatize(args) -> str:
         raise UsageError("coordinatize takes a labeled lattice or a hypergraph")
     if args.output_format == "text":
         return ideal.to_text()
-    if args.output_format == "dot":
-        raise UsageError("coordinatize has no dot output")
     return _json_text(
         {
             "ideal": ideal.to_json_dict(),
@@ -276,8 +265,6 @@ def _cmd_check(args) -> str:
         data = {"remark22": lattice.check_remark22(), "elements": len(lattice)}
         if args.output_format == "text":
             return f"remark22: {data['remark22']}\nelements: {data['elements']}"
-        if args.output_format == "dot":
-            raise UsageError("check has no dot output")
         return _json_text(data)
     H = _as_hypergraph(kind, obj)
     pre = check_preconditions(H)
@@ -310,8 +297,6 @@ def _cmd_check(args) -> str:
         else:
             lines.append(f"remark22: {remark22}")
         return "\n".join(lines)
-    if args.output_format == "dot":
-        raise UsageError("check has no dot output")
     return _json_text(data)
 
 
@@ -324,22 +309,22 @@ def _switch(flag: str, help_text: str):
     return flag, {"action": "store_true", "help": help_text}
 
 
-# name -> (handler, help, arguments after the common ones)
+# name -> (handler, help, output formats, arguments after the common ones)
 _SUBCOMMANDS = {
-    "pd": (_cmd_pd, "projective dimension of R/I", [
+    "pd": (_cmd_pd, "projective dimension of R/I", UNDRAWABLE, [
         _FIELD_CHAR, _TRACE,
         _switch("--verify", "also run the homology oracle and require agreement"),
     ]),
-    "hypergraph": (_cmd_hypergraph, "dual hypergraph of an ideal", []),
-    "lattice": (_cmd_lattice, "lcm-lattice of an ideal or hypergraph", []),
-    "reduce": (_cmd_reduce, "run the reduction pipeline", [
+    "hypergraph": (_cmd_hypergraph, "dual hypergraph of an ideal", DRAWABLE, []),
+    "lattice": (_cmd_lattice, "lcm-lattice of an ideal or hypergraph", DRAWABLE, []),
+    "reduce": (_cmd_reduce, "run the reduction pipeline", DRAWABLE, [
         _TRACE, _switch("--strict", "refuse higher edges that are not unions"),
     ]),
-    "betti": (_cmd_betti, "total Betti numbers via lattice homology", [
+    "betti": (_cmd_betti, "total Betti numbers via lattice homology", UNDRAWABLE, [
         _FIELD_CHAR, _switch("--entries", "include the per-degree breakdown"),
     ]),
-    "coordinatize": (_cmd_coordinatize, "recover an ideal from labels", []),
-    "check": (_cmd_check, "report reduction preconditions", []),
+    "coordinatize": (_cmd_coordinatize, "recover an ideal from labels", UNDRAWABLE, []),
+    "check": (_cmd_check, "report reduction preconditions", UNDRAWABLE, []),
 }
 
 
@@ -358,7 +343,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "monomial ideals via dual-hypergraph reduction",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, arguments) in _SUBCOMMANDS.items():
+    for name, (_, help_text, formats, arguments) in _SUBCOMMANDS.items():
         if command is not None and name != command:
             continue
         sub = subs.add_parser(name, help=help_text)
@@ -366,7 +351,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                          help="path, inline text, or - for stdin")
         sub.add_argument("--out", dest="out", default=None, help="output path")
         sub.add_argument("--input-format", choices=INPUT_FORMATS, default=None)
-        sub.add_argument("--output-format", choices=OUTPUT_FORMATS, default="json")
+        sub.add_argument("--output-format", choices=formats, default="json")
         for flag, options in arguments:
             sub.add_argument(flag, **options)
     if command is not None:

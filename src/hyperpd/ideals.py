@@ -257,12 +257,12 @@ def is_json_int(value) -> bool:
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     try:
-        variables = list(data["variables"])
+        variables = data["variables"]
         gens = data["generators"]
     except (KeyError, TypeError) as exc:
         raise IdealError(f"missing ideal JSON field: {exc}")
-    if not all(isinstance(v, str) for v in variables):
-        raise IdealError("ideal JSON variables must be names")
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise IdealError("ideal JSON variables must be a list of names")
     ring = tuple(variables)
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
         raise IdealError("ideal JSON generators must be lists of variable indices")

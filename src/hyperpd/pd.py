@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .betti import lattice_pd, oracle_pd
+from .betti import lattice_pd
 from .hypergraphs import (
     Hypergraph,
     classify_shape,
     edge_masks,
-    ideal_from_hypergraph,
     unseparated_pair,
 )
 from .reduction import ReductionTrace, full_reduce
@@ -92,17 +91,3 @@ def pd(H: Hypergraph, field_char: int = 2) -> PdResult:
         method = METHOD_ADDITIVITY
     return PdResult(total, method, parts, trace)
 
-
-def pd_monotonicity_check(H1: Hypergraph, H2: Hypergraph) -> bool:
-    """Oracle check, over GF(2), that a sub-hypergraph never has larger pd.
-
-    H1 must use a subset of H2's vertices and edges. Returns whether
-    pd(H1) <= pd(H2); raises if either side has no ideal realization.
-    """
-    if not set(H1.vertices) <= set(H2.vertices):
-        raise PdError("H1 has vertices outside H2")
-    if not set(H1.edges) <= set(H2.edges):
-        raise PdError("H1 has edges outside H2")
-    pd1 = oracle_pd(ideal_from_hypergraph(H1))
-    pd2 = oracle_pd(ideal_from_hypergraph(H2))
-    return pd1 <= pd2

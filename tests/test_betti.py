@@ -13,7 +13,6 @@ from hyperpd.betti import (
     betti_table,
     betti_table_from_lattice,
     lattice_pd,
-    oracle_pd,
     reduced_homology_ranks,
 )
 from hyperpd.hypergraphs import dual_hypergraph, hypergraph_from_json_dict, ideal_from_hypergraph
@@ -241,8 +240,12 @@ def test_betti_from_lattice_equals_betti_from_ideal():
     assert a.entries == b.entries
 
 
+def _ideal_pd(I, char=2):
+    return lattice_pd(I.mu, polarized_edges(I), char)
+
+
 def test_oracle_pd_shortcut():
-    assert oracle_pd(parse_ideal("ab,bc,cd,de")) == 3
+    assert _ideal_pd(parse_ideal("ab,bc,cd,de")) == 3
 
 
 def test_chain_cap_aborts_with_sizing_report(monkeypatch):
@@ -313,8 +316,7 @@ def test_lattice_pd_matches_full_table():
     cases.append((union, 2))
     for I, c in cases:
         want = betti_table_from_lattice(lcm_lattice(I), c).pd
-        assert lattice_pd(I.mu, polarized_edges(I), c) == want, (I.to_text(), c)
-        assert oracle_pd(I, c) == want, (I.to_text(), c)
+        assert _ideal_pd(I, c) == want, (I.to_text(), c)
 
 
 def test_lattice_pd_walks_few_elements_on_figure4_core(monkeypatch):
@@ -353,7 +355,7 @@ def test_char_is_proven_once_per_call(monkeypatch):
         assert betti_table(I, char).pd == 4
         assert calls == [char]
         calls.clear()
-        assert oracle_pd(I, char) == 4
+        assert _ideal_pd(I, char) == 4
         assert calls == [char]
 
 
@@ -379,9 +381,9 @@ def test_lattice_pd_keeps_sizing_and_char_checks(monkeypatch):
     I = parse_ideal("ab,bcg,cdg,de,efg")
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 4)
     with pytest.raises(OracleError, match="exceeds the cap"):
-        oracle_pd(I)
+        _ideal_pd(I)
     with pytest.raises(OracleError, match="prime"):
-        oracle_pd(I, 4)
+        _ideal_pd(I, 4)
 
 
 def test_lattice_pd_caps_the_elements_it_builds(monkeypatch):
@@ -392,7 +394,7 @@ def test_lattice_pd_caps_the_elements_it_builds(monkeypatch):
     for cap in range(1, 40):
         monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", cap)
         try:
-            assert oracle_pd(I) == 7
+            assert _ideal_pd(I) == 7
         except LatticeError as exc:
             assert str(exc) == f"lcm-lattice exceeds the {cap}-element cap"
         else:
@@ -407,12 +409,12 @@ def test_chain_cap_error_names_the_size_and_the_cap(monkeypatch):
     I = parse_ideal("ab,bcg,cdg,de,efg")
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 31)
     with pytest.raises(OracleError) as err:
-        oracle_pd(I)
+        _ideal_pd(I)
     assert str(err.value) == (
         "crosscut complex on 5 atoms has 32 candidate faces, which exceeds the cap of 31"
     )
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 32)
-    assert oracle_pd(I) == 4
+    assert _ideal_pd(I) == 4
 
 
 def _dense_rank(matrix: list[list[int]], p: int) -> int:

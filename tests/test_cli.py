@@ -63,6 +63,33 @@ def test_pd_verify_flag():
     assert data["oracle_pd"] == 4
 
 
+def test_pd_verify_on_more_edges_than_the_ring_cap():
+    # all 84 two- and three-subsets of 8 vertices: more edges than an
+    # ideal's ring may have variables
+    edges = [list(c) for k in (2, 3) for c in itertools.combinations(range(1, 9), k)]
+    proc = _run("pd", "--in", json.dumps({"mu": 8, "edges": edges}), "--verify")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["pd"], data["oracle_pd"], data["verified"]) == (7, 7, True)
+
+
+def test_pd_verify_on_figure4_stops_at_the_chain_cap():
+    proc = _run("pd", "--in", "fixtures/figure4.json", "--verify")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)
+    assert error["error"] == "OracleError"
+    assert error["message"].startswith("crosscut complex on 43 atoms has ")
+    assert "exceeds the cap of" in error["message"]
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_only_graph_valued_commands_offer_dot(command):
+    code, out = _main(command, "--help")
+    assert code == 0
+    assert ("dot" in out) == (command in ("hypergraph", "lattice", "reduce"))
+
+
 def test_pd_on_fixture_path():
     proc = _run("pd", "--in", "fixtures/figure4.json")
     assert proc.returncode == 0
@@ -259,6 +286,8 @@ def test_parse_error_exits_one():
     ('{"mu":2,"edges":[[1,2]],"vertex_labels":["a","b"]}', "HypergraphError"),
     ('{"variables":["a"],"generators":[[5]]}', "IdealError"),
     ('{"variables":["a"],"generators":[[-1]]}', "IdealError"),
+    ('{"variables":"ab","generators":[[0,1]]}', "IdealError"),
+    ('{"variables":{"a":1,"b":2},"generators":[[0],[1]]}', "IdealError"),
     ('{"atoms":1,"elements":[[],[1]],"labels":{"[1":"a"}}', "LatticeError"),
     ('{"atoms":1,"elements":[[],["a"]]}', "LatticeError"),
 ])

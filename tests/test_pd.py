@@ -10,17 +10,19 @@ import sys
 
 import pytest
 
-from hyperpd.betti import betti_table, oracle_pd
+from hyperpd.betti import betti_table, lattice_pd
 from hyperpd.cli import main
 from hyperpd.hypergraphs import (
     Hypergraph,
     classify_shape,
     dual_hypergraph,
+    edge_masks,
     hypergraph_from_json_dict,
     ideal_from_hypergraph,
     is_separated,
 )
-from hyperpd.ideals import ideal_from_json_dict, parse_ideal
+from hyperpd.ideals import ideal_from_json_dict, make_ideal, monomial_from_indices, parse_ideal
+from hyperpd.lattices import polarized_edges
 from hyperpd.pd import (
     METHOD_ADDITIVITY,
     METHOD_CLOSED_ISOLATED,
@@ -28,9 +30,9 @@ from hyperpd.pd import (
     METHOD_TWO_STAR,
     PdError,
     pd,
-    pd_monotonicity_check,
 )
 from hyperpd.reduction import RULE_JOINT, check_preconditions, full_reduce
+from test_reduction import _random_separated
 
 # component of the 43-vertex fixture that survives reduction, and its
 # frozen homology-oracle answer
@@ -64,6 +66,10 @@ JOINT_FAULTS = [
     ("x4*x8, x3*x4*x12, x7*x9*x12, x0*x5*x9, x1*x5*x11, x2*x6, x4*x5*x13, x2*x11, x4*x7*x13, x1*x10", 8),
     ("x0*x2*x6, x2*x13, x11*x12*x13, x4*x9, x0*x3, x9*x12, x4*x7*x12, x4*x5*x8, x1*x2*x10, x1*x8*x11", 8),
 ]
+
+
+def _ideal_pd(I, char=2):
+    return lattice_pd(I.mu, polarized_edges(I), char)
 
 
 def _figure4():
@@ -223,20 +229,6 @@ def test_additivity_across_components():
     assert both.pd == left + right
 
 
-def test_monotonicity_check():
-    H2 = dual_hypergraph(parse_ideal("ab,bcg,cdg,de,efg"))
-    H1 = H2.remove_edge((2, 3, 5))
-    assert pd_monotonicity_check(H1, H2)
-
-
-def test_monotonicity_check_rejects_non_containment():
-    H2 = dual_hypergraph(parse_ideal("ab,bcg,cdg,de,efg"))
-    with pytest.raises(PdError, match="vertices outside"):
-        pd_monotonicity_check(Hypergraph([(9,)]), H2)
-    with pytest.raises(PdError, match="edges outside"):
-        pd_monotonicity_check(Hypergraph([(1, 3)]), H2)
-
-
 def test_cyclic_bush_witness_matches_oracle():
     # once the closed-edge pass strips [2, 3], vertex 2 has pair-degree
     # 2, so the joint pass must judge it no joint
@@ -327,7 +319,7 @@ def test_component_walk_matches_the_ideal_oracle(monkeypatch):
                 if sub.method != METHOD_ORACLE:
                     continue
                 ideal = ideal_from_hypergraph(comp)
-                assert sub.pd == oracle_pd(ideal, char) == betti_table(ideal, char).pd
+                assert sub.pd == _ideal_pd(ideal, char) == betti_table(ideal, char).pd
                 priced += 1
     assert priced > 200
 
@@ -338,16 +330,45 @@ def test_pd_builds_no_lattice_and_no_ideal(monkeypatch):
 
     for module in ("betti", "cli", "lattices"):
         monkeypatch.setattr(importlib.import_module(f"hyperpd.{module}"), "lcm_lattice", refused)
-    for module in ("cli", "hypergraphs", "pd"):
-        monkeypatch.setattr(
-            importlib.import_module(f"hyperpd.{module}"), "ideal_from_hypergraph", refused
-        )
+    monkeypatch.setattr(
+        importlib.import_module("hyperpd.hypergraphs"), "ideal_from_hypergraph", refused
+    )
     result = pd(dual_hypergraph(parse_ideal("ab,bcg,cdg,de,efg")))
     assert (result.pd, result.method) == (4, METHOD_ORACLE)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["pd", "--in", "ab,bc,cd,de,ef,fg", "--verify"]) == 0
     assert json.loads(out.getvalue())["oracle_pd"] == 4
+
+
+def test_edge_lattice_matches_the_ideal_routes():
+    """`pd --verify` prices the lattice of the hypergraph's own edges.
+    On random square-free ideals it must give the pd of the ideal's
+    polarized edges, and on hypergraphs of at most 64 edges the pd of
+    the ideal that `ideal_from_hypergraph` realizes."""
+    rng = random.Random(1717)
+    hypergraphs = []
+    below_mu = 0  # the Taylor resolution is not minimal
+    for _ in range(300):
+        ring = tuple(f"x{i}" for i in range(rng.randint(4, 8)))
+        gens = [
+            monomial_from_indices(ring, rng.sample(range(len(ring)), rng.randint(2, 3)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        I = make_ideal(ring, gens)
+        H = dual_hypergraph(I)
+        hypergraphs.append(H)
+        for char in (2, 3):
+            want = _ideal_pd(I, char)
+            assert lattice_pd(H.mu, edge_masks(H), char) == want, I.to_text()
+        below_mu += want < I.mu
+    assert below_mu >= 100
+    hypergraphs += [_random_separated(rng) for _ in range(100)]
+    for H in hypergraphs:
+        assert len(H.edges) <= 64
+        ideal = ideal_from_hypergraph(H)
+        for char in (2, 3):
+            assert lattice_pd(H.mu, edge_masks(H), char) == _ideal_pd(ideal, char), H.edges
 
 
 @pytest.mark.xfail(
@@ -364,7 +385,7 @@ def test_pd_matches_the_oracle_next_to_a_higher_edge(source, oracle):
     else:
         ideal = parse_ideal(source)
         H = dual_hypergraph(ideal)
-    assert oracle_pd(ideal) == oracle
+    assert _ideal_pd(ideal) == oracle
     assert pd(H).pd == oracle
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hyperpd import reduction
-from hyperpd.betti import betti_table, oracle_pd
+from hyperpd.betti import betti_table, lattice_pd
 from hyperpd.hypergraphs import (
     Hypergraph,
     HypergraphError,
@@ -16,6 +16,7 @@ from hyperpd.hypergraphs import (
     is_separated,
 )
 from hyperpd.ideals import parse_ideal
+from hyperpd.lattices import polarized_edges
 from hyperpd.reduction import (
     RULE_CLOSED,
     RULE_JOINT,
@@ -329,6 +330,10 @@ def test_full_reduce_skips_surgery_when_no_joint_goes(monkeypatch):
     assert jointless >= 50
 
 
+def _ideal_pd(I):
+    return lattice_pd(I.mu, polarized_edges(I))
+
+
 def _ideal_or_none(H):
     try:
         return ideal_from_hypergraph(H)
@@ -366,7 +371,7 @@ def test_each_union_step_keeps_total_betti_numbers():
 
 def test_each_closed_step_keeps_pd():
     checked, mismatches = _check_each_step(
-        remove_closed_vertex_edges, oracle_pd, seed=2, draws=400
+        remove_closed_vertex_edges, _ideal_pd, seed=2, draws=400
     )
     assert mismatches == []
     assert checked >= 100

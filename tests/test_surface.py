@@ -26,7 +26,6 @@ PACKAGE = ROOT / "src" / "hyperpd"
 CALLER_DIRS = ("src", "perfbench", "scripts")
 
 KEEP = {
-    "pd_monotonicity_check": "acceptance criterion 7 runs it",
     "replay_trace": "README shows how to replay a trace file",
     "from_jsonl": "README shows how to read a trace file back for replay",
 }
