@@ -277,6 +277,8 @@ def dual_hypergraph(ideal: MonomialIdeal) -> Hypergraph:
     edges record, per variable, the set of generators it divides."""
     if ideal.is_zero():
         raise HypergraphError("the zero ideal has no hypergraph")
+    if ideal.is_unit():
+        raise HypergraphError("the unit ideal has no hypergraph")
     if not ideal.is_squarefree():
         raise HypergraphError("dual hypergraph needs a square-free ideal")
     edges = []

@@ -690,8 +690,9 @@ def _squarefree_ideal(rng, num_vars: int, mu: int, degrees: tuple[int, int]):
 
 def test_peel_matches_the_unpeeled_crosscut_route(monkeypatch):
     """On every interval of the benchmark's Betti inputs, the fixtures
-    and random ideals, peeling atoms with a private support bit gives
-    the ranks of the whole crosscut complex, at chars 2, 3 and 5."""
+    and random ideals, peeling atoms with a private support bit and
+    dropping atoms whose support holds another's gives the ranks of the
+    whole crosscut complex, at chars 2, 3 and 5."""
     workloads = _workloads(monkeypatch)
     ideals = [parse_ideal(q.argv[-1]) for q in workloads.betti_gf3(1)]
     ideals += _fixture_ideals()
@@ -724,6 +725,9 @@ def test_peel_matches_the_unpeeled_crosscut_route(monkeypatch):
     # fewer atoms than they have
     assert unbuilt > checked / 2
     assert shrunk > 300
+    # dropping atoms whose support holds another's leaves about half the
+    # complexes that peeling private bits alone builds (747 and 1,521)
+    assert len(ranked) < 1000
 
 
 def test_each_exit_of_the_peel(monkeypatch):
@@ -743,8 +747,9 @@ def test_each_exit_of_the_peel(monkeypatch):
     # every atom has a private bit: a Taylor interval, the boundary of
     # a simplex
     assert peel([{0, 1}, {1, 2, 3}, {3, 4}]) == ({3: 1}, 0)
-    # 8 is private; on R = {4} both other atoms cover R, which leaves the
-    # complex whose only face is empty
+    # 8 is private; on R = {4} both other atoms cover R, so one is
+    # dropped and the other is private: the complex whose only face is
+    # empty
     assert peel([{3, 4}, {4, 7}, {3, 7, 8}]) == ({2: 1}, 0)
     # the private atoms cover everything: R = 0, a cone
     assert peel([{0, 1}, {1, 2}, {2, 3}]) == ({}, 0)
@@ -754,3 +759,24 @@ def test_each_exit_of_the_peel(monkeypatch):
     # 9 is private; on R = {0, 1, 2} no atom has a private bit, so the
     # complex of three points is built and ranked one degree up
     assert peel([{9}, {0, 1}, {1, 2}, {0, 2}]) == ({3: 2}, 1)
+    # no atom has a private bit, and {0, 1, 2} holds {0, 1}: it is
+    # dropped, and the complex of three points is ranked on 3 atoms
+    assert peel([{0, 1}, {0, 1, 2}, {1, 2}, {0, 2}]) == ({2: 2}, 1)
+    assert len(ranked[-1].vertices) == 3
+
+
+@pytest.mark.parametrize("graph, n", [("path", 12), ("cycle", 11), ("path", 13), ("cycle", 13)])
+def test_complexes_ranked_on_paths_and_cycles(monkeypatch, graph, n):
+    """The complexes that the whole Betti table and `lattice_pd` rank on
+    the edge ideal of a path or a cycle: with atoms whose support holds
+    another's dropped, a path needs none and a cycle only its top
+    element, the complex on all n atoms."""
+    edges = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if graph == "cycle" else [])
+    I = parse_ideal(",".join(f"x{a}*x{b}" for a, b in edges))
+    want = [n] if graph == "cycle" else []
+    ranked = _counting_complexes(monkeypatch)
+    betti_table(I)
+    assert [len(K.vertices) for K in ranked] == want
+    ranked.clear()
+    lattice_pd(I.mu, polarized_edges(I))
+    assert [len(K.vertices) for K in ranked] == want

@@ -568,3 +568,14 @@ def test_one_subcommand_parser_answers_like_the_full_parser(monkeypatch, argv):
 def test_a_subcommand_parser_holds_that_subcommand_alone():
     assert build_parser("pd").format_usage() == "usage: hyperpd [-h] {pd} ...\n"
     assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_usage()
+
+
+@pytest.mark.parametrize("command", ["pd", "hypergraph", "reduce", "check"])
+@pytest.mark.parametrize("text", ["1", "a,1", '{"variables": ["a"], "generators": [[]]}'])
+def test_unit_ideal_has_no_hypergraph(command, text):
+    proc = _run(command, "--in", text)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {
+        "error": "HypergraphError",
+        "message": "the unit ideal has no hypergraph",
+    }
