@@ -13,8 +13,9 @@ an ideal reads the `hypergraph` command's output for it. Then it asks
 on the same inputs, on the 84-edge hypergraph of all two- and
 three-vertex subsets of 8 vertices, and on each ideal's `lattice`
 output read back as input. Last it asks `pd --verify` on the fixtures,
-the ideals and the 84-edge hypergraph, and every subcommand once with
-`--output-format dot` on figure 4. It prints one
+the ideals and the 84-edge hypergraph, every subcommand once with
+`--output-format dot` on figure 4, and `hypergraph` on a JSON input
+whose label keys spell one edge three ways. It prints one
 sha256 per query, over the exit code, stdout, stderr and trace, and
 then the sha256 of those lines with the query count. Run it on two
 checkouts and compare the last lines.
@@ -95,6 +96,14 @@ def verify_and_dot_queries(seed: int):
         yield "dot", command, [command, "--in", "fixtures/figure4.json", "--output-format", "dot"]
 
 
+# "[1,2]", "[1, 2]" and "[2,1]" all name the edge {1, 2}
+LABEL_KEYS = json.dumps({
+    "mu": 3,
+    "edges": [[1, 2], [2, 3]],
+    "labels": {"[1,2]": ["a"], "[1, 2]": ["b"], "[2,1]": ["c"], "[2,3]": ["d"]},
+})
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or [3, 29]
     os.chdir(ROOT)
@@ -111,6 +120,7 @@ def main(argv: list[str]) -> int:
             queries += lattice_queries(seed)
             queries += betti_queries(seed)
             queries += verify_and_dot_queries(seed)
+            queries.append(("hypergraph", "label-keys", ["hypergraph", "--in", LABEL_KEYS]))
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":
                     argv_q += ["--trace", trace_path]

@@ -23,7 +23,7 @@ class HypergraphError(ValueError):
 
 
 def _canon_edge(edge) -> tuple[int, ...]:
-    t = tuple(sorted(set(int(v) for v in edge)))
+    t = tuple(sorted(set(map(int, edge))))
     if not t:
         raise HypergraphError("empty edge")
     return t
@@ -37,18 +37,19 @@ class Hypergraph:
     only, since edge labels are provenance metadata.
     """
 
-    __slots__ = ("vertices", "edges", "labels", "_edge_set")
+    __slots__ = ("vertices", "edges", "labels", "_edge_set", "_pair_adjacency")
 
     def __init__(self, edges, vertices=None, labels=None):
         self.edges = tuple(dict.fromkeys(_canon_edge(e) for e in edges))
         self._edge_set = frozenset(self.edges)
+        self._pair_adjacency = None
         covered = set()
         for e in self.edges:
             covered.update(e)
         if vertices is None:
             self.vertices = tuple(sorted(covered))
         else:
-            self.vertices = tuple(sorted(set(int(v) for v in vertices)))
+            self.vertices = tuple(sorted(set(map(int, vertices))))
             if not covered <= set(self.vertices):
                 raise HypergraphError("edge uses a vertex outside the vertex set")
         merged: dict[tuple[int, ...], set[str]] = {}
@@ -72,14 +73,20 @@ class Hypergraph:
 
     def pair_degree(self, v: int) -> int:
         """Degree within the 1-skeleton's two-vertex edges."""
-        return sum(1 for e in self.edges if len(e) == 2 and v in e)
+        return len(self.pair_neighbors(v))
 
     def pair_neighbors(self, v: int) -> tuple[int, ...]:
-        out = set()
-        for e in self.edges:
-            if len(e) == 2 and v in e:
-                out.add(e[0] if e[1] == v else e[1])
-        return tuple(sorted(out))
+        # built on first use; it holds only ints, so no reference cycle
+        # keeps the hypergraph alive
+        adjacency = self._pair_adjacency
+        if adjacency is None:
+            lists: dict[int, list[int]] = {}
+            for e in self.edges:
+                if len(e) == 2:
+                    lists.setdefault(e[0], []).append(e[1])
+                    lists.setdefault(e[1], []).append(e[0])
+            adjacency = self._pair_adjacency = {u: tuple(sorted(ns)) for u, ns in lists.items()}
+        return adjacency.get(v, ())
 
     def higher_edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(e for e in self.edges if len(e) >= 3)
@@ -256,7 +263,10 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
     raw_labels = data.get("labels") or {}
     if not isinstance(raw_labels, dict):
         raise HypergraphError("hypergraph JSON labels must map edge keys to names")
-    labels = {}
+    # keys spelled apart ("[1,2]", "[1, 2]", "[2,1]") may name one edge:
+    # equal vertex lists gather their names here, and Hypergraph merges
+    # the rest
+    labels: dict[tuple[int, ...], list[str]] = {}
     for key, names in raw_labels.items():
         try:
             raw = json.loads(key)
@@ -264,7 +274,7 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
             raise HypergraphError(f"bad edge key {key!r}")
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise HypergraphError(f"labels of edge {key} must be a list of names")
-        labels[tuple(renamed(raw))] = tuple(names)
+        labels.setdefault(tuple(renamed(raw)), []).extend(names)
     return Hypergraph(
         [renamed(e) for e in edges],
         vertices=vertices,
@@ -281,12 +291,13 @@ def dual_hypergraph(ideal: MonomialIdeal) -> Hypergraph:
         raise HypergraphError("the unit ideal has no hypergraph")
     if not ideal.is_squarefree():
         raise HypergraphError("dual hypergraph needs a square-free ideal")
+    divided: list[list[int]] = [[] for _ in ideal.ring]
+    for j, m in enumerate(ideal.generators, start=1):
+        for i in m.support:
+            divided[i].append(j)
     edges = []
     labels: dict[tuple[int, ...], set[str]] = {}
-    for i, name in enumerate(ideal.ring):
-        members = tuple(
-            j for j, m in enumerate(ideal.generators, start=1) if m.exps[i]
-        )
+    for name, members in zip(ideal.ring, map(tuple, divided)):
         if not members:
             continue
         if members not in labels:

@@ -33,7 +33,7 @@ class Monomial:
     def __post_init__(self):
         if len(self.ring) != len(self.exps):
             raise IdealError("exponent vector does not match ring size")
-        if any(e < 0 for e in self.exps):
+        if min(self.exps, default=0) < 0:
             raise IdealError("negative exponent")
 
     @property
@@ -107,9 +107,10 @@ class MonomialIdeal:
                 raise IdealError("generator in wrong ring")
         # every generator is in this ring, so exponents compare directly
         exps = [m.exps for m in self.generators]
-        for i, a in enumerate(exps):
-            for j, b in enumerate(exps):
-                if i != j and all(x <= y for x, y in zip(a, b)):
+        masks = [_support_mask(a) for a in exps]
+        for i, (a, ma) in enumerate(zip(exps, masks)):
+            for j, (b, mb) in enumerate(zip(exps, masks)):
+                if not ma & ~mb and i != j and all(map(le, a, b)):
                     raise IdealError(
                         "non-minimal generating set: "
                         f"{self.generators[i]} divides {self.generators[j]}"
@@ -152,13 +153,24 @@ def minimalize(monomials) -> list[Monomial]:
         _check_ring(m, monomials[0])
     # every monomial is in one ring, so exponents compare directly
     exps = [m.exps for m in monomials]
+    masks = [_support_mask(a) for a in exps]
     return [
         monomials[i]
-        for i, a in enumerate(exps)
+        for i, (a, ma) in enumerate(zip(exps, masks))
         # a goes when another b divides it, unless b equals a and comes
         # later: the first of equal duplicates stays
-        if not any(all(map(le, b, a)) and (b != a or j < i) for j, b in enumerate(exps) if j != i)
+        if not any(
+            all(map(le, exps[j], a)) and (exps[j] != a or j < i)
+            for j, mb in enumerate(masks)
+            if not mb & ~ma and j != i
+        )
     ]
+
+
+def _support_mask(exps) -> int:
+    """The variables with a nonzero exponent, as a bitmask. A monomial
+    divides another only if its mask is a subset of the other's."""
+    return sum(1 << i for i, e in enumerate(exps) if e)
 
 
 def make_ideal(ring, monomials) -> MonomialIdeal:

@@ -259,9 +259,11 @@ def remove_joints(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
     """Remove joints having a branch of length 2, ascending, until none
     qualify. The gates are checked on entry, where a failure returns H
     with no steps, and again before each removal on the joint's
-    component as the edge passes would leave it."""
+    component as the edge passes would leave it. A joint needs pair
+    degree 3, so without such a vertex H comes back with no steps and
+    no gate is judged."""
     trace = ReductionTrace()
-    if not check_preconditions(H).all_ok:
+    if all(H.pair_degree(v) < 3 for v in H.vertices) or not check_preconditions(H).all_ok:
         return H, trace
     out = H
     while True:

@@ -439,6 +439,15 @@ def test_vertex_in_no_edge_exits_one(text, vertex):
         }
 
 
+@pytest.mark.parametrize("spelling", ["[1, 2]", "[2,1]", " [ 2 , 1 ] "])
+def test_label_keys_naming_one_edge_merge_their_names(spelling):
+    data = {"mu": 3, "edges": [[1, 2], [2, 3]],
+            "labels": {"[1,2]": ["a"], spelling: ["b"], "[2,3]": ["c"]}}
+    code, out = _main("hypergraph", "--in", json.dumps(data))
+    assert code == 0
+    assert json.loads(out)["labels"] == {"[1,2]": ["a", "b"], "[2,3]": ["c"]}
+
+
 def test_duplicate_vertex_labels_exit_one():
     # a repeated label would leave label 8 in no edge, to be priced as pd 1
     proc = _run("pd", "--in", '{"mu":2,"edges":[[1,2]],"vertex_labels":[7,7,8]}')

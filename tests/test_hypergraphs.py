@@ -15,7 +15,7 @@ from hyperpd.hypergraphs import (
     is_separated,
     unseparated_pair,
 )
-from hyperpd.ideals import parse_ideal
+from hyperpd.ideals import Monomial, make_ideal, parse_ideal
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
 FIVE_GEN_EDGES = ((1,), (1, 2), (2, 3), (2, 3, 5), (3, 4), (4, 5), (5,))
@@ -36,6 +36,36 @@ def test_dual_merges_duplicate_variable_edges():
     assert H.label_of((1, 2)) == ("b", "d")
 
 
+def test_dual_matches_the_generators_each_variable_divides():
+    # variables drawn as copies of others, so edges merge and carry
+    # several names; generators minimalized first, as parsing does
+    rng = random.Random(11)
+    merged = 0
+    for _ in range(300):
+        ring = tuple(f"x{i}" for i in range(rng.randint(1, 8)))
+        columns = []
+        for _ in ring:
+            if columns and rng.random() < 0.3:
+                columns.append(rng.choice(columns))
+            else:
+                columns.append([rng.random() < 0.4 for _ in range(6)])
+        gens = [Monomial(ring, tuple(int(c[g]) for c in columns)) for g in range(6)]
+        ideal = make_ideal(ring, [m for m in gens if not m.is_one()] or gens[:1])
+        if ideal.is_zero() or ideal.is_unit():
+            continue
+        members = {
+            name: tuple(j for j, m in enumerate(ideal.generators, start=1) if m.exps[i])
+            for i, name in enumerate(ring)
+        }
+        edges = tuple(dict.fromkeys(t for t in members.values() if t))
+        labels = {e: tuple(sorted(n for n, t in members.items() if t == e)) for e in edges}
+        H = dual_hypergraph(ideal)
+        assert H.vertices == tuple(range(1, ideal.mu + 1))
+        assert (H.edges, H.labels) == (edges, labels)
+        merged += any(len(ns) > 1 for ns in labels.values())
+    assert merged >= 50
+
+
 def test_vertices_always_sorted():
     H = Hypergraph([(3, 1), (2, 3)])
     assert H.vertices == (1, 2, 3)
@@ -53,6 +83,32 @@ def test_degree_counts_all_edges_pair_degree_only_pairs():
     assert H.pair_degree(2) == 2  # (1,2), (2,3); not (2,3,5)
     assert H.pair_neighbors(3) == (2, 4)
     assert H.higher_edges() == ((2, 3, 5),)
+
+
+def _pair_scan(H, v):
+    """(pair degree, pair neighbors) of v by a scan of every edge."""
+    pairs = [e for e in H.edges if len(e) == 2 and v in e]
+    return len(pairs), tuple(sorted(u for e in pairs for u in e if u != v))
+
+
+def test_pair_adjacency_matches_an_edge_scan():
+    # on random hypergraphs and on what their surgeries and components
+    # build, for every vertex and for ids that are not vertices
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        sizes = [min(n, rng.choice((1, 2, 2, 2, 3))) for _ in range(rng.randint(1, 2 * n))]
+        edges = [rng.sample(range(1, n + 1), k) for k in sizes]
+        H = Hypergraph(edges, vertices=range(1, n + 1))
+        built = [
+            H,
+            H.remove_edges(rng.sample(H.edges, rng.randint(0, len(H.edges)))),
+            H.remove_vertices(rng.sample(H.vertices, rng.randint(0, n - 1))),
+            *H.components(),
+        ]
+        for G in built:
+            for v in (*G.vertices, 0, n + 1):
+                assert (G.pair_degree(v), G.pair_neighbors(v)) == _pair_scan(G, v)
 
 
 def test_remove_edge_is_pure():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_minimalize_keeps_first_of_each_minimal_exponent_vector():
     rng = random.Random(17)
     ring = "abcd"
     for _ in range(300):
-        monomials = [_mono(ring, [rng.randrange(3) for _ in ring]) for _ in range(rng.randrange(1, 9))]
+        monomials = [_mono(ring, [rng.randrange(4) for _ in ring]) for _ in range(rng.randrange(1, 9))]
         monomials += [_mono(ring, m.exps) for m in rng.sample(monomials, rng.randrange(len(monomials) + 1))]
         rng.shuffle(monomials)
         vectors = {m.exps for m in monomials}
@@ -123,6 +124,31 @@ def test_minimalize_keeps_first_of_each_minimal_exponent_vector():
 def test_minimal_ideal_constructor_rejects_divisible_pair():
     with pytest.raises(IdealError, match="non-minimal"):
         MonomialIdeal(("a", "b"), (_mono("ab", (1, 0)), _mono("ab", (1, 1))))
+
+
+def test_minimal_ideal_constructor_refuses_exactly_the_divisible_pairs():
+    # exponents 0-3 over five variables, so supports nest often while
+    # exponents still decide; the refusal names the first pair (i, j),
+    # in row order, where generator i divides generator j
+    rng = random.Random(19)
+    ring = "abcde"
+    refused = 0
+    for _ in range(400):
+        gens = [_mono(ring, [rng.choice((0, 0, 1, 2, 3)) for _ in ring]) for _ in range(rng.randrange(1, 7))]
+        pairs = [
+            (a, b)
+            for i, a in enumerate(gens)
+            for j, b in enumerate(gens)
+            if i != j and all(x <= y for x, y in zip(a.exps, b.exps))
+        ]
+        if pairs:
+            refused += 1
+            a, b = pairs[0]
+            with pytest.raises(IdealError, match=re.escape(f"non-minimal generating set: {a} divides {b}") + "$"):
+                MonomialIdeal(tuple(ring), tuple(gens))
+        else:
+            assert MonomialIdeal(tuple(ring), tuple(gens)).generators == tuple(gens)
+    assert 100 <= refused <= 300
 
 
 def test_monomial_operations():

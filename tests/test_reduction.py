@@ -245,9 +245,14 @@ def test_full_reduce_skips_components_failing_preconditions():
     assert 1 in reduced.vertices
 
 
-def test_full_reduce_judges_each_component_once_and_rebuilds_once_per_round(monkeypatch):
+def _has_pair_degree_3(H):
+    return any(H.pair_degree(v) >= 3 for v in H.vertices)
+
+
+def test_full_reduce_judges_joint_bearing_components_once_and_rebuilds_once_per_round(monkeypatch):
     # six disjoint 2-stars, each losing its joint in the first round; the
-    # second round finds only isolated closed vertices and removes nothing
+    # second round finds only isolated closed vertices and short strings,
+    # with no vertex of pair degree 3, so no gate is judged there
     bush = [(1, 2), (2, 3), (1, 4), (1, 5), (3,), (4,), (5,)]
     H = Hypergraph([tuple(v + 10 * k for v in e) for k in range(6) for e in bush])
     entry_checks, forest_rebuilds, judging = [], [], []
@@ -277,8 +282,33 @@ def test_full_reduce_judges_each_component_once_and_rebuilds_once_per_round(monk
     monkeypatch.setattr(Hypergraph, "remove_vertices", counted_remove_vertices)
     reduced, trace = full_reduce(H)
     assert [s.vertex for s in trace.steps if s.rule == RULE_JOINT] == [1, 11, 21, 31, 41, 51]
-    assert entry_checks == [c.vertices for c in H.components() + reduced.components()]
+    assert entry_checks == [
+        c.vertices for c in H.components() + reduced.components() if _has_pair_degree_3(c)
+    ]
+    assert entry_checks == [c.vertices for c in H.components()]
     assert forest_rebuilds == [H.vertices]
+
+
+def test_no_gate_is_judged_without_a_vertex_of_pair_degree_3(monkeypatch):
+    # a joint needs pair degree 3, so remove_joints answers H with no steps
+    # before it judges a gate, even where a gate would fail
+    def refused(G):
+        raise AssertionError(f"gates judged on {G!r}")
+
+    rng = random.Random(31)
+    inputs = [
+        Hypergraph([(1, 2), (2, 3), (3, 4), (4, 1)]),  # a cycle: the bush gate fails
+        Hypergraph([(1,), (2,), (1, 2), (2, 3)]),  # two closed ends of a pair edge
+    ]
+    while len(inputs) < 200:
+        H = _random_separated(rng)
+        if not _has_pair_degree_3(H):
+            inputs.append(H)
+    monkeypatch.setattr(reduction, "check_preconditions", refused)
+    for H in inputs:
+        out, trace = remove_joints(H)
+        assert out is H and trace.steps == []
+        full_reduce(H)  # edge passes never raise a pair degree
 
 
 def _random_separated(rng):
