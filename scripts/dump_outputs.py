@@ -15,7 +15,11 @@ three-vertex subsets of 8 vertices, and on each ideal's `lattice`
 output read back as input. Last it asks `pd --verify` on the fixtures,
 the ideals and the 84-edge hypergraph, every subcommand once with
 `--output-format dot` on figure 4, and `hypergraph` on a JSON input
-whose label keys spell one edge three ways. It prints one
+whose label keys spell one edge three ways. Then it asks `pd`,
+`reduce` and `check` on the figure 4, five-generator and union-demo
+fixtures as hypergraph JSON with `vertex_labels` of any sign and
+size: v -> v - 3, and an increasing map into [-10^9, 10^9], drawn
+from the seed, that takes a negative id, 0 and 10^9. It prints one
 sha256 per query, over the exit code, stdout, stderr and trace, and
 then the sha256 of those lines with the query count. Run it on two
 checkouts and compare the last lines.
@@ -104,6 +108,29 @@ LABEL_KEYS = json.dumps({
 })
 
 
+def spread_ids(mu: int, rng: random.Random) -> list[int]:
+    """An increasing injection of 1..mu into [-10^9, 10^9] that takes a
+    negative id, 0 and 10^9."""
+    ids = {-rng.randint(1, 10**9), 0, 10**9}
+    while len(ids) < mu:
+        ids.add(rng.randint(-10**9, 10**9))
+    return sorted(ids)
+
+
+def relabelled_queries(seed: int):
+    """(workload name, query name, argv) for `pd`, `reduce` and `check`
+    on fixtures whose vertices carry ids of any sign and size."""
+    rng = random.Random(seed)
+    for name in ("figure4", "five_gen", "union_demo"):
+        _, text, _ = ask(hyperpd.cli.main, ["hypergraph", "--in", f"fixtures/{name}.json"])
+        data = json.loads(text)
+        shifted = [v - 3 for v in range(1, data["mu"] + 1)]
+        for how, ids in (("minus3", shifted), ("spread", spread_ids(data["mu"], rng))):
+            source = json.dumps({**data, "vertex_labels": ids})
+            for command in ("pd", "reduce", "check"):
+                yield "relabelled", f"{name}-{how}-{command}", [command, "--in", source]
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or [3, 29]
     os.chdir(ROOT)
@@ -121,6 +148,7 @@ def main(argv: list[str]) -> int:
             queries += betti_queries(seed)
             queries += verify_and_dot_queries(seed)
             queries.append(("hypergraph", "label-keys", ["hypergraph", "--in", LABEL_KEYS]))
+            queries += relabelled_queries(seed)
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":
                     argv_q += ["--trace", trace_path]

@@ -26,6 +26,7 @@ from .hypergraphs import (
 from .ideals import IdealError, ideal_from_json_dict, parse_ideal
 from .lattices import (
     LatticeError,
+    SetFamilyLattice,
     coordinatize,
     hypergraph_coordinatization,
     labeling_from_json_dict,
@@ -35,7 +36,7 @@ from .lattices import (
     lcm_lattice,
 )
 from .pd import PdError, pd
-from .reduction import ReductionError, check_preconditions, full_reduce, remove_union_edges
+from .reduction import GATES, ReductionError, check_preconditions, full_reduce, remove_union_edges
 
 DOMAIN_ERRORS = (
     IdealError,
@@ -103,6 +104,16 @@ def _as_hypergraph(kind: str, obj) -> Hypergraph:
     raise UsageError(f"{kind} input cannot be used as a hypergraph")
 
 
+def _as_lattice(kind: str, obj) -> SetFamilyLattice:
+    if kind == "ideal":
+        return lcm_lattice(obj)
+    if kind == "hypergraph":
+        return lattice_from_hypergraph(obj)
+    if kind == "labeling":
+        return obj[0]
+    return obj
+
+
 def _emit(text: str, out_path: str | None):
     if not text.endswith("\n"):
         text += "\n"
@@ -132,8 +143,7 @@ def _field_char(args) -> int:
     return char
 
 
-def _cmd_pd(args) -> str:
-    kind, obj = _load(_read_input(args.input), args.input_format)
+def _cmd_pd(args, kind: str, obj) -> str:
     H = _as_hypergraph(kind, obj)
     char = _field_char(args)
     result = pd(H, field_char=char)
@@ -157,8 +167,7 @@ def _cmd_pd(args) -> str:
     return _json_text(data)
 
 
-def _cmd_hypergraph(args) -> str:
-    kind, obj = _load(_read_input(args.input), args.input_format)
+def _cmd_hypergraph(args, kind: str, obj) -> str:
     H = _as_hypergraph(kind, obj)
     if args.output_format == "dot":
         return H.to_dot()
@@ -175,16 +184,8 @@ def _cmd_hypergraph(args) -> str:
     return _json_text(H.to_json_dict())
 
 
-def _cmd_lattice(args) -> str:
-    kind, obj = _load(_read_input(args.input), args.input_format)
-    if kind == "ideal":
-        L = lcm_lattice(obj)
-    elif kind == "hypergraph":
-        L = lattice_from_hypergraph(obj)
-    elif kind == "lattice":
-        L = obj
-    else:
-        L = obj[0]
+def _cmd_lattice(args, kind: str, obj) -> str:
+    L = _as_lattice(kind, obj)
     if args.output_format == "dot":
         return L.to_dot()
     if args.output_format == "text":
@@ -192,8 +193,7 @@ def _cmd_lattice(args) -> str:
     return _json_text(L.to_json_dict())
 
 
-def _cmd_reduce(args) -> str:
-    kind, obj = _load(_read_input(args.input), args.input_format)
+def _cmd_reduce(args, kind: str, obj) -> str:
     H = _as_hypergraph(kind, obj)
     if args.strict:
         H, pre_trace = remove_union_edges(H, strict=True)
@@ -217,17 +217,14 @@ def _cmd_reduce(args) -> str:
     return _json_text(reduced.to_json_dict())
 
 
-def _cmd_betti(args) -> str:
-    kind, obj = _load(_read_input(args.input), args.input_format)
+def _cmd_betti(args, kind: str, obj) -> str:
     char = _field_char(args)
     if kind == "labeling":
         raise UsageError("betti takes an ideal, hypergraph, or bare lattice")
-    if kind == "lattice":
-        table = betti_table_from_lattice(obj, char=char)
-    elif kind == "hypergraph":
-        table = betti_table_from_lattice(lattice_from_hypergraph(obj), char=char)
-    else:
+    if kind == "ideal":
         table = betti_table(obj, char=char)
+    else:
+        table = betti_table_from_lattice(_as_lattice(kind, obj), char=char)
     if args.output_format == "text":
         totals = table.totals()
         row = " ".join(str(totals[i]) for i in sorted(totals))
@@ -235,8 +232,7 @@ def _cmd_betti(args) -> str:
     return _json_text(table.to_json_dict(include_entries=args.entries))
 
 
-def _cmd_coordinatize(args) -> str:
-    kind, obj = _load(_read_input(args.input), args.input_format)
+def _cmd_coordinatize(args, kind: str, obj) -> str:
     if kind == "hypergraph":
         lattice, labeling, ideal = hypergraph_coordinatization(obj)
     elif kind == "labeling":
@@ -257,11 +253,10 @@ def _cmd_coordinatize(args) -> str:
     )
 
 
-def _cmd_check(args) -> str:
-    kind, obj = _load(_read_input(args.input), args.input_format)
+def _cmd_check(args, kind: str, obj) -> str:
     if kind in ("lattice", "labeling"):
         # Only the lattice-side check applies; there is no hypergraph to test.
-        lattice = obj[0] if kind == "labeling" else obj
+        lattice = _as_lattice(kind, obj)
         data = {"remark22": lattice.check_remark22(), "elements": len(lattice)}
         if args.output_format == "text":
             return f"remark22: {data['remark22']}\nelements: {data['elements']}"
@@ -289,9 +284,9 @@ def _cmd_check(args) -> str:
         data["remark22_note"] = remark22_note
     if args.output_format == "text":
         lines = [f"ready: {pre.all_ok}", f"separated: {data['separated']}"]
-        for name in ("bush", "higher_edges_same_joint", "no_connected_closed"):
-            mark = "ok" if getattr(pre, name) else f"FAIL ({pre.witnesses.get(name, '')})"
-            lines.append(f"{name}: {mark}")
+        for gate in GATES:
+            mark = f"FAIL ({pre.witnesses[gate]})" if gate in pre.witnesses else "ok"
+            lines.append(f"{gate}: {mark}")
         if remark22 is None:
             lines.append(f"remark22: skipped ({remark22_note})")
         else:
@@ -368,7 +363,8 @@ def main(argv=None) -> int:
     parser = build_parser(command)
     args = parser.parse_args(argv)
     try:
-        _emit(_SUBCOMMANDS[args.command][0](args), args.out)
+        kind, obj = _load(_read_input(args.input), args.input_format)
+        _emit(_SUBCOMMANDS[args.command][0](args, kind, obj), args.out)
     except UsageError as exc:
         parser.error(str(exc))
     except DOMAIN_ERRORS + (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:

@@ -334,6 +334,22 @@ def edge_masks(H: Hypergraph) -> list[int]:
     return [sum(1 << pos[v] for v in e) for e in H.edges]
 
 
+def union_edge_elements(H: Hypergraph) -> list[tuple[int, ...]]:
+    """Edges equal to the union of the edges properly contained in
+    them; their lattice complements are exactly the non-meet-irreducible
+    edge elements."""
+    masks = edge_masks(H)
+    out = []
+    for e, m in zip(H.edges, masks):
+        union = 0
+        for g in masks:
+            if g != m and g & m == g:
+                union |= g
+        if union == m:
+            out.append(e)
+    return out
+
+
 def unseparated_pair(H: Hypergraph) -> tuple[int, int] | None:
     """A vertex a and another vertex b on every edge through a, or None
     when the edges through each vertex meet in that vertex alone."""

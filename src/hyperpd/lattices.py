@@ -367,22 +367,6 @@ def lattice_from_hypergraph(H: Hypergraph) -> SetFamilyLattice:
     return _lattice_of_edges(H.mu, _separated_edge_masks(H), "lattice")
 
 
-def union_edge_elements(H: Hypergraph) -> list[tuple[int, ...]]:
-    """Edges equal to the union of the edges properly contained in
-    them; their lattice complements are exactly the non-meet-irreducible
-    edge elements."""
-    masks = [(e, mask_of(e)) for e in H.edges]
-    out = []
-    for e, m in masks:
-        union = 0
-        for _, g in masks:
-            if g != m and g & m == g:
-                union |= g
-        if union == m:
-            out.append(e)
-    return out
-
-
 @dataclass
 class Labeling:
     """Monomial labels on some lattice elements (masks); unlabeled

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .hypergraphs import Hypergraph, classify_shape
-from .lattices import union_edge_elements
+from .hypergraphs import Hypergraph, classify_shape, union_edge_elements
 
 RULE_UNION = "union_edge_removed"
 RULE_CLOSED = "closed_edge_removed"
@@ -120,23 +119,22 @@ def replay_trace(H: Hypergraph, trace: ReductionTrace) -> Hypergraph:
     return out
 
 
+# the joint-removal gates, in the order `check` reports them
+GATES = ("bush", "higher_edges_same_joint", "no_connected_closed")
+
+
 @dataclass
 class Preconditions:
-    bush: bool
-    higher_edges_same_joint: bool
-    no_connected_closed: bool
-    witnesses: dict[str, str] = field(default_factory=dict)
+    """Each failed gate of GATES mapped to its first witness."""
+
+    witnesses: dict[str, str]
 
     @property
     def all_ok(self) -> bool:
-        return self.bush and self.higher_edges_same_joint and self.no_connected_closed
+        return not self.witnesses
 
     def to_json_dict(self) -> dict:
-        data = {
-            "bush": self.bush,
-            "higher_edges_same_joint": self.higher_edges_same_joint,
-            "no_connected_closed": self.no_connected_closed,
-        }
+        data: dict = {gate: gate not in self.witnesses for gate in GATES}
         if self.witnesses:
             data["witnesses"] = dict(sorted(self.witnesses.items()))
         return data
@@ -148,14 +146,10 @@ def check_preconditions(H: Hypergraph) -> Preconditions:
     Aggregated over components when H is disconnected: every component
     must pass.
     """
-    bush = True
-    same_joint = True
-    no_cc = True
     witnesses: dict[str, str] = {}
     for comp in H.components():
         shape = classify_shape(comp)
         if shape.kind not in ("string", "two_star", "bush"):
-            bush = False
             witnesses.setdefault(
                 "bush",
                 f"component {list(comp.vertices)} has kind {shape.kind}",
@@ -169,19 +163,17 @@ def check_preconditions(H: Hypergraph) -> Preconditions:
                 w for w, verts in on_branch.items() if any(v in verts for v in e)
             }
             if len(implicated) > 1:
-                same_joint = False
                 witnesses.setdefault(
                     "higher_edges_same_joint",
                     f"edge {list(e)} meets branches of joints {sorted(implicated)}",
                 )
         for e in comp.edges:
             if len(e) == 2 and comp.is_closed(e[0]) and comp.is_closed(e[1]):
-                no_cc = False
                 witnesses.setdefault(
                     "no_connected_closed",
                     f"pair edge {list(e)} joins two closed vertices",
                 )
-    return Preconditions(bush, same_joint, no_cc, witnesses)
+    return Preconditions(witnesses)
 
 
 def remove_union_edges(H: Hypergraph, strict: bool = False) -> tuple[Hypergraph, ReductionTrace]:

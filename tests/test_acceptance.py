@@ -22,6 +22,7 @@ from hyperpd.hypergraphs import (
     hypergraph_from_json_dict,
     ideal_from_hypergraph,
     is_separated,
+    union_edge_elements,
 )
 from hyperpd.ideals import (
     Monomial,
@@ -37,7 +38,6 @@ from hyperpd.lattices import (
     lattice_from_hypergraph,
     lcm_lattice,
     set_of,
-    union_edge_elements,
 )
 from hyperpd.pd import pd
 from hyperpd.reduction import check_preconditions, full_reduce, remove_union_edges, replay_trace

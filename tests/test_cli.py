@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperpd import cli
 from hyperpd.cli import build_parser, main
+from hyperpd.hypergraphs import Hypergraph, dual_hypergraph
+from hyperpd.ideals import ideal_from_json_dict
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
 
@@ -107,6 +110,60 @@ def test_pd_trace_file(tmp_path):
     step = json.loads(lines[0])
     assert step["rule"] == "union_edge_removed"
     assert step["edge"] == [2, 3, 5]
+
+
+def _fixture_hypergraph(name: str) -> dict:
+    """A fixture as hypergraph JSON on the vertices 1..mu."""
+    with open(f"fixtures/{name}.json") as fh:
+        data = json.load(fh)
+    if "generators" in data:
+        data = dual_hypergraph(ideal_from_json_dict(data)).to_json_dict()
+    return data
+
+
+def _spread_ids(mu: int, seed: int) -> list[int]:
+    """An increasing injection of 1..mu into [-10^9, 10^9] that takes a
+    negative id, 0 and 10^9."""
+    rng = random.Random(seed)
+    ids = {-rng.randint(1, 10**9), 0, 10**9}
+    while len(ids) < mu:
+        ids.add(rng.randint(-10**9, 10**9))
+    return sorted(ids)
+
+
+def _traced(tmp_path, *argv):
+    """In-process call with --trace: (exit code, parsed stdout, trace steps)."""
+    trace = tmp_path / "trace.jsonl"
+    code, out = _main(*argv, "--trace", str(trace))
+    return code, json.loads(out), [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+# order-preserving maps only: the joint sweep runs in ascending vertex order
+@pytest.mark.parametrize("spread", [False, True], ids=["minus3", "spread"])
+@pytest.mark.parametrize("name", ["union_demo", "five_gen", "figure4"])
+def test_vertex_labels_of_any_sign_and_size_only_rename(tmp_path, name, spread):
+    plain = _fixture_hypergraph(name)
+    mu = plain["mu"]
+    ids = _spread_ids(mu, 21) if spread else [v - 3 for v in range(1, mu + 1)]
+    back = dict(zip(ids, range(1, mu + 1)))
+    labelled = json.dumps({**plain, "vertex_labels": ids})
+    for command in ("pd", "reduce"):
+        code, want, want_trace = _traced(tmp_path, command, "--in", json.dumps(plain))
+        code_l, got, trace = _traced(tmp_path, command, "--in", labelled)
+        assert code == code_l == 0
+        for step in trace:
+            if "edge" in step:
+                step["edge"] = [back[v] for v in step["edge"]]
+            if "vertex" in step:
+                step["vertex"] = back[step["vertex"]]
+        assert trace == want_trace
+        if command == "pd":
+            for comp in got.get("components", []):
+                comp["vertices"] = [back[v] for v in comp["vertices"]]
+        else:
+            vertices = [back[v] for v in got.pop("vertex_labels")]
+            assert vertices == want.pop("vertex_labels", list(range(1, got["mu"] + 1)))
+        assert got == want
 
 
 def test_stdin_input():
@@ -259,6 +316,39 @@ def test_check_on_lattice_input():
     assert data == {"elements": 8, "remark22": True}
 
 
+# one failing component per gate, ids shifted by 0, 10 and 20
+ALL_GATES_FAIL = json.dumps(Hypergraph([
+    (1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (2,), (3,), (6,),
+    (11, 12), (11, 13), (11, 14), (15, 16), (15, 17), (15, 18), (11, 15),
+    (12,), (13,), (14,), (16,), (17,), (18,), (12, 14, 16),
+    (21,), (22,), (21, 22),
+]).to_json_dict())
+ALL_GATES_WITNESSES = {
+    "bush": "component [1, 2, 3, 4, 5, 6] has kind other",
+    "higher_edges_same_joint": "edge [12, 14, 16] meets branches of joints [11, 15]",
+    "no_connected_closed": "pair edge [21, 22] joins two closed vertices",
+}
+
+
+def test_check_names_a_witness_for_every_failed_gate():
+    code, out = _main("check", "--in", ALL_GATES_FAIL, "--output-format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "ready: False",
+        "separated: True",
+        *(f"{gate}: FAIL ({witness})" for gate, witness in ALL_GATES_WITNESSES.items()),
+        "remark22: True",
+    ]
+    code, out = _main("check", "--in", ALL_GATES_FAIL)
+    assert code == 0
+    assert json.loads(out)["preconditions"] == {
+        "bush": False,
+        "higher_edges_same_joint": False,
+        "no_connected_closed": False,
+        "witnesses": ALL_GATES_WITNESSES,
+    }
+
+
 def test_format_sniffing():
     as_json = json.dumps({"variables": ["a", "b", "c"], "generators": [[0, 1], [1, 2]]})
     sniffed = _run("pd", "--in", as_json)
@@ -371,7 +461,7 @@ _DOCUMENT = st.dictionaries(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     _DOCUMENT,
-    st.sampled_from(["pd", "lattice", "betti", "check", "coordinatize"]),
+    st.sampled_from(["pd", "hypergraph", "reduce", "lattice", "betti", "check", "coordinatize"]),
     st.sampled_from([None, "ideal-json", "hypergraph-json", "lattice-json"]),
 )
 def test_fuzzed_json_never_ends_in_a_traceback(document, command, fmt):

@@ -13,6 +13,7 @@ from hyperpd.hypergraphs import (
     hypergraph_from_json_dict,
     ideal_from_hypergraph,
     is_separated,
+    union_edge_elements,
     unseparated_pair,
 )
 from hyperpd.ideals import Monomial, make_ideal, parse_ideal
@@ -109,6 +110,24 @@ def test_pair_adjacency_matches_an_edge_scan():
         for G in built:
             for v in (*G.vertices, 0, n + 1):
                 assert (G.pair_degree(v), G.pair_neighbors(v)) == _pair_scan(G, v)
+
+
+def test_union_edges_commute_with_relabelling():
+    # vertex ids of any sign and size, in any order: the test reads
+    # vertex positions, never the ids themselves
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(3, 8)
+        vertices = range(1, n + 1)
+        edges = [rng.sample(vertices, rng.randint(1, 2)) for _ in range(rng.randint(1, 2 * n))]
+        edges += [rng.sample(vertices, rng.randint(3, n)) for _ in range(rng.randint(1, 3))]
+        # unions of two drawn edges, so that some higher edges are unions
+        edges += [{*rng.choice(edges), *rng.choice(edges)} for _ in range(rng.randint(0, 3))]
+        H = Hypergraph(edges, vertices=vertices)
+        ids = dict(zip(H.vertices, rng.sample(range(-10**9, 10**9 + 1), n)))
+        G = Hypergraph([[ids[v] for v in e] for e in H.edges], vertices=ids.values())
+        renamed = [tuple(sorted(ids[v] for v in e)) for e in union_edge_elements(H)]
+        assert union_edge_elements(G) == renamed
 
 
 def test_remove_edge_is_pure():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hyperpd import lattices
-from hyperpd.hypergraphs import Hypergraph, dual_hypergraph
+from hyperpd.hypergraphs import Hypergraph, dual_hypergraph, union_edge_elements
 from hyperpd.ideals import Monomial, make_ideal, parse_ideal
 from hyperpd.lattices import (
     Labeling,
@@ -23,7 +23,6 @@ from hyperpd.lattices import (
     lcm_lattice,
     mask_of,
     set_of,
-    union_edge_elements,
 )
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"

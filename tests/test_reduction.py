@@ -120,7 +120,7 @@ def test_preconditions_pass_on_five_gen_and_fixture():
 def test_preconditions_flag_long_branch():
     H = Hypergraph([(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (2,), (3,), (6,)])
     pre = check_preconditions(H)
-    assert not pre.bush
+    assert "bush" in pre.witnesses
     assert not pre.all_ok
     assert "kind other" in pre.witnesses["bush"]
 
@@ -132,8 +132,8 @@ def test_preconditions_flag_higher_edge_across_joints():
         (2, 4, 6),
     ])
     pre = check_preconditions(H)
-    assert pre.bush
-    assert not pre.higher_edges_same_joint
+    assert "bush" not in pre.witnesses
+    assert "higher_edges_same_joint" in pre.witnesses
     assert pre.witnesses["higher_edges_same_joint"] == (
         "edge [2, 4, 6] meets branches of joints [1, 5]"
     )
@@ -141,7 +141,7 @@ def test_preconditions_flag_higher_edge_across_joints():
 
 def test_preconditions_flag_connected_closed_pair():
     pre = check_preconditions(Hypergraph([(1,), (2,), (1, 2)]))
-    assert not pre.no_connected_closed
+    assert "no_connected_closed" in pre.witnesses
     assert "pair edge [1, 2]" in pre.witnesses["no_connected_closed"]
 
 
