@@ -12,7 +12,10 @@ an ideal reads the `hypergraph` command's output for it. Then it asks
 `betti` (JSON with `--entries`, and text) at characteristics 2 and 3
 on the same inputs, on the 84-edge hypergraph of all two- and
 three-vertex subsets of 8 vertices, and on each ideal's `lattice`
-output read back as input. Last it asks `pd --verify` on the fixtures,
+output read back as input; on that read-back input it also asks
+`check` and `lattice --output-format dot`, and it asks `lattice` on
+the 12-atom lattice JSON that lacks only {1, 2}, which is not
+intersection-closed. Last it asks `pd --verify` on the fixtures,
 the ideals and the 84-edge hypergraph, every subcommand once with
 `--output-format dot` on figure 4, and `hypergraph` on a JSON input
 whose label keys spell one edge three ways. Then it asks `pd`,
@@ -74,19 +77,41 @@ def k8_edges() -> tuple[str, str]:
     return "K8-edges2-3", json.dumps({"mu": 8, "edges": edges})
 
 
+def read_back_inputs(seed: int) -> list[tuple[str, str]]:
+    """(name, --in value) of each ideal's `lattice` output."""
+    read_back = []
+    for name, source in lattice_inputs(seed)[1]:
+        code, lattice, _ = ask(hyperpd.cli.main, ["lattice", "--in", source])
+        read_back.append((f"{name}-lattice", lattice if code == 0 else source))
+    return read_back
+
+
 def betti_queries(seed: int):
     """(workload name, query name, argv) for `betti` on the lattice-side
     inputs and on each ideal's lattice JSON."""
     fixtures, ideals = lattice_inputs(seed)
-    inputs = fixtures + ideals + [k8_edges()]
-    for name, source in ideals:
-        code, lattice, _ = ask(hyperpd.cli.main, ["lattice", "--in", source])
-        inputs.append((f"{name}-lattice", lattice if code == 0 else source))
-    for name, source in inputs:
+    for name, source in fixtures + ideals + [k8_edges()] + read_back_inputs(seed):
         for char in ("2", "3"):
             argv = ["betti", "--field-char", char, "--in", source]
             yield "betti", f"{name}-char{char}", argv + ["--entries"]
             yield "betti", f"{name}-char{char}-text", argv + ["--output-format", "text"]
+
+
+# every subset of 12 atoms but {1, 2}, the meet of {1, 2, 3} and {1, 2, 4}
+UNCLOSED = json.dumps({
+    "atoms": 12,
+    "elements": [list(c) for k in range(13) for c in itertools.combinations(range(1, 13), k)
+                 if c != (1, 2)],
+})
+
+
+def read_back_queries(seed: int):
+    """(workload name, query name, argv) for `check` and `lattice` as
+    DOT on each ideal's lattice JSON, and `lattice` on an unclosed one."""
+    for name, source in read_back_inputs(seed):
+        yield "read-back", f"{name}-check", ["check", "--in", source]
+        yield "read-back", f"{name}-dot", ["lattice", "--in", source, "--output-format", "dot"]
+    yield "read-back", "unclosed", ["lattice", "--in", UNCLOSED]
 
 
 def verify_and_dot_queries(seed: int):
@@ -146,6 +171,7 @@ def main(argv: list[str]) -> int:
             ]
             queries += lattice_queries(seed)
             queries += betti_queries(seed)
+            queries += read_back_queries(seed)
             queries += verify_and_dot_queries(seed)
             queries.append(("hypergraph", "label-keys", ["hypergraph", "--in", LABEL_KEYS]))
             queries += relabelled_queries(seed)

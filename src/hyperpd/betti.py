@@ -16,7 +16,7 @@ of the complements that miss i. The join of a set of atoms is the meet
 of the complements that none of them misses, so a face joins to p
 exactly when the OR of its supports equals p's. An ideal's edges are
 its polarized edges; a lattice given by its elements has the
-complements of those elements as its edges.
+complements of its meet-irreducibles as its edges.
 
 The interval's homology is that of its crosscut complex (Bjorner): the
 sets of atoms below p whose join is not p, so the sets F of p's atoms

@@ -334,20 +334,27 @@ def edge_masks(H: Hypergraph) -> list[int]:
     return [sum(1 << pos[v] for v in e) for e in H.edges]
 
 
-def union_edge_elements(H: Hypergraph) -> list[tuple[int, ...]]:
-    """Edges equal to the union of the edges properly contained in
-    them; their lattice complements are exactly the non-meet-irreducible
-    edge elements."""
-    masks = edge_masks(H)
-    out = []
-    for e, m in zip(H.edges, masks):
+def union_masks(masks) -> set[int]:
+    """The masks equal to the union of the masks properly inside them.
+    In the lattice that the complements of `masks` generate, these are
+    the masks whose complements are not meet-irreducible."""
+    out = set()
+    for m in masks:
         union = 0
         for g in masks:
-            if g != m and g & m == g:
+            if g & m == g != m:
                 union |= g
         if union == m:
-            out.append(e)
+            out.add(m)
     return out
+
+
+def union_edge_elements(H: Hypergraph) -> list[tuple[int, ...]]:
+    """Edges equal to the union of the edges properly contained in
+    them, in edge order."""
+    masks = edge_masks(H)
+    flagged = union_masks(masks)
+    return [e for e, m in zip(H.edges, masks) if m in flagged]
 
 
 def unseparated_pair(H: Hypergraph) -> tuple[int, int] | None:

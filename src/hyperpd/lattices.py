@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .ideals import IdealError, Monomial, MonomialIdeal, is_json_int, parse_monomial_word
-from .hypergraphs import Hypergraph, edge_masks, is_separated
+from .hypergraphs import Hypergraph, edge_masks, is_separated, union_masks
 
 DEFAULT_ELEMENT_CAP = 1 << 18
 
@@ -59,7 +59,7 @@ def _size_order(masks) -> list[int]:
 
 def atom_columns(num_atoms: int, masks) -> list[int]:
     """Per atom i, an int whose bit j is set when masks[j] holds i; for
-    a lattice's masks these are the atoms' up-sets.
+    a lattice's edges these are the atoms' supports.
 
     Write each mask as n binary digits, last mask first; digit column k
     then spells the column of atom n - 1 - k in binary.
@@ -73,12 +73,13 @@ def atom_columns(num_atoms: int, masks) -> list[int]:
 class SetFamilyLattice:
     """An intersection-closed family of masks with bottom, top and atoms.
 
-    Closure is proven from the up-sets in |L|*n steps on |L|-bit ints,
-    so a family is refused first when it holds more than
-    `DEFAULT_ELEMENT_CAP` elements above the bottom. A lattice that
+    Closure is proven by generating the family from its
+    meet-irreducibles, so a family is refused first when it holds more
+    than `DEFAULT_ELEMENT_CAP` elements above the bottom. A lattice that
     `walk_lattice` built is closed by the walk's own proof and enters
     through `_walked`. `edges` are the edge masks whose complements
-    generate the family: the walk's, or the given elements' complements.
+    generate the family, and all order queries read: the walk's, or the
+    complements of the given family's meet-irreducibles.
     """
 
     __slots__ = ("num_atoms", "masks", "edges", "_members")
@@ -100,8 +101,7 @@ class SetFamilyLattice:
                 f"{DEFAULT_ELEMENT_CAP}-element cap"
             )
         self._fill(num_atoms, members)
-        self._check_up_sets()
-        self.edges = tuple(self.top & ~m for m in self.masks)
+        self.edges = self._generate()
 
     @classmethod
     def _walked(cls, num_atoms: int, members: set[int], edges) -> SetFamilyLattice:
@@ -122,39 +122,29 @@ class SetFamilyLattice:
             if (1 << i) not in members:
                 raise LatticeError(f"missing atom {i + 1}")
 
-    def _up_of(self, ups: list[int], m: int) -> int:
-        """The positions in `masks` of the elements holding the atom set
-        m, from the atoms' up-sets `ups`."""
-        up = (1 << len(self.masks)) - 1
-        for i, row in enumerate(ups):
-            if (m >> i) & 1:
-                up &= row
-        return up
+    def _generate(self) -> tuple[int, ...]:
+        """Prove the family intersection-closed by generating it, and
+        return the complements of its meet-irreducibles, in `masks` order.
 
-    def _check_up_sets(self):
-        """Intersection-closure from the up-sets, at any size.
-
-        Let up(S) be the elements containing the atom set S. For each
-        element a and atom i, the first element b above a + {i} must
-        have up(b) == up(a) & ups[i]. By induction on |S|, every S then
-        has an element c with up(c) == up(S), and for S = x & y that c
-        is x & y. Otherwise some y in up(a) & ups[i] misses part of b,
-        and b & y, above a + {i} but smaller than b, is not an element.
+        Elements are taken by falling size from the top. The meets of a
+        closed family with one more mask are closed again, so what is
+        generated stays closed, and an element not yet generated is not
+        the meet of those above it: it is meet-irreducible, and its meets
+        with everything generated so far must be given. In the end every
+        given element is generated, so the given family is closed.
         """
-        ups = atom_columns(self.num_atoms, self.masks)
-        # up(b) lies inside up, so sizes decide; keeping sizes keeps memory O(|L|)
-        up_size = [self._up_of(ups, m).bit_count() for m in self.masks]
-        for a in self.masks:
-            up_a = self._up_of(ups, a)
-            for row in ups:
-                up = up_a & row
-                b = (up & -up).bit_length() - 1
-                if up.bit_count() != up_size[b]:
-                    missed = up & ~self._up_of(ups, self.masks[b])
-                    y = self.masks[(missed & -missed).bit_length() - 1]
-                    raise LatticeError(
-                        f"not intersection-closed: {set_of(self.masks[b])} and {set_of(y)}"
-                    )
+        generated: dict[int, None] = {}
+        irreducible = []
+        for x in reversed(self.masks):
+            if x not in generated:
+                irreducible.append(x)
+                fresh = {x: None}
+                for g in generated:
+                    if x & g not in self._members:
+                        raise LatticeError(f"not intersection-closed: {set_of(x)} and {set_of(g)}")
+                    fresh[x & g] = None
+                generated.update(fresh)
+        return tuple(self.top & ~m for m in reversed(irreducible))
 
     @property
     def top(self) -> int:
@@ -173,12 +163,11 @@ class SetFamilyLattice:
 
     def meet_irreducibles(self) -> tuple[int, ...]:
         """Elements that are not intersections of strictly larger ones:
-        the top and every element with one upper cover."""
-        return tuple(
-            x
-            for x, covers in zip(self.masks, self.upper_covers())
-            if x == self.top or len(covers) == 1
-        )
+        the top and the complements of the edges that are not the union
+        of the edges inside them."""
+        unions = union_masks(self.edges)
+        irreducible = {self.top} | {self.top & ~e for e in self.edges if e not in unions}
+        return tuple(x for x in self.masks if x in irreducible)
 
     def check_remark22(self) -> bool:
         """Every proper element is the meet of the meet-irreducibles
@@ -198,21 +187,19 @@ class SetFamilyLattice:
     def upper_covers(self) -> list[list[int]]:
         """Each element's upper covers, both in `masks` order.
 
-        The join of x and an atom i not in x is the first element above
-        x + {i}, read from the atoms' up-sets. Every upper cover of x is
-        such a join, and the covers are the minimal joins. `masks` lists
-        each element after its subsets, so a join is minimal when no
-        cover before it lies in it.
+        An element is the meet of the complements of the edges that miss
+        it, so the edges that meet it name it. The join of x and an atom
+        i not in x is named by those of x and the edges through i, i's
+        support. Every upper cover of x is such a join, and the covers
+        are the minimal joins. `masks` lists each element after its
+        subsets, so a join is minimal when no cover before it lies in it.
         """
-        ups = atom_columns(self.num_atoms, self.masks)
+        supports = atom_columns(self.num_atoms, self.edges)
+        hits = [sum(1 << j for j, e in enumerate(self.edges) if e & x) for x in self.masks]
+        named = {hit: b for b, hit in enumerate(hits)}
         out = []
-        for x in self.masks:
-            up_x = self._up_of(ups, x)
-            joins = set()
-            for i, row in enumerate(ups):
-                if not (x >> i) & 1:
-                    up = up_x & row
-                    joins.add((up & -up).bit_length() - 1)
+        for x, hit in zip(self.masks, hits):
+            joins = {named[hit | s] for i, s in enumerate(supports) if not x >> i & 1}
             covers: list[int] = []
             for b in sorted(joins):
                 y = self.masks[b]
@@ -353,7 +340,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> SetFamilyLattice:
 
 
 def _separated_edge_masks(H: Hypergraph) -> list[int]:
-    if not H.vertices:
+    if not H.edges:
         raise LatticeError("empty hypergraph has no lattice")
     if not is_separated(H):
         raise LatticeError("hypergraph is not separated")

@@ -361,8 +361,8 @@ def test_char_is_proven_once_per_call(monkeypatch):
 
 def test_json_lattice_gives_the_walk_built_betti_table():
     """A lattice read back from its own JSON has the complements of its
-    elements as its edges, not the polarized edges; every Betti entry
-    agrees."""
+    meet-irreducibles as its edges, not the polarized edges; every Betti
+    entry agrees."""
     rng = random.Random(12)
     ideals = [_random_ideal(rng, 1) for _ in range(25)]
     coordinatized = [chain_coordinatized(rng, _random_ideal(rng, 1)) for _ in range(40)]
@@ -371,7 +371,7 @@ def test_json_lattice_gives_the_walk_built_betti_table():
     for I in ideals + coordinatized:
         L = lcm_lattice(I)
         given = lattice_from_json_dict(L.to_json_dict())
-        assert given.edges != L.edges
+        assert given.edges == tuple(L.top & ~m for m in L.meet_irreducibles())
         for char in (2, 3):
             want = betti_table_from_lattice(L, char).entries
             assert betti_table_from_lattice(given, char).entries == want, (I.to_text(), char)
@@ -536,12 +536,12 @@ def _staircase(rng, mu):
 
 def _edge_forms(I, L) -> tuple[list[int], tuple[int, ...]]:
     """The two sources of a lattice's edges: the polarized edges, which
-    the walk-built lattice keeps, and the complements of the elements
-    of the lattice read back from its own JSON."""
+    the walk-built lattice keeps, and the complements of the
+    meet-irreducibles of the lattice read back from its own JSON."""
     edges = polarized_edges(I)
     assert L.edges == tuple(edges)
     given = lattice_from_json_dict(L.to_json_dict())
-    assert given == L and given.edges == tuple(L.top & ~m for m in L.masks)
+    assert given == L and given.edges == tuple(L.top & ~m for m in L.meet_irreducibles())
     return edges, given.edges
 
 

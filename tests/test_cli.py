@@ -349,6 +349,23 @@ def test_check_names_a_witness_for_every_failed_gate():
     }
 
 
+def test_check_and_coordinatize_read_no_upper_covers(monkeypatch):
+    """Meet-irreducibles come from the union test on the edges, so
+    `check` and `coordinatize` never list covers."""
+    def refuse(L):
+        raise AssertionError("upper_covers called")
+
+    monkeypatch.setattr(cli.SetFamilyLattice, "upper_covers", refuse)
+    assert _main("check", "--in", ALL_GATES_FAIL)[0] == 0
+    # the dual hypergraph of the path x1x2, ..., x16x17, labeled by variable
+    path = ",".join(f"x{i}*x{i + 1}" for i in range(1, 17))
+    code, hypergraph = _main("hypergraph", "--in", path)
+    assert code == 0 and json.loads(hypergraph)["labels"]
+    assert _main("coordinatize", "--in", hypergraph)[0] == 0
+    code, lattice = _main("lattice", "--in", FIVE_GEN)
+    assert code == 0 and json.loads(_main("check", "--in", lattice)[1])["remark22"]
+
+
 def test_format_sniffing():
     as_json = json.dumps({"variables": ["a", "b", "c"], "generators": [[0, 1], [1, 2]]})
     sniffed = _run("pd", "--in", as_json)
@@ -557,8 +574,11 @@ def test_unclosed_lattice_json_above_2048_elements_exits_one(tmp_path):
     assert proc.returncode == 1
     assert json.loads(proc.stderr) == {
         "error": "LatticeError",
-        "message": "not intersection-closed: (1, 2, 3) and (1, 2, 4)",
+        "message": "not intersection-closed: (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11) and (1, 2, 12)",
     }
+    # the named pair is a real witness: both are elements, their meet is not
+    assert list(range(1, 12)) in elements and [1, 2, 12] in elements
+    assert [1, 2] not in elements
 
 
 def test_pd_refuses_a_hypergraph_that_no_ideal_has():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hyperpd import lattices
-from hyperpd.hypergraphs import Hypergraph, dual_hypergraph, union_edge_elements
+from hyperpd.hypergraphs import Hypergraph, dual_hypergraph, is_separated, union_edge_elements
 from hyperpd.ideals import Monomial, make_ideal, parse_ideal
 from hyperpd.lattices import (
     Labeling,
@@ -138,13 +138,13 @@ def chain_coordinatized(rng, ideal):
     return coordinatize(L, Labeling(ring, assignment))
 
 
-def test_large_walk_built_lattice_passes_the_up_sets_proof():
+def test_large_walk_built_lattice_passes_the_generation_proof():
     I = parse_ideal(",".join(f"x{i}*x{i + 1}" for i in range(14)))
     L = lcm_lattice(I)
     assert len(L) > 2048
     assert lattice_from_hypergraph(dual_hypergraph(I)) == L
     assert SetFamilyLattice(L.num_atoms, L.masks) == L
-    # the up-sets proof catches a dropped meet of two larger elements
+    # the generation proof catches a dropped meet of two larger elements
     irreducible = set(L.meet_irreducibles())
     dropped = next(m for m in L.masks if m.bit_count() > 1 and m not in irreducible)
     with pytest.raises(LatticeError, match="not intersection-closed"):
@@ -166,7 +166,7 @@ def test_both_constructions_match_the_definition():
             H = dual_hypergraph(I)
             walked += [lattice_from_hypergraph(H), hypergraph_coordinatization(H)[0]]
         for L in walked:
-            # the up-sets proof shares no code with the walk's own proof
+            # the generation proof shares no code with the walk's own proof
             assert SetFamilyLattice(L.num_atoms, L.masks) == L == literal, I.to_text()
 
 
@@ -183,23 +183,31 @@ def test_atoms_filter_covers():
     assert covers[L.top] == []
 
 
+def _irreducible_by_definition(L) -> list[int]:
+    """The top and the elements that are not the intersection of the
+    elements strictly above them, in `masks` order."""
+    out = []
+    for x in L.masks:
+        meet = L.top
+        for y in L.masks:
+            if y != x and y & x == x:
+                meet &= y
+        if x == L.top or meet != x:
+            out.append(x)
+    return out
+
+
 def test_upper_covers_and_meet_irreducibles_match_their_definitions():
     rng = random.Random(5)
     lattices_ = [lcm_lattice(_random_ideal(rng, 2)) for _ in range(60)]
     lattices_ += [_demo_lattice(), lcm_lattice(parse_ideal(FIVE_GEN))]
     for L in lattices_:
-        irreducible = []
         for x, covers in zip(L.masks, L.upper_covers()):
             above = [y for y in L.masks if y != x and y & x == x]
             assert covers == [
                 y for y in above if not any(z != y and z & y == z for z in above)
             ]
-            meet = L.top
-            for y in above:
-                meet &= y
-            if x == L.top or meet != x:
-                irreducible.append(x)
-        assert list(L.meet_irreducibles()) == irreducible
+        assert list(L.meet_irreducibles()) == _irreducible_by_definition(L)
 
 
 def test_meet_irreducibles_five_gen():
@@ -287,8 +295,13 @@ def test_lattice_json_over_the_cap_is_refused_before_the_closure_proof(monkeypat
     # the 12-atom power set: 4,095 elements above the bottom
     data = {"atoms": 12, "elements": [list(set_of(m)) for m in range(1 << 12)]}
     proofs = []
-    check = SetFamilyLattice._check_up_sets
-    monkeypatch.setattr(SetFamilyLattice, "_check_up_sets", lambda L: proofs.append(check(L)))
+    generate = SetFamilyLattice._generate
+
+    def recorded(L):
+        proofs.append(generate(L))
+        return proofs[-1]
+
+    monkeypatch.setattr(SetFamilyLattice, "_generate", recorded)
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 4094)
     with pytest.raises(LatticeError) as err:
         lattice_from_json_dict(data)
@@ -298,7 +311,8 @@ def test_lattice_json_over_the_cap_is_refused_before_the_closure_proof(monkeypat
     assert proofs == []
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 4095)
     assert len(lattice_from_json_dict(data)) == 4096
-    assert proofs == [None]
+    # the power set's meet-irreducibles are the coatoms and the top
+    assert proofs == [tuple(1 << i for i in range(11, -1, -1)) + (0,)]
 
 
 def test_lattice_from_hypergraph_needs_separated():
@@ -324,6 +338,46 @@ def test_union_edges_eleven_gen():
     highers = set(H.higher_edges())
     assert (1, 7, 10) in highers and (2, 3, 9) in highers
     assert (1, 7, 10) not in got and (2, 3, 9) not in got
+
+
+def _random_separated_hypergraph(rng) -> Hypergraph:
+    """A separated hypergraph on vertices 1..n with a higher edge and
+    edges of one to four vertices."""
+    while True:
+        n = rng.randint(3, 7)
+        edges = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
+                 for _ in range(rng.randint(n, 2 * n))]
+        H = Hypergraph(edges)
+        if H.mu == n and H.higher_edges() and is_separated(H):
+            return H
+
+
+def test_union_test_gives_the_meet_irreducibles():
+    """An edge's complement is meet-irreducible exactly when the edge
+    is not the union of the edges inside it, on separated hypergraphs
+    and on ideals with powers; a lattice read back from its JSON keeps
+    the meet-irreducibles' complements as its edges and has the walk's
+    covers."""
+    rng = random.Random(22)
+    hypergraphs = [_random_separated_hypergraph(rng) for _ in range(80)]
+    ideals = [_random_ideal(rng, 3) for _ in range(80)]
+    assert sum(bool(union_edge_elements(H)) for H in hypergraphs) >= 20
+    assert sum(not I.is_squarefree() for I in ideals) >= 40
+    cases = [(lattice_from_hypergraph(H), H) for H in hypergraphs]
+    cases += [(lcm_lattice(I), None) for I in ideals]
+    for L, H in cases:
+        irreducible = _irreducible_by_definition(L)
+        assert list(L.meet_irreducibles()) == irreducible
+        if H is not None:
+            elements = {L.top & ~mask_of(e) for e in H.edges}
+            unions = {L.top & ~mask_of(e) for e in union_edge_elements(H)}
+            assert unions == elements - set(irreducible), H
+        given = lattice_from_json_dict(L.to_json_dict())
+        assert given.edges == tuple(L.top & ~m for m in irreducible)
+        assert given.upper_covers() == L.upper_covers()
+    # a lone vertex in no edge would leave the bottom ungenerated
+    with pytest.raises(LatticeError, match="empty hypergraph"):
+        lattice_from_hypergraph(Hypergraph([], vertices=[1]))
 
 
 def test_coordinatize_demo_lattice():
@@ -446,7 +500,7 @@ def _pairwise_closed(family) -> bool:
     return all(a & b in members for a in members for b in members)
 
 
-def test_up_set_proof_agrees_with_the_pairwise_check():
+def test_generation_proof_agrees_with_the_pairwise_check():
     rng = random.Random(12)
     verdicts = set()
     for _ in range(300):
@@ -469,12 +523,19 @@ def test_up_set_proof_agrees_with_the_pairwise_check():
 
 
 def test_unclosed_lattice_json_is_rejected_above_2048_elements():
-    # every subset of 12 atoms but {1, 2}: {1,2,3} & {1,2,4} is missing
+    # every subset of 12 atoms but {1, 2}; the coatoms are generated
+    # first, and the first pair met with a missing meet is the coatom
+    # without 12 and {1, 2, 12}
     elements = [list(c) for k in range(13) for c in itertools.combinations(range(1, 13), k)
                 if c != (1, 2)]
     assert len(elements) == 4095
-    with pytest.raises(LatticeError, match=r"not intersection-closed: \(1, 2, 3\) and \(1, 2, 4\)"):
+    with pytest.raises(LatticeError) as err:
         lattice_from_json_dict({"atoms": 12, "elements": elements})
+    assert str(err.value) == (
+        "not intersection-closed: (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11) and (1, 2, 12)"
+    )
+    x, y = list(range(1, 12)), [1, 2, 12]
+    assert x in elements and y in elements and mask_of(x) & mask_of(y) == mask_of([1, 2])
     L = lattice_from_json_dict({"atoms": 12, "elements": elements + [[1, 2]]})
     assert len(L) == 4096
 
@@ -521,7 +582,7 @@ def _random_closed_family(rng, n: int) -> set[int]:
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 63, 64, 65, 80])
-def test_masks_are_sorted_by_size_then_atoms_and_up_sets_transpose_them(n):
+def test_masks_are_sorted_by_size_then_atoms_and_atom_columns_transpose_them(n):
     rng = random.Random(300 + n)
     for _ in range(20):
         family = _random_closed_family(rng, n)
@@ -531,7 +592,7 @@ def test_masks_are_sorted_by_size_then_atoms_and_up_sets_transpose_them(n):
             elements = [list(set_of(m)) for m in elements]
         L = SetFamilyLattice(n, elements)
         assert L.masks == tuple(sorted(family, key=lambda m: (m.bit_count(), set_of(m))))
-        ups = atom_columns(n, L.masks)
-        assert len(ups) == n
-        for i, up in enumerate(ups):
-            assert up == sum(1 << j for j, m in enumerate(L.masks) if (m >> i) & 1)
+        columns = atom_columns(n, L.masks)
+        assert len(columns) == n
+        for i, column in enumerate(columns):
+            assert column == sum(1 << j for j, m in enumerate(L.masks) if (m >> i) & 1)
