@@ -18,7 +18,11 @@ the 12-atom lattice JSON that lacks only {1, 2}, which is not
 intersection-closed. Last it asks `pd --verify` on the fixtures,
 the ideals and the 84-edge hypergraph, every subcommand once with
 `--output-format dot` on figure 4, and `hypergraph` on a JSON input
-whose label keys spell one edge three ways. Then it asks `pd`,
+whose label keys spell one edge three ways, and `hypergraph` and
+`reduce` as DOT on a JSON input whose labels hold a quote and a
+backslash. It asks `hypergraph` and `reduce` on every `random_ideals`
+text, where two variables often induce one edge and merge their
+names. Then it asks `pd`,
 `reduce` and `check` on the figure 4, five-generator and union-demo
 fixtures as hypergraph JSON with `vertex_labels` of any sign and
 size: v -> v - 3, and an increasing map into [-10^9, 10^9], drawn
@@ -133,6 +137,23 @@ LABEL_KEYS = json.dumps({
 })
 
 
+# labels that end a DOT string unless escaped; reduce keeps both edges
+DOT_ESCAPE = json.dumps({
+    "mu": 4,
+    "edges": [[1, 2], [2, 3], [1], [3], [1, 3, 4]],
+    "labels": {"[1,2]": ['a"b'], "[1,3,4]": ["c\\d"]},
+})
+
+
+def random_ideal_queries(seed: int):
+    """(workload name, query name, argv) for `hypergraph` and `reduce`
+    on each `random_ideals` text."""
+    for q in WORKLOADS["random_ideals"](seed):
+        text = q.argv[q.argv.index("--in") + 1]
+        for command in ("hypergraph", "reduce"):
+            yield "random-ideals", f"{q.name}-{command}", [command, "--in", text]
+
+
 def spread_ids(mu: int, rng: random.Random) -> list[int]:
     """An increasing injection of 1..mu into [-10^9, 10^9] that takes a
     negative id, 0 and 10^9."""
@@ -174,6 +195,11 @@ def main(argv: list[str]) -> int:
             queries += read_back_queries(seed)
             queries += verify_and_dot_queries(seed)
             queries.append(("hypergraph", "label-keys", ["hypergraph", "--in", LABEL_KEYS]))
+            queries += [
+                ("dot-escape", command, [command, "--in", DOT_ESCAPE, "--output-format", "dot"])
+                for command in ("hypergraph", "reduce")
+            ]
+            queries += random_ideal_queries(seed)
             queries += relabelled_queries(seed)
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":

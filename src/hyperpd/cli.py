@@ -36,7 +36,14 @@ from .lattices import (
     lcm_lattice,
 )
 from .pd import PdError, pd
-from .reduction import GATES, ReductionError, check_preconditions, full_reduce, remove_union_edges
+from .reduction import (
+    GATES,
+    ReductionError,
+    ReductionTrace,
+    check_preconditions,
+    full_reduce,
+    remove_union_edges,
+)
 
 DOMAIN_ERRORS = (
     IdealError,
@@ -195,14 +202,11 @@ def _cmd_lattice(args, kind: str, obj) -> str:
 
 def _cmd_reduce(args, kind: str, obj) -> str:
     H = _as_hypergraph(kind, obj)
+    trace = ReductionTrace()
     if args.strict:
-        H, pre_trace = remove_union_edges(H, strict=True)
-    else:
-        pre_trace = None
-    reduced, trace = full_reduce(H)
-    if pre_trace is not None:
-        pre_trace.extend(trace)
-        trace = pre_trace
+        H, trace = remove_union_edges(H, strict=True)
+    reduced, steps = full_reduce(H)
+    trace.extend(steps)
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(trace.to_jsonl())

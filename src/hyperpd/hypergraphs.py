@@ -34,7 +34,8 @@ class Hypergraph:
 
     Edges keep first-seen order (which is variable order for
     ideal-derived hypergraphs); equality compares vertex and edge sets
-    only, since edge labels are provenance metadata.
+    only, since edge labels are provenance metadata. `labels` holds
+    (edge, names) pairs, and the names of pairs on one edge merge here.
     """
 
     __slots__ = ("vertices", "edges", "labels", "_edge_set", "_pair_adjacency")
@@ -53,12 +54,11 @@ class Hypergraph:
             if not covered <= set(self.vertices):
                 raise HypergraphError("edge uses a vertex outside the vertex set")
         merged: dict[tuple[int, ...], set[str]] = {}
-        if labels:
-            for edge, names in labels.items():
-                t = _canon_edge(edge)
-                if t not in self._edge_set:
-                    raise HypergraphError(f"label attached to missing edge {list(t)}")
-                merged.setdefault(t, set()).update(names)
+        for edge, names in labels or ():
+            t = _canon_edge(edge)
+            if t not in self._edge_set:
+                raise HypergraphError(f"label attached to missing edge {list(t)}")
+            merged.setdefault(t, set()).update(names)
         self.labels = {e: tuple(sorted(ns)) for e, ns in merged.items() if ns}
 
     @property
@@ -117,9 +117,10 @@ class Hypergraph:
         """Delete the given edges, canonical tuples, in one surgery;
         tuples that are not edges are ignored."""
         gone = set(edges)
-        labels = {e: ns for e, ns in self.labels.items() if e not in gone}
         return Hypergraph(
-            (e for e in self.edges if e not in gone), vertices=self.vertices, labels=labels
+            (e for e in self.edges if e not in gone),
+            vertices=self.vertices,
+            labels=((e, ns) for e, ns in self.labels.items() if e not in gone),
         )
 
     def remove_vertex(self, v: int) -> "Hypergraph":
@@ -138,20 +139,14 @@ class Hypergraph:
         order.
         """
         gone = set(vertices)
-        new_edges = []
-        labels: dict[tuple[int, ...], set[str]] = {}
-        for e in self.edges:
-            t = tuple(u for u in e if u not in gone)
-            if not t:
-                continue
-            if t not in labels:
-                new_edges.append(t)
-                labels[t] = set()
-            labels[t].update(self.labels.get(e, ()))
+
+        def shrink(e):
+            return tuple(u for u in e if u not in gone)
+
         return Hypergraph(
-            new_edges,
+            filter(None, map(shrink, self.edges)),
             vertices=(u for u in self.vertices if u not in gone),
-            labels={e: ns for e, ns in labels.items() if ns},
+            labels=((t, ns) for e, ns in self.labels.items() if (t := shrink(e))),
         )
 
     def components(self) -> list["Hypergraph"]:
@@ -182,7 +177,7 @@ class Hypergraph:
             edges[find(e[0])].append(e)
         out = []
         for root, verts in groups.items():
-            labels = {e: self.labels[e] for e in edges[root] if e in self.labels}
+            labels = [(e, self.labels[e]) for e in edges[root] if e in self.labels]
             out.append(Hypergraph(edges[root], vertices=verts, labels=labels))
         return out
 
@@ -209,17 +204,20 @@ class Hypergraph:
         for e in self.edges:
             if len(e) == 2:
                 names = ",".join(self.label_of(e))
-                attr = f' [label="{names}"]' if names else ""
+                attr = f" [label={_dot_string(names)}]" if names else ""
                 lines.append(f"  {e[0]} -- {e[1]}{attr};")
         for idx, e in enumerate(self.higher_edges()):
             names = ",".join(self.label_of(e)) or ",".join(str(v) for v in e)
-            lines.append(
-                f'  he{idx} [shape=box, style=dashed, label="{names}"];'
-            )
+            lines.append(f"  he{idx} [shape=box, style=dashed, label={_dot_string(names)}];")
             for v in e:
                 lines.append(f"  he{idx} -- {v} [style=dotted];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_string(text: str) -> str:
+    """text as a quoted DOT string, with backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _edge_key(edge) -> str:
@@ -263,23 +261,20 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
     raw_labels = data.get("labels") or {}
     if not isinstance(raw_labels, dict):
         raise HypergraphError("hypergraph JSON labels must map edge keys to names")
-    # keys spelled apart ("[1,2]", "[1, 2]", "[2,1]") may name one edge:
-    # equal vertex lists gather their names here, and Hypergraph merges
-    # the rest
-    labels: dict[tuple[int, ...], list[str]] = {}
-    for key, names in raw_labels.items():
+
+    def label(key, names) -> tuple[list[int], list[str]]:
         try:
             raw = json.loads(key)
         except json.JSONDecodeError:
             raise HypergraphError(f"bad edge key {key!r}")
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise HypergraphError(f"labels of edge {key} must be a list of names")
-        labels.setdefault(tuple(renamed(raw)), []).extend(names)
-    return Hypergraph(
-        [renamed(e) for e in edges],
-        vertices=vertices,
-        labels=labels,
-    )
+        return renamed(raw), names
+
+    # keys spelled apart ("[1,2]", "[1, 2]", "[2,1]") may name one edge,
+    # and Hypergraph merges their names
+    labels = [label(key, names) for key, names in raw_labels.items()]
+    return Hypergraph([renamed(e) for e in edges], vertices=vertices, labels=labels)
 
 
 def dual_hypergraph(ideal: MonomialIdeal) -> Hypergraph:
@@ -295,16 +290,11 @@ def dual_hypergraph(ideal: MonomialIdeal) -> Hypergraph:
     for j, m in enumerate(ideal.generators, start=1):
         for i in m.support:
             divided[i].append(j)
-    edges = []
-    labels: dict[tuple[int, ...], set[str]] = {}
-    for name, members in zip(ideal.ring, map(tuple, divided)):
-        if not members:
-            continue
-        if members not in labels:
-            edges.append(members)
-            labels[members] = set()
-        labels[members].add(name)
-    return Hypergraph(edges, vertices=range(1, ideal.mu + 1), labels=labels)
+    return Hypergraph(
+        filter(None, divided),
+        vertices=range(1, ideal.mu + 1),
+        labels=((members, (name,)) for name, members in zip(ideal.ring, divided) if members),
+    )
 
 
 def ideal_from_hypergraph(H: Hypergraph) -> MonomialIdeal:
@@ -387,28 +377,32 @@ class ShapeReport:
         return [len(p) for paths in self.branch_data.values() for p in paths]
 
 
-def _branches_from(H: Hypergraph, w: int, deg) -> list[tuple[int, ...]]:
-    """Maximal degree-<=2 paths hanging off w that end at a leaf.
+def _branches_from(H: Hypergraph, w: int):
+    """Maximal pair-degree-<=2 paths hanging off w that end at a leaf,
+    yielded in the order of w's pair neighbors.
 
-    Paths that run into another joint (connectors) or back to w are
-    not branches and are skipped.
+    Paths that run into another vertex of pair degree 3 or more
+    (connectors) or back to w are not branches and are skipped.
     """
-    out = []
     for u in H.pair_neighbors(w):
-        if deg[u] >= 3:
+        if H.pair_degree(u) >= 3:
             continue
         path = [u]
         prev, cur = w, u
-        while deg[cur] == 2:
+        while H.pair_degree(cur) == 2:
             nxt = next(n for n in H.pair_neighbors(cur) if n != prev)
-            if deg[nxt] >= 3 or nxt == w:
-                path = None
+            if nxt == w or H.pair_degree(nxt) >= 3:
                 break
             path.append(nxt)
             prev, cur = cur, nxt
-        if path is not None:
-            out.append(tuple(path))
-    return out
+        else:  # the walk ended at a leaf
+            yield tuple(path)
+
+
+def is_joint(H: Hypergraph, v: int) -> bool:
+    """v has pair degree 3 or more and a branch of length 2: the vertex
+    that the joint-removal pass removes."""
+    return H.pair_degree(v) >= 3 and any(len(p) == 2 for p in _branches_from(H, v))
 
 
 def classify_shape(H: Hypergraph) -> ShapeReport:
@@ -416,7 +410,7 @@ def classify_shape(H: Hypergraph) -> ShapeReport:
 
     string and cycle look at the whole edge family; two_star and bush
     are 1-skeleton conditions (higher edges allowed), with bush
-    vacuously true when there is no joint at all.
+    vacuously true when no vertex has pair degree 3 or more.
     """
     if len(H.components()) != 1:
         raise HypergraphError("classify_shape needs a connected hypergraph")
@@ -424,7 +418,7 @@ def classify_shape(H: Hypergraph) -> ShapeReport:
     pairs = [e for e in H.edges if len(e) == 2]
     higher = H.higher_edges()
     joints = tuple(v for v in H.vertices if deg[v] >= 3)
-    branch_data = {w: _branches_from(H, w, deg) for w in joints}
+    branch_data = {w: list(_branches_from(H, w)) for w in joints}
     report = ShapeReport("other", branch_data)
     mu = H.mu
     if not higher and not joints:

@@ -106,15 +106,11 @@ class MonomialIdeal:
             if m.ring != self.ring:
                 raise IdealError("generator in wrong ring")
         # every generator is in this ring, so exponents compare directly
-        exps = [m.exps for m in self.generators]
-        masks = [_support_mask(a) for a in exps]
-        for i, (a, ma) in enumerate(zip(exps, masks)):
-            for j, (b, mb) in enumerate(zip(exps, masks)):
-                if not ma & ~mb and i != j and all(map(le, a, b)):
-                    raise IdealError(
-                        "non-minimal generating set: "
-                        f"{self.generators[i]} divides {self.generators[j]}"
-                    )
+        for i, j in _dividing_pairs([m.exps for m in self.generators]):
+            raise IdealError(
+                "non-minimal generating set: "
+                f"{self.generators[i]} divides {self.generators[j]}"
+            )
 
     @property
     def mu(self) -> int:
@@ -153,24 +149,21 @@ def minimalize(monomials) -> list[Monomial]:
         _check_ring(m, monomials[0])
     # every monomial is in one ring, so exponents compare directly
     exps = [m.exps for m in monomials]
-    masks = [_support_mask(a) for a in exps]
-    return [
-        monomials[i]
-        for i, (a, ma) in enumerate(zip(exps, masks))
-        # a goes when another b divides it, unless b equals a and comes
-        # later: the first of equal duplicates stays
-        if not any(
-            all(map(le, exps[j], a)) and (exps[j] != a or j < i)
-            for j, mb in enumerate(masks)
-            if not mb & ~ma and j != i
-        )
-    ]
+    # j goes when another i divides it, unless i's vector equals j's and
+    # comes later: the first of equal duplicates stays
+    gone = {j for i, j in _dividing_pairs(exps) if i < j or exps[i] != exps[j]}
+    return [m for j, m in enumerate(monomials) if j not in gone]
 
 
-def _support_mask(exps) -> int:
-    """The variables with a nonzero exponent, as a bitmask. A monomial
-    divides another only if its mask is a subset of the other's."""
-    return sum(1 << i for i, e in enumerate(exps) if e)
+def _dividing_pairs(exps):
+    """Every (i, j), i != j, with vector i dividing vector j, ordered by
+    i then j. A divisor's support lies in the other's, which bitmasks
+    test first."""
+    masks = [sum(1 << k for k, e in enumerate(a) if e) for a in exps]
+    for i, (a, ma) in enumerate(zip(exps, masks)):
+        for j, (b, mb) in enumerate(zip(exps, masks)):
+            if not ma & ~mb and i != j and all(map(le, a, b)):
+                yield i, j
 
 
 def make_ideal(ring, monomials) -> MonomialIdeal:

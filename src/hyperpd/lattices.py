@@ -215,15 +215,13 @@ class SetFamilyLattice:
         }
 
     def to_dot(self) -> str:
-        def name(m):
-            return '"' + ("0" if m == 0 else ",".join(map(str, set_of(m)))) + '"'
-
+        name = {m: '"' + (",".join(map(str, set_of(m))) or "0") + '"' for m in self.masks}
         lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=none];"]
         for m in self.masks:
-            lines.append(f"  {name(m)};")
+            lines.append(f"  {name[m]};")
         for m, covers in zip(self.masks, self.upper_covers()):
             for c in covers:
-                lines.append(f"  {name(m)} -> {name(c)};")
+                lines.append(f"  {name[m]} -> {name[c]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .hypergraphs import Hypergraph, classify_shape, union_edge_elements
+from .hypergraphs import Hypergraph, classify_shape, is_joint, union_edge_elements
 
 RULE_UNION = "union_edge_removed"
 RULE_CLOSED = "closed_edge_removed"
@@ -205,20 +205,6 @@ def _remove_edges(H: Hypergraph, rule: str, edges: list) -> tuple[Hypergraph, Re
     return (H.remove_edges(edges) if edges else H), trace
 
 
-def _is_joint(H: Hypergraph, i: int) -> bool:
-    """Pair-degree >= 3 with a degree-2 neighbor whose other neighbor
-    is a leaf (a branch of length 2)."""
-    if H.pair_degree(i) < 3:
-        return False
-    for j in H.pair_neighbors(i):
-        if H.pair_degree(j) != 2:
-            continue
-        k = next(n for n in H.pair_neighbors(j) if n != i)
-        if H.pair_degree(k) == 1:
-            return True
-    return False
-
-
 def _edge_passes(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
     """One union-edge pass, then one closed-edge pass: a fixpoint of both.
 
@@ -244,24 +230,23 @@ def _joint_still_qualifies(H: Hypergraph, i: int) -> bool:
     are about the hypergraph those pd-preserving passes would leave.
     """
     comp = next(c for c in _edge_passes(H)[0].components() if i in c.vertices)
-    return check_preconditions(comp).all_ok and _is_joint(comp, i)
+    return check_preconditions(comp).all_ok and is_joint(comp, i)
 
 
 def remove_joints(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
-    """Remove joints having a branch of length 2, ascending, until none
-    qualify. The gates are checked on entry, where a failure returns H
-    with no steps, and again before each removal on the joint's
-    component as the edge passes would leave it. A joint needs pair
-    degree 3, so without such a vertex H comes back with no steps and
-    no gate is judged."""
+    """Remove joints (`is_joint`), ascending, until none qualify. The
+    gates are judged on entry, where a failure returns H with no steps,
+    and again before each removal on the joint's component as the edge
+    passes would leave it. Without a joint H comes back with no steps
+    and no gate is judged: the first sweep would remove nothing."""
     trace = ReductionTrace()
-    if all(H.pair_degree(v) < 3 for v in H.vertices) or not check_preconditions(H).all_ok:
+    if not any(is_joint(H, v) for v in H.vertices) or not check_preconditions(H).all_ok:
         return H, trace
     out = H
     while True:
         removed = False
         for i in out.vertices:  # the sweep's starting vertices; out is rebound below
-            if _is_joint(out, i) and _joint_still_qualifies(out, i):
+            if is_joint(out, i) and _joint_still_qualifies(out, i):
                 out = out.remove_vertex(i)
                 trace.record(RULE_JOINT, i)
                 removed = True

@@ -555,6 +555,18 @@ def test_label_keys_naming_one_edge_merge_their_names(spelling):
     assert json.loads(out)["labels"] == {"[1,2]": ["a", "b"], "[2,3]": ["c"]}
 
 
+@pytest.mark.parametrize("command", ["hypergraph", "reduce"])
+def test_dot_escapes_quotes_and_backslashes_in_labels(command):
+    # a label with a quote or a backslash must not end the DOT string;
+    # reduce keeps both edges: 2 is not closed and {1, 3, 4} is no union
+    data = {"mu": 4, "edges": [[1, 2], [2, 3], [1], [3], [1, 3, 4]],
+            "labels": {"[1,2]": ['a"b'], "[1,3,4]": ["c\\d"]}}
+    proc = _run(command, "--in", json.dumps(data), "--output-format", "dot")
+    assert proc.returncode == 0
+    assert '  1 -- 2 [label="a\\"b"];' in proc.stdout.splitlines()
+    assert '  he0 [shape=box, style=dashed, label="c\\\\d"];' in proc.stdout.splitlines()
+
+
 def test_duplicate_vertex_labels_exit_one():
     # a repeated label would leave label 8 in no edge, to be priced as pd 1
     proc = _run("pd", "--in", '{"mu":2,"edges":[[1,2]],"vertex_labels":[7,7,8]}')

@@ -12,6 +12,7 @@ from hyperpd.hypergraphs import (
     dual_hypergraph,
     hypergraph_from_json_dict,
     ideal_from_hypergraph,
+    is_joint,
     is_separated,
     union_edge_elements,
     unseparated_pair,
@@ -193,7 +194,7 @@ def test_set_surgeries_match_one_at_a_time():
         edges = [rng.sample(range(1, n + 1), rng.randint(1, min(4, n))) for _ in range(n + 3)]
         names = iter("abcdefghijklmnopqrstuvwxyz")
         H = Hypergraph(edges, vertices=range(1, n + 1),
-                       labels={tuple(sorted(e)): {next(names)} for e in edges[: n]})
+                       labels=[(e, {next(names)}) for e in edges[: n]])
         gone = rng.sample(H.vertices, rng.randint(0, n))
         step = H
         for v in gone:
@@ -207,7 +208,7 @@ def test_set_surgeries_match_one_at_a_time():
 
 
 def test_equality_ignores_labels():
-    A = Hypergraph([(1, 2)], labels={(1, 2): {"x"}})
+    A = Hypergraph([(1, 2)], labels=[((1, 2), {"x"})])
     B = Hypergraph([(1, 2)])
     assert A == B
     assert hash(A) == hash(B)
@@ -223,7 +224,7 @@ def test_components_split_and_cover_isolated():
 def test_components_keep_vertex_and_edge_order():
     edges = [(7, 8), (5, 6), (2, 7), (1, 3), (6,), (3, 4)]
     labels = {(7, 8): ("b",), (6,): ("c",), (1, 3): ("a",)}
-    H = Hypergraph(edges, vertices=range(1, 10), labels=labels)
+    H = Hypergraph(edges, vertices=range(1, 10), labels=labels.items())
     comps = H.components()
     assert [c.vertices for c in comps] == [(1, 3, 4), (2, 7, 8), (5, 6), (9,)]
     assert [c.edges for c in comps] == [((1, 3), (3, 4)), ((7, 8), (2, 7)), ((5, 6), (6,)), ()]
@@ -231,7 +232,7 @@ def test_components_keep_vertex_and_edge_order():
 
 
 def test_connected_hypergraph_is_its_own_component():
-    H = Hypergraph([(1, 2), (2, 3, 4), (4,)], labels={(1, 2): ("a",)})
+    H = Hypergraph([(1, 2), (2, 3, 4), (4,)], labels=[((1, 2), ("a",))])
     assert len(H.components()) == 1
     assert H.components()[0] is H
 
@@ -319,6 +320,58 @@ def test_branch_data_lists_paths():
     report = classify_shape(H)
     assert report.branch_data[1] == [(2, 3), (4,), (5,)]
     assert sorted(report.branch_lengths()) == [1, 1, 2]
+
+
+def _two_step_joint(H, i):
+    """The reference definition: pair degree >= 3 and a neighbor of pair
+    degree 2 whose other neighbor is a leaf."""
+    if H.pair_degree(i) < 3:
+        return False
+    for j in H.pair_neighbors(i):
+        if H.pair_degree(j) != 2:
+            continue
+        k = next(n for n in H.pair_neighbors(j) if n != i)
+        if H.pair_degree(k) == 1:
+            return True
+    return False
+
+
+def _random_skeleton(rng):
+    """Hubs carrying paths of length 1 to 3, connectors between hubs,
+    a cycle, singletons and higher edges, each drawn or not."""
+    edges, fresh = [], iter(range(1, 100))
+    hubs = [next(fresh) for _ in range(rng.randint(1, 3))]
+    for hub in hubs:
+        for _ in range(rng.randint(0, 4)):
+            prev = hub
+            for _ in range(rng.randint(1, 3)):
+                edges.append((prev, prev := next(fresh)))
+    for a, b in zip(hubs, hubs[1:]):
+        if rng.random() < 0.6:  # a connector of 1 to 3 pair edges
+            prev = a
+            for _ in range(rng.randint(0, 2)):
+                edges.append((prev, prev := next(fresh)))
+            edges.append((prev, b))
+    if rng.random() < 0.4:  # a cycle through the first hub
+        cycle = [hubs[0]] + [next(fresh) for _ in range(rng.randint(2, 4))]
+        edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    vertices = sorted({v for e in edges for v in e} | set(hubs))
+    edges += [(v,) for v in vertices if rng.random() < 0.3]
+    for _ in range(rng.randint(0, 2)):
+        edges.append(tuple(rng.sample(vertices, min(len(vertices), rng.randint(3, 4)))))
+    return Hypergraph(edges, vertices=vertices)
+
+
+def test_joint_predicate_matches_the_two_step_definition():
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        H = _random_skeleton(rng)
+        for v in H.vertices:
+            assert is_joint(H, v) == _two_step_joint(H, v), (H, v)
+            if H.pair_degree(v) >= 3:
+                verdicts[is_joint(H, v)] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 def test_json_round_trip_keeps_labels():

@@ -311,6 +311,24 @@ def test_no_gate_is_judged_without_a_vertex_of_pair_degree_3(monkeypatch):
         full_reduce(H)  # edge passes never raise a pair degree
 
 
+def test_no_gate_is_judged_without_a_joint(monkeypatch):
+    # vertex 1 has pair degree 3 in each, but no branch of length 2, so
+    # the first sweep would remove nothing: no gate is judged
+    def refused(G):
+        raise AssertionError(f"gates judged on {G!r}")
+
+    inputs = [
+        Hypergraph([(1, 2), (1, 3), (1, 4), (2,), (3,), (4,)]),  # three leaves
+        Hypergraph([(1, 2), (2, 3), (3, 4), (1, 5), (1, 6)]),  # a branch of length 3
+        Hypergraph([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),  # K4: no branch
+        Hypergraph([(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 6), (6, 4)]),  # cycles
+    ]
+    monkeypatch.setattr(reduction, "check_preconditions", refused)
+    for H in inputs:
+        out, trace = remove_joints(H)
+        assert out is H and trace.steps == []
+
+
 def _random_separated(rng):
     """A separated hypergraph on 3-8 vertices with singletons, pairs and
     a few 3- or 4-vertex edges."""
