@@ -22,14 +22,19 @@ whose label keys spell one edge three ways, and `hypergraph` and
 `reduce` as DOT on a JSON input whose labels hold a quote and a
 backslash. It asks `hypergraph` and `reduce` on every `random_ideals`
 text, where two variables often induce one edge and merge their
-names. Then it asks `pd`,
-`reduce` and `check` on the figure 4, five-generator and union-demo
-fixtures as hypergraph JSON with `vertex_labels` of any sign and
-size: v -> v - 3, and an increasing map into [-10^9, 10^9], drawn
-from the seed, that takes a negative id, 0 and 10^9. It prints one
-sha256 per query, over the exit code, stdout, stderr and trace, and
-then the sha256 of those lines with the query count. Run it on two
-checkouts and compare the last lines.
+names. Then it asks `pd`, `reduce` and `check` on the figure 4,
+five-generator and union-demo fixtures as hypergraph JSON with
+`vertex_labels` of any sign and size: v -> v - 3, and an increasing
+map into [-10^9, 10^9], drawn from the seed, that takes a negative
+id, 0 and 10^9. Finally it asks `pd` on malformed JSON after two
+blank lines, sniffed and with `--input-format hypergraph-json`;
+`check` (JSON and text) and `hypergraph --output-format text` on a
+hypergraph of two 2-stars and an isolated closed vertex; and
+`hypergraph` and `lattice` on JSON whose `labels` is each of `[]`,
+`null`, `false`, `0` and `""`. It prints one sha256 per query, over
+the exit code, stdout, stderr and trace, and then the sha256 of those
+lines with the query count. Run it on two checkouts and compare the
+last lines.
 """
 
 from __future__ import annotations
@@ -177,6 +182,34 @@ def relabelled_queries(seed: int):
                 yield "relabelled", f"{name}-{how}-{command}", [command, "--in", source]
 
 
+# a syntax error on line 3, after two blank lines
+MALFORMED = '\n\n  {"mu": 2, "edges": [[1,2],]}'
+
+# two 2-stars and an isolated closed vertex
+THREE_COMPONENTS = json.dumps({
+    "mu": 9,
+    "edges": [[1, 2], [1, 3], [1, 4], [2], [3], [4],
+              [5, 6], [5, 7], [5, 8], [6], [7], [8], [9]],
+})
+
+
+def edge_case_queries():
+    """(workload name, query name, argv) for the malformed JSON, the
+    three-component hypergraph and the falsy `labels` values."""
+    yield "malformed", "sniffed", ["pd", "--in", MALFORMED]
+    yield "malformed", "forced", ["pd", "--in", MALFORMED, "--input-format", "hypergraph-json"]
+    yield "three-components", "check", ["check", "--in", THREE_COMPONENTS]
+    yield "three-components", "check-text", ["check", "--in", THREE_COMPONENTS,
+                                             "--output-format", "text"]
+    yield "three-components", "hypergraph-text", ["hypergraph", "--in", THREE_COMPONENTS,
+                                                  "--output-format", "text"]
+    for labels in ([], None, False, 0, ""):
+        for command, data in (("hypergraph", {"mu": 2, "edges": [[1, 2]]}),
+                              ("lattice", {"atoms": 1, "elements": [[], [1]]})):
+            source = json.dumps({**data, "labels": labels})
+            yield "falsy-labels", f"{command}-{json.dumps(labels)}", [command, "--in", source]
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or [3, 29]
     os.chdir(ROOT)
@@ -201,6 +234,7 @@ def main(argv: list[str]) -> int:
             ]
             queries += random_ideal_queries(seed)
             queries += relabelled_queries(seed)
+            queries += edge_case_queries()
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":
                     argv_q += ["--trace", trace_path]

@@ -72,11 +72,7 @@ def _read_input(value: str) -> str:
     return value
 
 
-def _sniff_format(text: str) -> str:
-    stripped = text.lstrip()
-    if not stripped.startswith("{"):
-        return "ideal-text"
-    data = json.loads(stripped)
+def _sniff_format(data: dict) -> str:
     if "generators" in data:
         return "ideal-json"
     if "edges" in data:
@@ -88,10 +84,10 @@ def _sniff_format(text: str) -> str:
 
 def _load(text: str, fmt: str | None):
     """Returns (kind, object) with kind in ideal/hypergraph/lattice."""
-    fmt = fmt or _sniff_format(text)
-    if fmt == "ideal-text":
+    if fmt == "ideal-text" or (fmt is None and not text.lstrip().startswith("{")):
         return "ideal", parse_ideal(text)
-    data = json.loads(text)
+    data = json.loads(text)  # the one decode, so errors name positions in the text as given
+    fmt = fmt or _sniff_format(data)
     if fmt == "ideal-json":
         return "ideal", ideal_from_json_dict(data)
     if fmt == "hypergraph-json":
@@ -154,7 +150,7 @@ def _cmd_pd(args, kind: str, obj) -> str:
     H = _as_hypergraph(kind, obj)
     char = _field_char(args)
     result = pd(H, field_char=char)
-    if args.trace and result.trace is not None:
+    if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(result.trace.to_jsonl())
     data = result.to_json_dict()
@@ -179,14 +175,13 @@ def _cmd_hypergraph(args, kind: str, obj) -> str:
     if args.output_format == "dot":
         return H.to_dot()
     if args.output_format == "text":
-        shape = classify_shape(H) if len(H.components()) == 1 else None
         lines = [
             f"vertices: {H.mu}",
             f"edges: {' '.join(json.dumps(list(e)) for e in H.edges)}",
             f"separated: {is_separated(H)}",
         ]
-        if shape is not None:
-            lines.append(f"shape: {shape.kind}")
+        if len(H.components()) == 1:
+            lines.append(f"shape: {classify_shape(H).kind}")
         return "\n".join(lines)
     return _json_text(H.to_json_dict())
 
@@ -267,10 +262,6 @@ def _cmd_check(args, kind: str, obj) -> str:
         return _json_text(data)
     H = _as_hypergraph(kind, obj)
     pre = check_preconditions(H)
-    components = [
-        {"vertices": [int(v) for v in comp.vertices], "kind": classify_shape(comp).kind}
-        for comp in H.components()
-    ]
     try:
         remark22 = lattice_from_hypergraph(H).check_remark22()
         remark22_note = None
@@ -282,7 +273,7 @@ def _cmd_check(args, kind: str, obj) -> str:
         "ready": pre.all_ok,
         "separated": is_separated(H),
         "remark22": remark22,
-        "components": components,
+        "components": [{"vertices": list(vs), "kind": kind} for vs, kind in pre.components],
     }
     if remark22_note is not None:
         data["remark22_note"] = remark22_note

@@ -258,7 +258,7 @@ def hypergraph_from_json_dict(data: dict) -> Hypergraph:
             raise HypergraphError(f"edge {edge!r} is not a list of vertices 1..{mu}")
         return [rename[v] for v in edge]
 
-    raw_labels = data.get("labels") or {}
+    raw_labels = data.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise HypergraphError("hypergraph JSON labels must map edge keys to names")
 
@@ -406,14 +406,13 @@ def is_joint(H: Hypergraph, v: int) -> bool:
 
 
 def classify_shape(H: Hypergraph) -> ShapeReport:
-    """Shape of a connected hypergraph, by the strictest matching kind.
+    """Shape of a connected H, by the strictest matching kind; callers
+    pass a component, since nothing here splits H.
 
     string and cycle look at the whole edge family; two_star and bush
     are 1-skeleton conditions (higher edges allowed), with bush
     vacuously true when no vertex has pair degree 3 or more.
     """
-    if len(H.components()) != 1:
-        raise HypergraphError("classify_shape needs a connected hypergraph")
     deg = {v: H.pair_degree(v) for v in H.vertices}
     pairs = [e for e in H.edges if len(e) == 2]
     higher = H.higher_edges()

@@ -420,8 +420,7 @@ def hypergraph_coordinatization(
     """The lattice of H, labeled by the product of each edge's
     variables on the edge's complement, and the ideal the atom formula
     gives: the ideal the hypergraph came from."""
-    edges = _separated_edge_masks(H)
-    L = _lattice_of_edges(H.mu, edges, "lattice")
+    L = lattice_from_hypergraph(H)
     ring: list[str] = []
     for e in H.edges:
         names = H.label_of(e)
@@ -432,7 +431,7 @@ def hypergraph_coordinatization(
                 ring.append(name)
     ring_t = tuple(ring)
     assignment: dict[int, Monomial] = {}
-    for e, m in zip(H.edges, edges):
+    for e, m in zip(H.edges, L.edges):  # a walked lattice keeps H's edge masks
         exps = [0] * len(ring_t)
         for name in H.label_of(e):
             exps[ring.index(name)] += 1
@@ -452,7 +451,7 @@ def labeling_to_json_dict(L: SetFamilyLattice, lab: Labeling) -> dict:
 
 def labeling_from_json_dict(data: dict) -> tuple[SetFamilyLattice, Labeling]:
     L = lattice_from_json_dict(data)
-    raw = data.get("labels") or {}
+    raw = data.get("labels", {})
     if not isinstance(raw, dict):
         raise LatticeError("lattice JSON labels must map element keys to monomials")
     keyed = []

@@ -125,9 +125,11 @@ GATES = ("bush", "higher_edges_same_joint", "no_connected_closed")
 
 @dataclass
 class Preconditions:
-    """Each failed gate of GATES mapped to its first witness."""
+    """Each failed gate of GATES mapped to its first witness, and each
+    component's (vertices, kind) as `classify_shape` judged it."""
 
     witnesses: dict[str, str]
+    components: list[tuple[tuple[int, ...], str]]
 
     @property
     def all_ok(self) -> bool:
@@ -147,8 +149,10 @@ def check_preconditions(H: Hypergraph) -> Preconditions:
     must pass.
     """
     witnesses: dict[str, str] = {}
+    components = []
     for comp in H.components():
         shape = classify_shape(comp)
+        components.append((comp.vertices, shape.kind))
         if shape.kind not in ("string", "two_star", "bush"):
             witnesses.setdefault(
                 "bush",
@@ -173,7 +177,7 @@ def check_preconditions(H: Hypergraph) -> Preconditions:
                     "no_connected_closed",
                     f"pair edge {list(e)} joins two closed vertices",
                 )
-    return Preconditions(witnesses)
+    return Preconditions(witnesses, components)
 
 
 def remove_union_edges(H: Hypergraph, strict: bool = False) -> tuple[Hypergraph, ReductionTrace]:

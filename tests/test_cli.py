@@ -12,9 +12,9 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperpd import cli
+from hyperpd import cli, hypergraphs, reduction
 from hyperpd.cli import build_parser, main
-from hyperpd.hypergraphs import Hypergraph, dual_hypergraph
+from hyperpd.hypergraphs import Hypergraph, classify_shape, dual_hypergraph
 from hyperpd.ideals import ideal_from_json_dict
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
@@ -349,6 +349,39 @@ def test_check_names_a_witness_for_every_failed_gate():
     }
 
 
+# two 2-stars and an isolated closed vertex
+THREE_COMPONENTS = json.dumps(Hypergraph([
+    (1, 2), (1, 3), (1, 4), (2,), (3,), (4,),
+    (11, 12), (11, 13), (11, 14), (12,), (13,), (14,),
+    (21,),
+]).to_json_dict())
+
+
+def test_check_splits_once_and_classifies_each_component_once(monkeypatch):
+    calls = {"components": 0, "classify_shape": 0}
+    split = Hypergraph.components
+
+    def counted_split(H):
+        calls["components"] += 1
+        return split(H)
+
+    def counted_classify(H):
+        calls["classify_shape"] += 1
+        return classify_shape(H)
+
+    monkeypatch.setattr(Hypergraph, "components", counted_split)
+    for module in (cli, reduction, hypergraphs):
+        monkeypatch.setattr(module, "classify_shape", counted_classify)
+    code, out = _main("check", "--in", THREE_COMPONENTS)
+    assert code == 0
+    assert calls == {"components": 1, "classify_shape": 3}
+    assert json.loads(out)["components"] == [
+        {"vertices": [1, 2, 3, 4], "kind": "two_star"},
+        {"vertices": [11, 12, 13, 14], "kind": "two_star"},
+        {"vertices": [21], "kind": "string"},
+    ]
+
+
 def test_check_and_coordinatize_read_no_upper_covers(monkeypatch):
     """Meet-irreducibles come from the union test on the edges, so
     `check` and `coordinatize` never list covers."""
@@ -402,6 +435,33 @@ def test_malformed_input_exits_one_with_json(text, error):
     proc = _run("lattice", "--in", text)
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("labels", [[], None, False, 0, ""])
+@pytest.mark.parametrize("command,data,message", [
+    ("hypergraph", {"mu": 2, "edges": [[1, 2]]},
+     "hypergraph JSON labels must map edge keys to names"),
+    ("lattice", {"atoms": 1, "elements": [[], [1]]},
+     "lattice JSON labels must map element keys to monomials"),
+])
+def test_present_labels_must_be_an_object(command, data, message, labels):
+    # only an absent `labels` means no labels; a falsy non-object is refused
+    proc = _run(command, "--in", json.dumps({**data, "labels": labels}))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr)["message"] == message
+
+
+def test_json_errors_name_the_position_in_the_input_as_given(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('\n\n  {"mu": 2, "edges": [[1,2],]}')
+    sniffed = _run("pd", "--in", str(path))
+    forced = _run("pd", "--in", str(path), "--input-format", "hypergraph-json")
+    assert sniffed.returncode == forced.returncode == 1
+    assert sniffed.stderr == forced.stderr
+    assert json.loads(sniffed.stderr) == {
+        "error": "JSONDecodeError",
+        "message": "Expecting value: line 3 column 29 (char 30)",
+    }
 
 
 def test_bad_field_char_env_exits_one():

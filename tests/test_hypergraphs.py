@@ -310,11 +310,6 @@ def test_classify_rejects_long_branches():
     assert 3 in report.branch_lengths()
 
 
-def test_classify_needs_connected_input():
-    with pytest.raises(HypergraphError):
-        classify_shape(Hypergraph([(1, 2), (3, 4)]))
-
-
 def test_branch_data_lists_paths():
     H = Hypergraph([(1, 2), (2, 3), (1, 4), (1, 5), (3,), (4,), (5,)])
     report = classify_shape(H)
