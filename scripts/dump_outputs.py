@@ -31,7 +31,10 @@ blank lines, sniffed and with `--input-format hypergraph-json`;
 `check` (JSON and text) and `hypergraph --output-format text` on a
 hypergraph of two 2-stars and an isolated closed vertex; and
 `hypergraph` and `lattice` on JSON whose `labels` is each of `[]`,
-`null`, `false`, `0` and `""`. It prints one sha256 per query, over
+`null`, `false`, `0` and `""`; and `lattice`, `check` and
+`coordinatize` on lattice JSON with a label key on atom 5 of 1, on
+atom 100000 of 1, on {1, 2}, which is no element, and with two keys
+for one element. It prints one sha256 per query, over
 the exit code, stdout, stderr and trace, and then the sha256 of those
 lines with the query count. Run it on two checkouts and compare the
 last lines.
@@ -193,9 +196,21 @@ THREE_COMPONENTS = json.dumps({
 })
 
 
+# label keys that name no element, or one element twice
+BAD_LABEL_KEYS = {
+    "above-atoms": {"atoms": 1, "elements": [[], [1]], "labels": {"[5]": "a"}},
+    "far-above-atoms": {"atoms": 1, "elements": [[], [1]], "labels": {"[1]": "a", "[100000]": "b"}},
+    "no-element": {"atoms": 3, "elements": [[], [1], [2], [3], [1, 2, 3]],
+                   "labels": {"[1]": "a", "[2]": "b", "[3]": "c", "[1,2]": "d"}},
+    "two-keys": {"atoms": 2, "elements": [[], [1], [2], [1, 2]],
+                 "labels": {"[1]": "a", "[2]": "b", "[2, 2]": "c"}},
+}
+
+
 def edge_case_queries():
     """(workload name, query name, argv) for the malformed JSON, the
-    three-component hypergraph and the falsy `labels` values."""
+    three-component hypergraph, the falsy `labels` values and the bad
+    label keys."""
     yield "malformed", "sniffed", ["pd", "--in", MALFORMED]
     yield "malformed", "forced", ["pd", "--in", MALFORMED, "--input-format", "hypergraph-json"]
     yield "three-components", "check", ["check", "--in", THREE_COMPONENTS]
@@ -208,6 +223,9 @@ def edge_case_queries():
                               ("lattice", {"atoms": 1, "elements": [[], [1]]})):
             source = json.dumps({**data, "labels": labels})
             yield "falsy-labels", f"{command}-{json.dumps(labels)}", [command, "--in", source]
+    for name, data in BAD_LABEL_KEYS.items():
+        for command in ("lattice", "check", "coordinatize"):
+            yield "bad-label-keys", f"{name}-{command}", [command, "--in", json.dumps(data)]
 
 
 def main(argv: list[str]) -> int:

@@ -323,16 +323,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     that holds that subcommand alone and parses its calls the same way.
 
     A subcommand's help and errors do not depend on the other
-    subcommands. The top-level parser's own errors print a usage line
-    that names them all, so the narrow parser hands those to the full
-    one.
+    subcommands, and the narrow parser's usage line names them all.
     """
     parser = argparse.ArgumentParser(
         prog="hyperpd",
         description="projective dimension and Betti numbers of square-free "
                     "monomial ideals via dual-hypergraph reduction",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    # the full parser's "argument command:" errors read the dest, not a metavar
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, help_text, formats, arguments) in _SUBCOMMANDS.items():
         if command is not None and name != command:
             continue
@@ -344,16 +344,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub.add_argument("--output-format", choices=formats, default="json")
         for flag, options in arguments:
             sub.add_argument(flag, **options)
-    if command is not None:
-        parser.error = lambda message: build_parser().error(message)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the full parser only where its output names the other subcommands:
-    # top-level help and an unknown or missing command; a narrow parser
-    # hands its own errors, usage errors included, to the full one
+    # the full parser only where its output lists the other subcommands:
+    # top-level help and an unknown or missing command
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     parser = build_parser(command)
     args = parser.parse_args(argv)

@@ -369,9 +369,6 @@ class Labeling:
 
 
 def _validate_labeling(L: SetFamilyLattice, lab: Labeling):
-    for mask in lab.assignment:
-        if mask not in L._members:
-            raise LatticeError(f"label on non-element {set_of(mask)}")
     for mi in L.meet_irreducibles():
         if mi == L.top:
             continue
@@ -454,7 +451,7 @@ def labeling_from_json_dict(data: dict) -> tuple[SetFamilyLattice, Labeling]:
     raw = data.get("labels", {})
     if not isinstance(raw, dict):
         raise LatticeError("lattice JSON labels must map element keys to monomials")
-    keyed = []
+    keyed = {}  # element -> (size, atoms, key, word)
     for key, word in raw.items():
         try:
             atoms = json.loads(key)
@@ -462,10 +459,17 @@ def labeling_from_json_dict(data: dict) -> tuple[SetFamilyLattice, Labeling]:
             atoms = None
         if not isinstance(atoms, list) or not all(is_json_int(a) and a >= 1 for a in atoms):
             raise LatticeError(f"bad element key {key!r}")
-        keyed.append((len(atoms), atoms, mask_of(atoms), word))
+        # atoms are bounded before any mask is built
+        element = mask_of(atoms) if all(a <= L.num_atoms for a in atoms) else None
+        if element not in L._members:
+            raise LatticeError(f"label on non-element {tuple(sorted(set(atoms)))}")
+        if element in keyed:
+            first = keyed[element][2]
+            raise LatticeError(f"label keys {first!r} and {key!r} both name element {set_of(element)}")
+        keyed[element] = (len(atoms), atoms, key, word)
     variables: list[str] = []
     parsed = []
-    for _, _, element, word in sorted(keyed, key=lambda k: k[:2]):
+    for element, (*_, word) in sorted(keyed.items(), key=lambda item: item[1]):
         parsed.append((element, parse_monomial_word(str(word), variables)))
     ring = tuple(variables)
     assignment = {}

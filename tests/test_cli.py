@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -510,6 +511,28 @@ def test_label_exponent_over_the_cap_is_refused():
     }
 
 
+THREE_ATOMS = {"atoms": 3, "elements": [[], [1], [2], [3], [1, 2, 3]]}
+
+
+@pytest.mark.parametrize("command", ["lattice", "check", "coordinatize"])
+@pytest.mark.parametrize("data,message", [
+    ({"atoms": 1, "elements": [[], [1]], "labels": {"[5]": "a"}},
+     "label on non-element (5,)"),
+    ({"atoms": 1, "elements": [[], [1]], "labels": {"[1]": "a", "[100000]": "b"}},
+     "label on non-element (100000,)"),
+    ({**THREE_ATOMS, "labels": {"[1]": "a", "[2]": "b", "[3]": "c", "[1,2]": "d"}},
+     "label on non-element (1, 2)"),
+    ({"atoms": 2, "elements": [[], [1], [2], [1, 2]],
+      "labels": {"[1]": "a", "[2]": "b", "[2, 2]": "c"}},
+     "label keys '[2]' and '[2, 2]' both name element (2,)"),
+], ids=["above-atoms", "far-above-atoms", "no-element", "two-keys"])
+def test_each_label_key_names_its_own_element(command, data, message):
+    # refused by the reader, so every command that reads labels refuses it
+    proc = _run(command, "--in", json.dumps(data))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {"error": "LatticeError", "message": message}
+
+
 @pytest.mark.parametrize("command", ["hypergraph", "lattice", "reduce", "coordinatize", "check"])
 def test_field_char_is_offered_only_where_it_is_read(command):
     proc = _run(command, "--in", "ab,bc", "--field-char", "3")
@@ -756,9 +779,27 @@ def test_one_subcommand_parser_answers_like_the_full_parser(monkeypatch, argv):
     assert _outcome(argv) == narrow
 
 
+@pytest.mark.parametrize("argv", [*USAGE_ERRORS, ("pd", "--in", "ab", "stray")], ids=repr)
+def test_each_call_builds_one_parser(monkeypatch, argv):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
+    assert _outcome(argv)[0] == 2
+    assert built == [argv[0]]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
 def test_a_subcommand_parser_holds_that_subcommand_alone():
-    assert build_parser("pd").format_usage() == "usage: hyperpd [-h] {pd} ...\n"
-    assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_usage()
+    usage = build_parser().format_usage()
+    assert "{" + ",".join(COMMANDS) + "}" in usage
+    assert _subcommands(build_parser()) == COMMANDS
+    for command in COMMANDS:
+        assert build_parser(command).format_usage() == usage
+        assert _subcommands(build_parser(command)) == [command]
 
 
 @pytest.mark.parametrize("command", ["pd", "hypergraph", "reduce", "check"])

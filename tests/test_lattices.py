@@ -437,6 +437,17 @@ def test_hypergraph_coordinatization_round_trip():
     assert I.mu == 5
 
 
+def test_label_keys_are_bounded_before_any_mask(monkeypatch):
+    masked = []
+    real = lattices.mask_of
+    monkeypatch.setattr(lattices, "mask_of", lambda atoms: masked.append(list(atoms)) or real(atoms))
+    data = {"atoms": 2, "elements": [[], [1], [2], [1, 2]],
+            "labels": {"[1]": "a", "[2, 100000000]": "b"}}
+    with pytest.raises(LatticeError, match=r"label on non-element \(2, 100000000\)"):
+        labeling_from_json_dict(data)
+    assert masked and max(max(atoms, default=0) for atoms in masked) <= 2
+
+
 def test_labeling_json_round_trip():
     with open("fixtures/labeled_lattice.json") as f:
         data = json.load(f)
