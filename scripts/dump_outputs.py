@@ -34,7 +34,9 @@ hypergraph of two 2-stars and an isolated closed vertex; and
 `null`, `false`, `0` and `""`; and `lattice`, `check` and
 `coordinatize` on lattice JSON with a label key on atom 5 of 1, on
 atom 100000 of 1, on {1, 2}, which is no element, and with two keys
-for one element. It prints one sha256 per query, over
+for one element; and `hypergraph --output-format text`, `pd` and
+`check` on the path ideal x1*x2,...,x69*x70, whose ring has 70
+variables. It prints one sha256 per query, over
 the exit code, stdout, stderr and trace, and then the sha256 of those
 lines with the query count. Run it on two checkouts and compare the
 last lines.
@@ -207,10 +209,14 @@ BAD_LABEL_KEYS = {
 }
 
 
+# a ring of 70 variables
+PATH70 = ",".join(f"x{i}*x{i + 1}" for i in range(1, 70))
+
+
 def edge_case_queries():
     """(workload name, query name, argv) for the malformed JSON, the
-    three-component hypergraph, the falsy `labels` values and the bad
-    label keys."""
+    three-component hypergraph, the falsy `labels` values, the bad
+    label keys and the 70-variable path ideal."""
     yield "malformed", "sniffed", ["pd", "--in", MALFORMED]
     yield "malformed", "forced", ["pd", "--in", MALFORMED, "--input-format", "hypergraph-json"]
     yield "three-components", "check", ["check", "--in", THREE_COMPONENTS]
@@ -226,6 +232,9 @@ def edge_case_queries():
     for name, data in BAD_LABEL_KEYS.items():
         for command in ("lattice", "check", "coordinatize"):
             yield "bad-label-keys", f"{name}-{command}", [command, "--in", json.dumps(data)]
+    yield "path70", "hypergraph-text", ["hypergraph", "--in", PATH70, "--output-format", "text"]
+    yield "path70", "pd", ["pd", "--in", PATH70]
+    yield "path70", "check", ["check", "--in", PATH70]
 
 
 def main(argv: list[str]) -> int:

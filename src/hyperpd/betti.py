@@ -57,9 +57,9 @@ are built and ranked; the star holds most of them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from .hypergraphs import atom_key
 from .ideals import MonomialIdeal
 from .lattices import (
     SetFamilyLattice,
@@ -273,7 +273,7 @@ class BettiTable:
         if include_entries:
             breakdown: dict[str, dict[str, int]] = {}
             for (i, p), r in sorted(self.entries.items()):
-                key = json.dumps(list(set_of(p)), separators=(",", ":"))
+                key = atom_key(set_of(p))
                 breakdown.setdefault(str(i), {})[key] = r
             data["entries"] = breakdown
         return data

@@ -107,30 +107,25 @@ class Hypergraph:
 
     # -- surgeries ---------------------------------------------------
 
-    def remove_edge(self, edge) -> "Hypergraph":
-        t = _canon_edge(edge)
-        if t not in self._edge_set:
-            raise HypergraphError(f"{list(t)} is not an edge")
-        return self.remove_edges((t,))
-
     def remove_edges(self, edges) -> "Hypergraph":
-        """Delete the given edges, canonical tuples, in one surgery;
-        tuples that are not edges are ignored."""
-        gone = set(edges)
+        """Delete the given edges in one surgery, refusing the first, in
+        the order given, that is not an edge."""
+        gone = set()
+        for edge in edges:
+            t = _canon_edge(edge)
+            if t not in self._edge_set:
+                raise HypergraphError(f"{list(t)} is not an edge")
+            gone.add(t)
         return Hypergraph(
             (e for e in self.edges if e not in gone),
             vertices=self.vertices,
             labels=((e, ns) for e, ns in self.labels.items() if e not in gone),
         )
 
-    def remove_vertex(self, v: int) -> "Hypergraph":
-        if v not in self.vertices:
-            raise HypergraphError(f"{v} is not a vertex")
-        return self.remove_vertices((v,))
-
     def remove_vertices(self, vertices) -> "Hypergraph":
         """Delete the given vertices everywhere in one surgery: the
-        hypergraph of the ideal without their generators.
+        hypergraph of the ideal without their generators. Refuses the
+        first, in the order given, that is not a vertex.
 
         Edges shrink, empties vanish, duplicates merge with label
         union; a pair edge {u,v} with v removed collapses to the
@@ -138,7 +133,12 @@ class Hypergraph:
         result equals removing the vertices one at a time, in any
         order.
         """
-        gone = set(vertices)
+        present = set(self.vertices)
+        gone = set()
+        for v in map(int, vertices):
+            if v not in present:
+                raise HypergraphError(f"{v} is not a vertex")
+            gone.add(v)
 
         def shrink(e):
             return tuple(u for u in e if u not in gone)
@@ -189,7 +189,7 @@ class Hypergraph:
         data: dict = {"mu": len(self.vertices), "edges": edges}
         if self.labels:
             data["labels"] = {
-                _edge_key([order[u] for u in e]): list(ns)
+                atom_key([order[u] for u in e]): list(ns)
                 for e, ns in sorted(self.labels.items())
             }
         if any(order[v] != v for v in self.vertices):
@@ -220,8 +220,9 @@ def _dot_string(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _edge_key(edge) -> str:
-    return json.dumps(sorted(edge), separators=(",", ":"))
+def atom_key(atoms) -> str:
+    """The JSON key of a set of vertices or atoms, as in "[1,3]"."""
+    return json.dumps(sorted(atoms), separators=(",", ":"))
 
 
 def hypergraph_from_json_dict(data: dict) -> Hypergraph:

@@ -4,9 +4,6 @@ Monomials carry full exponent vectors over a named ring (a tuple of
 variable names). Square-freeness is required only where the hypergraph
 construction needs it; lattice coordinatization can produce exponents
 above 1, so the general representation is kept throughout.
-
-Rings are capped at 64 variables. That is an input limit only:
-nothing here depends on it, and ROADMAP.md plans to lift it.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ import re
 from dataclasses import dataclass
 from operator import le
 
-MAX_RING_VARIABLES = 64
 MAX_EXPONENT = 1000  # the ideal JSON spells exponent e as e repeated indices
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -98,8 +94,6 @@ class MonomialIdeal:
     generators: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if len(self.ring) > MAX_RING_VARIABLES:
-            raise IdealError(f"rings are capped at {MAX_RING_VARIABLES} variables")
         if len(set(self.ring)) != len(self.ring):
             raise IdealError("duplicate variable names")
         for m in self.generators:

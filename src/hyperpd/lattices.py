@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .ideals import IdealError, Monomial, MonomialIdeal, is_json_int, parse_monomial_word
-from .hypergraphs import Hypergraph, edge_masks, is_separated, union_masks
+from .hypergraphs import Hypergraph, atom_key, edge_masks, is_separated, union_masks
 
 DEFAULT_ELEMENT_CAP = 1 << 18
 
@@ -440,7 +440,7 @@ def hypergraph_coordinatization(
 def labeling_to_json_dict(L: SetFamilyLattice, lab: Labeling) -> dict:
     data = L.to_json_dict()
     data["labels"] = {
-        json.dumps(list(set_of(m)), separators=(",", ":")): lab.assignment[m].to_text()
+        atom_key(set_of(m)): lab.assignment[m].to_text()
         for m in _size_order(lab.assignment)
     }
     return data

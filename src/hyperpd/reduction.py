@@ -4,8 +4,8 @@ Three passes cooperate in full_reduce: joint removal on qualifying
 bushes, union-edge removal, and closed-vertex edge removal. Each rule
 is one record in RULES: its name, the one-line justification that
 every serialized trace step carries so a trace can be audited without
-the surrounding code, and whether its step removes an edge or a vertex.
-Recording, serializing and replaying a trace all read that table.
+the surrounding code, and what its step's one target is: an edge or a
+vertex. Serializing, reading and replaying a trace all read that table.
 """
 
 from __future__ import annotations
@@ -48,31 +48,19 @@ class ReductionError(ValueError):
 @dataclass(frozen=True)
 class TraceStep:
     rule: str
-    edge: tuple[int, ...] | None = None
-    vertex: int | None = None
+    target: tuple[int, ...] | int | None  # per RULES[rule].target; None if a read line lacks it
 
     def to_json_dict(self) -> dict:
-        data: dict = {"rule": self.rule}
-        if self.edge is not None:
-            data["edge"] = list(self.edge)
-        if self.vertex is not None:
-            data["vertex"] = self.vertex
         rule = RULES.get(self.rule)
-        data["cite"] = rule.cite if rule else ""
+        data: dict = {"rule": self.rule, "cite": rule.cite if rule else ""}
+        if rule is not None and self.target is not None:
+            data[rule.target] = list(self.target) if rule.target == "edge" else self.target
         return data
 
 
 @dataclass
 class ReductionTrace:
     steps: list[TraceStep] = field(default_factory=list)
-
-    def record(self, rule: str, target):
-        """Append a step of `rule` removing `target`, an edge or a vertex
-        as the rule's record says."""
-        if RULES[rule].target == "edge":
-            self.steps.append(TraceStep(rule, edge=tuple(target)))
-        else:
-            self.steps.append(TraceStep(rule, vertex=target))
 
     def extend(self, other: "ReductionTrace"):
         self.steps.extend(other.steps)
@@ -90,13 +78,11 @@ class ReductionTrace:
             if not line:
                 continue
             data = json.loads(line)
-            steps.append(
-                TraceStep(
-                    data["rule"],
-                    tuple(data["edge"]) if "edge" in data else None,
-                    data.get("vertex"),
-                )
-            )
+            rule = RULES.get(data["rule"])
+            target = data.get(rule.target) if rule else None
+            if target is not None and rule.target == "edge":
+                target = tuple(target)
+            steps.append(TraceStep(data["rule"], target))
         return cls(steps)
 
 
@@ -108,14 +94,10 @@ def replay_trace(H: Hypergraph, trace: ReductionTrace) -> Hypergraph:
         rule = RULES.get(step.rule)
         if rule is None:
             raise ReductionError(f"unknown trace rule {step.rule!r}")
-        if rule.target == "edge":
-            if step.edge is None:
-                raise ReductionError(f"{step.rule} step lacks an edge")
-            out = out.remove_edge(step.edge)
-        else:
-            if step.vertex is None:
-                raise ReductionError(f"{step.rule} step lacks a vertex")
-            out = out.remove_vertex(step.vertex)
+        edge = rule.target == "edge"
+        if step.target is None:
+            raise ReductionError(f"{step.rule} step lacks {'an edge' if edge else 'a vertex'}")
+        out = (out.remove_edges if edge else out.remove_vertices)([step.target])
     return out
 
 
@@ -203,9 +185,7 @@ def remove_closed_vertex_edges(H: Hypergraph) -> tuple[Hypergraph, ReductionTrac
 
 def _remove_edges(H: Hypergraph, rule: str, edges: list) -> tuple[Hypergraph, ReductionTrace]:
     """Remove `edges` in one surgery, recording one `rule` step each."""
-    trace = ReductionTrace()
-    for e in edges:
-        trace.record(rule, e)
+    trace = ReductionTrace([TraceStep(rule, e) for e in edges])
     return (H.remove_edges(edges) if edges else H), trace
 
 
@@ -251,8 +231,8 @@ def remove_joints(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
         removed = False
         for i in out.vertices:  # the sweep's starting vertices; out is rebound below
             if is_joint(out, i) and _joint_still_qualifies(out, i):
-                out = out.remove_vertex(i)
-                trace.record(RULE_JOINT, i)
+                out = out.remove_vertices([i])
+                trace.steps.append(TraceStep(RULE_JOINT, i))
                 removed = True
         if not removed:
             return out, trace
@@ -269,7 +249,7 @@ def full_reduce(H: Hypergraph) -> tuple[Hypergraph, ReductionTrace]:
         joints = []
         for comp in out.components():
             _, t = remove_joints(comp)
-            joints.extend(step.vertex for step in t.steps)
+            joints.extend(step.target for step in t.steps)
             trace.extend(t)
         if joints:
             out = out.remove_vertices(joints)

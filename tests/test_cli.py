@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperpd import cli, hypergraphs, reduction
+from hyperpd.betti import DEFAULT_CHAIN_CAP
 from hyperpd.cli import build_parser, main
 from hyperpd.hypergraphs import Hypergraph, classify_shape, dual_hypergraph
 from hyperpd.ideals import ideal_from_json_dict
@@ -85,6 +86,22 @@ def test_pd_verify_on_figure4_stops_at_the_chain_cap():
     assert error["error"] == "OracleError"
     assert error["message"].startswith("crosscut complex on 43 atoms has ")
     assert "exceeds the cap of" in error["message"]
+
+
+# the path ideal x1*x2,...,x69*x70, in a ring of 70 variables
+PATH70 = ",".join(f"x{i}*x{i + 1}" for i in range(1, 70))
+
+
+def test_a_ring_of_70_variables_is_read_and_pd_stops_at_the_chain_cap():
+    proc = _run("hypergraph", "--in", PATH70, "--output-format", "text")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("vertices: 69\n")
+    proc = _run("pd", "--in", PATH70)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    error = json.loads(proc.stderr)
+    assert error["error"] == "PdError"
+    assert "crosscut complex on 69 atoms has " in error["message"]
+    assert error["message"].endswith(f"exceeds the cap of {DEFAULT_CHAIN_CAP}")
 
 
 @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))

@@ -133,17 +133,17 @@ def test_union_edges_commute_with_relabelling():
 
 def test_remove_edge_is_pure():
     H = Hypergraph([(1, 2), (2, 3)])
-    H2 = H.remove_edge((1, 2))
+    H2 = H.remove_edges([(1, 2)])
     assert (1, 2) in H.edges
     assert (1, 2) not in H2.edges
     assert H2.vertices == (1, 2, 3)
-    with pytest.raises(HypergraphError):
-        H.remove_edge((1, 3))
+    with pytest.raises(HypergraphError, match=r"^\[1, 3\] is not an edge$"):
+        H.remove_edges([(1, 3)])
 
 
 def test_remove_vertex_shrinks_edges():
     H = Hypergraph([(1, 2), (2, 3), (1,)])
-    H2 = H.remove_vertex(2)
+    H2 = H.remove_vertices([2])
     assert H2.edges == ((1,), (3,))
     assert H2.vertices == (1, 3)
     # original untouched
@@ -152,21 +152,21 @@ def test_remove_vertex_shrinks_edges():
 
 def test_remove_vertex_merges_shrink_remnants():
     H = Hypergraph([(1, 2), (1, 3), (2, 3)])
-    H2 = H.remove_vertex(3)
+    H2 = H.remove_vertices([3])
     assert H2.edges == ((1, 2), (1,), (2,))
-    H3 = H2.remove_vertex(2)
+    H3 = H2.remove_vertices([2])
     assert H3.edges == ((1,),)
 
 
 def test_remove_vertex_shrinks_higher_edges():
     H = Hypergraph([(1, 2, 3), (3, 4)])
-    H2 = H.remove_vertex(1)
+    H2 = H.remove_vertices([1])
     assert H2.edges == ((2, 3), (3, 4))
 
 
 def test_remove_vertex_closes_pair_neighbors():
     H = Hypergraph([(1, 2), (2, 3)])
-    H2 = H.remove_vertex(2)
+    H2 = H.remove_vertices([2])
     assert H2.is_closed(1)
     assert H2.is_closed(3)
 
@@ -174,10 +174,26 @@ def test_remove_vertex_closes_pair_neighbors():
 def test_remove_vertex_merges_labels():
     H = dual_hypergraph(parse_ideal("ab,bc,ac"))
     assert H.edges == ((1, 3), (1, 2), (2, 3))
-    H2 = H.remove_vertex(3)
+    H2 = H.remove_vertices([3])
     assert H2.edges == ((1,), (1, 2), (2,))
     assert H2.label_of((1,)) == ("a",)
     assert H2.label_of((2,)) == ("c",)
+
+
+def test_remove_edges_refuses_the_first_absent_edge():
+    H = Hypergraph([(1, 2), (2, 3)])
+    with pytest.raises(HypergraphError, match=r"^\[1, 3\] is not an edge$"):
+        H.remove_edges([(2, 1), [3, 1], (1, 2, 3)])
+    with pytest.raises(HypergraphError, match="^empty edge$"):
+        H.remove_edges([()])
+    assert H.remove_edges([[2, 1]]).edges == ((2, 3),)
+
+
+def test_remove_vertices_refuses_the_first_absent_vertex():
+    H = Hypergraph([(1, 2), (2, 3)])
+    with pytest.raises(HypergraphError, match="^7 is not a vertex$"):
+        H.remove_vertices([2, 7, 0])
+    assert H.remove_vertices([]) == H
 
 
 def _same(A, B):
@@ -198,12 +214,12 @@ def test_set_surgeries_match_one_at_a_time():
         gone = rng.sample(H.vertices, rng.randint(0, n))
         step = H
         for v in gone:
-            step = step.remove_vertex(v)
+            step = step.remove_vertices([v])
         assert _same(H.remove_vertices(set(gone)), step)
         cut = rng.sample(H.edges, rng.randint(0, len(H.edges)))
         step = H
         for e in cut:
-            step = step.remove_edge(e)
+            step = step.remove_edges([e])
         assert _same(H.remove_edges(set(cut)), step)
 
 
@@ -279,6 +295,14 @@ def test_one_pass_separation_matches_the_pair_definition():
 def test_ideal_hypergraph_round_trip():
     H = dual_hypergraph(parse_ideal(FIVE_GEN))
     I = ideal_from_hypergraph(H)
+    assert dual_hypergraph(I) == H
+
+
+def test_ideal_from_hypergraph_builds_a_ring_of_70_variables():
+    # a 70-cycle: one variable per edge, more than a 64-bit word holds
+    H = Hypergraph([(v, v % 70 + 1) for v in range(1, 71)])
+    I = ideal_from_hypergraph(H)
+    assert (len(I.ring), I.mu) == (70, 70)
     assert dual_hypergraph(I) == H
 
 

@@ -235,7 +235,7 @@ def test_cyclic_bush_witness_matches_oracle():
     H = Hypergraph(CYCLIC_WITNESS_EDGES)
     assert check_preconditions(H).all_ok
     result = pd(H)
-    assert [s.vertex for s in result.trace.steps if s.vertex is not None] == [1]
+    assert [s.target for s in result.trace.steps if s.rule == RULE_JOINT] == [1]
     assert betti_table(ideal_from_hypergraph(H)).pd == 7
     assert result.pd == 7
 
@@ -248,7 +248,7 @@ def _qualifying_joints(H):
 
 def _on_cycle(H, v):
     for u in H.pair_neighbors(v):
-        rest = H.remove_edge((u, v))
+        rest = H.remove_edges([(u, v)])
         if any({u, v} <= set(c.vertices) for c in rest.components()):
             return True
     return False

@@ -95,7 +95,7 @@ def test_union_edge_removal_preserves_betti_numbers(text):
     assume(unions)
     enlarged = Hypergraph(list(H.edges) + [unions[0]])
     stripped, trace = remove_union_edges(enlarged)
-    assert any(step.edge == unions[0] for step in trace.steps)
+    assert any(step.target == unions[0] for step in trace.steps)
     before = betti_table(ideal_from_hypergraph(enlarged)).totals()
     after = betti_table(ideal_from_hypergraph(stripped)).totals()
     assert before == after
@@ -111,7 +111,7 @@ def test_sub_hypergraph_never_has_larger_pd(text, data):
     H1 = H2
     for edge, flag in zip(H2.edges, keep):
         if not flag and len(H1.edges) > 1:
-            H1 = H1.remove_edge(edge)
+            H1 = H1.remove_edges([edge])
     assume(is_separated(H1))
     # separated, so each edge lattice is the lcm-lattice of an ideal
     assert is_separated(H2)

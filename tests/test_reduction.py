@@ -58,7 +58,7 @@ def _figure4():
 def test_union_removal_on_five_gen():
     H = dual_hypergraph(parse_ideal(FIVE_GEN))
     out, trace = remove_union_edges(H)
-    assert [s.edge for s in trace.steps] == [(2, 3, 5)]
+    assert [s.target for s in trace.steps] == [(2, 3, 5)]
     assert all(s.rule == RULE_UNION for s in trace.steps)
     # what is left is the string 1-2-3-4-5 with closed ends
     assert out.edges == ((1,), (1, 2), (2, 3), (3, 4), (4, 5), (5,))
@@ -168,7 +168,7 @@ def test_joint_removal_refuses_bad_preconditions():
 
 def test_joint_removal_on_fixture_matches_frozen_decode():
     out, trace = remove_joints(_figure4())
-    assert [s.vertex for s in trace.steps] == FIG4_JOINTS
+    assert [s.target for s in trace.steps] == FIG4_JOINTS
     assert all(s.rule == RULE_JOINT for s in trace.steps)
     assert sorted(e for e in out.edges if len(e) == 2) == FIG4_SURVIVING_PAIRS
     assert sorted(e for e in out.edges if len(e) >= 3) == FIG4_SURVIVING_HIGHERS
@@ -180,7 +180,7 @@ def test_joint_removal_closes_former_neighbors():
     # removing the joint turns its branch stubs into closed singletons
     H = Hypergraph([(1, 2), (2, 3), (1, 4), (1, 5), (3,), (4,), (5,)])
     out, trace = remove_joints(H)
-    assert [s.vertex for s in trace.steps] == [1]
+    assert [s.target for s in trace.steps] == [1]
     assert out.is_closed(2)
     assert out.is_closed(4)
     assert out.is_closed(5)
@@ -208,13 +208,13 @@ def test_trace_replay_reproduces_reduction():
 def test_replay_rejects_malformed_steps():
     H = Hypergraph([(1, 2), (2, 3)])
     with pytest.raises(ReductionError, match="unknown trace rule"):
-        replay_trace(H, ReductionTrace([TraceStep("made_up", edge=(1, 2))]))
+        replay_trace(H, ReductionTrace([TraceStep("made_up", (1, 2))]))
     with pytest.raises(ReductionError, match="lacks an edge"):
-        replay_trace(H, ReductionTrace([TraceStep(RULE_UNION)]))
+        replay_trace(H, ReductionTrace([TraceStep(RULE_UNION, None)]))
     with pytest.raises(ReductionError, match="lacks a vertex"):
-        replay_trace(H, ReductionTrace([TraceStep(RULE_JOINT)]))
+        replay_trace(H, ReductionTrace([TraceStep(RULE_JOINT, None)]))
     with pytest.raises(HypergraphError):
-        replay_trace(H, ReductionTrace([TraceStep(RULE_UNION, edge=(1, 3))]))
+        replay_trace(H, ReductionTrace([TraceStep(RULE_UNION, (1, 3))]))
 
 
 def test_full_reduce_is_idempotent():
@@ -281,7 +281,7 @@ def test_full_reduce_judges_joint_bearing_components_once_and_rebuilds_once_per_
     monkeypatch.setattr(reduction, "_joint_still_qualifies", counted_qualifies)
     monkeypatch.setattr(Hypergraph, "remove_vertices", counted_remove_vertices)
     reduced, trace = full_reduce(H)
-    assert [s.vertex for s in trace.steps if s.rule == RULE_JOINT] == [1, 11, 21, 31, 41, 51]
+    assert [s.target for s in trace.steps if s.rule == RULE_JOINT] == [1, 11, 21, 31, 41, 51]
     assert entry_checks == [
         c.vertices for c in H.components() + reduced.components() if _has_pair_degree_3(c)
     ]
@@ -399,12 +399,12 @@ def _check_each_step(pass_, invariant, seed, draws):
         before = _random_separated(rng)
         _, trace = pass_(before)
         for step in trace.steps:
-            after = before.remove_edge(step.edge)
+            after = before.remove_edges([step.target])
             I, J = _ideal_or_none(before), _ideal_or_none(after)
             if I is not None and J is not None:
                 checked += 1
                 if invariant(I) != invariant(J):
-                    mismatches.append((step.edge, [list(e) for e in before.edges]))
+                    mismatches.append((step.target, [list(e) for e in before.edges]))
             before = after
     return checked, mismatches
 
