@@ -12,7 +12,10 @@ an ideal reads the `hypergraph` command's output for it. Then it asks
 `betti` (JSON with `--entries`, and text) at characteristics 2 and 3
 on the same inputs, on the 84-edge hypergraph of all two- and
 three-vertex subsets of 8 vertices, and on each ideal's `lattice`
-output read back as input; on that read-back input it also asks
+output read back as input, and on the edge ideals of K5, K6 and K7,
+relabeled by the seed, and `abc,ad,bd,cd`, which cover the split of
+the crosscut complex, its nesting and the complex it falls back to
+when its two sides share a degree; on the read-back input it also asks
 `check` and `lattice --output-format dot`, and it asks `lattice` on
 the 12-atom lattice JSON that lacks only {1, 2}, which is not
 intersection-closed. Last it asks `pd --verify` on the fixtures,
@@ -109,6 +112,20 @@ def betti_queries(seed: int):
             argv = ["betti", "--field-char", char, "--in", source]
             yield "betti", f"{name}-char{char}", argv + ["--entries"]
             yield "betti", f"{name}-char{char}-text", argv + ["--output-format", "text"]
+
+
+def split_queries(seed: int):
+    """(workload name, query name, argv) for `betti` on the edge ideals
+    of K5, K6 and K7, relabeled by the seed, and on `abc,ad,bd,cd`,
+    whose top element collides in the split."""
+    rng = random.Random(seed)
+    inputs = [(f"K{n}", graph_ideal_text(n, itertools.combinations(range(n), 2), rng))
+              for n in (5, 6, 7)]
+    for name, source in inputs + [("collision", "abc,ad,bd,cd")]:
+        for char in ("2", "3"):
+            argv = ["betti", "--field-char", char, "--in", source]
+            yield "split", f"{name}-char{char}", argv + ["--entries"]
+            yield "split", f"{name}-char{char}-text", argv + ["--output-format", "text"]
 
 
 # every subset of 12 atoms but {1, 2}, the meet of {1, 2, 3} and {1, 2, 4}
@@ -252,6 +269,7 @@ def main(argv: list[str]) -> int:
             ]
             queries += lattice_queries(seed)
             queries += betti_queries(seed)
+            queries += split_queries(seed)
             queries += read_back_queries(seed)
             queries += verify_and_dot_queries(seed)
             queries.append(("hypergraph", "label-keys", ["hypergraph", "--in", LABEL_KEYS]))

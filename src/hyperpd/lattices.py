@@ -18,7 +18,6 @@ degree found.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
@@ -260,40 +259,45 @@ def walk_lattice(num_atoms: int, complements: list[int], visit, what: str):
     and the top, by falling atom count. `visit(p)` returns a floor, and
     from then on no element on floor or fewer atoms is built or visited.
 
-    A max-heap, seeded with the top, pops elements and builds each
-    popped element's unseen meets with the complements. Every element
-    but the top is the meet of a larger element with one complement, so
-    each atom count is complete when its first element is popped. The
-    walk also proves what it visits intersection-closed: each element
-    is met with every complement and checked to be the meet of the
-    complements above it, so a meet of two elements is reached one
-    complement at a time. Raises as soon as more than
-    `DEFAULT_ELEMENT_CAP` elements are built, the top included.
+    Elements wait in one list per atom count, the top in the first.
+    Every meet of an element with a complement has fewer atoms than the
+    element, so each list is complete when the walk reaches it; it is
+    then visited in increasing mask order, and each element's unseen
+    meets with the complements are built into the lists below. Every
+    element but the top is the meet of a larger element with one
+    complement, so nothing is missed. The walk also proves what it
+    visits intersection-closed: each element is met with every
+    complement and checked to be the meet of the complements above it,
+    so a meet of two elements is reached one complement at a time.
+    Raises as soon as more than `DEFAULT_ELEMENT_CAP` elements are
+    built, the top included.
     """
     full = (1 << num_atoms) - 1
     cap = DEFAULT_ELEMENT_CAP
     seen = {full}
-    heap = [(-num_atoms, full)]
+    # levels[k]: the elements built on k atoms
+    levels: list[list[int]] = [[] for _ in range(num_atoms)] + [[full]]
     floor = 0
-    while heap:
-        neg_count, p = heapq.heappop(heap)
-        if -neg_count <= floor:
-            break
-        floor = visit(p)
-        meet = full
-        for c in complements:
-            m = p & c
-            if m == p:
-                meet &= c
-            elif m not in seen:
-                count = m.bit_count()
-                if count > floor:
-                    seen.add(m)
-                    if len(seen) > cap:
-                        raise LatticeError(f"{what} exceeds the {cap}-element cap")
-                    heapq.heappush(heap, (-count, m))
-        if meet != p:
-            raise AssertionError(f"{set_of(p)} is not the meet of the complements above it")
+    for count in range(num_atoms, 0, -1):
+        levels[count].sort()
+        for p in levels[count]:
+            if count <= floor:
+                return
+            floor = visit(p)
+            meet = full
+            for c in complements:
+                m = p & c
+                if m == p:
+                    meet &= c
+                elif m not in seen:
+                    k = m.bit_count()
+                    if k > floor:
+                        seen.add(m)
+                        if len(seen) > cap:
+                            raise LatticeError(f"{what} exceeds the {cap}-element cap")
+                        levels[k].append(m)
+            if meet != p:
+                raise AssertionError(f"{set_of(p)} is not the meet of the complements above it")
 
 
 def _lattice_of_edges(num_atoms: int, edges: list[int], what: str) -> SetFamilyLattice:

@@ -679,6 +679,27 @@ def _counting_complexes(monkeypatch) -> list:
     return ranked
 
 
+def _counting_splits(monkeypatch) -> list:
+    """The target of every instance whose split fires, from now on: an
+    instance that hands `_settle` a deletion has split."""
+    fired = []
+    split = []  # per instance being settled, whether it has split
+    settle = betti._settle
+
+    def counting(live, target, char, nested):
+        if split and not split[-1]:
+            split[-1] = True
+            fired.append(target)
+        split.append(False)
+        try:
+            return settle(live, target, char, nested)
+        finally:
+            split.pop()
+
+    monkeypatch.setattr(betti, "_settle", counting)
+    return fired
+
+
 def _squarefree_ideal(rng, num_vars: int, mu: int, degrees: tuple[int, int]):
     ring = tuple(f"x{i}" for i in range(num_vars))
     supports = set()
@@ -690,9 +711,8 @@ def _squarefree_ideal(rng, num_vars: int, mu: int, degrees: tuple[int, int]):
 
 def test_peel_matches_the_unpeeled_crosscut_route(monkeypatch):
     """On every interval of the benchmark's Betti inputs, the fixtures
-    and random ideals, peeling atoms with a private support bit and
-    dropping atoms whose support holds another's gives the ranks of the
-    whole crosscut complex, at chars 2, 3 and 5."""
+    and random ideals, the peel and the split on the apex give the
+    ranks of the whole crosscut complex, at chars 2, 3 and 5."""
     workloads = _workloads(monkeypatch)
     ideals = [parse_ideal(q.argv[-1]) for q in workloads.betti_gf3(1)]
     ideals += _fixture_ideals()
@@ -701,7 +721,8 @@ def test_peel_matches_the_unpeeled_crosscut_route(monkeypatch):
     ideals += [_squarefree_ideal(rng, 7, rng.randint(5, 8), (3, 5)) for _ in range(100)]
     ideals += [_random_ideal(rng, 3) for _ in range(30)]
     ranked = _counting_complexes(monkeypatch)
-    checked = unbuilt = shrunk = 0
+    fired = _counting_splits(monkeypatch)
+    checked = unbuilt = 0
     for I in ideals:
         L = lcm_lattice(I)
         supports = atom_columns(L.num_atoms, L.edges)
@@ -716,18 +737,14 @@ def test_peel_matches_the_unpeeled_crosscut_route(monkeypatch):
                 got = betti._betti_numbers(supports, p, char)
                 assert got == _unpeeled(supports, p, char), (I.to_text(), p, char)
                 checked += 1
-                if len(ranked) == before:
-                    unbuilt += 1
-                elif len(ranked[-1].vertices) < p.bit_count():
-                    shrunk += 1
+                unbuilt += len(ranked) == before
     assert checked > 20000
-    # most intervals need no complex at all, and some are ranked on
-    # fewer atoms than they have
-    assert unbuilt > checked / 2
-    assert shrunk > 300
-    # dropping atoms whose support holds another's leaves about half the
-    # complexes that peeling private bits alone builds (747 and 1,521)
-    assert len(ranked) < 1000
+    # the split fires on hundreds of intervals, and a collision sends a
+    # few dozen back to a complex (921 splits and 75 complexes; the peel
+    # alone left 747)
+    assert len(fired) > 800
+    assert 50 < len(ranked) < 100
+    assert unbuilt == checked - len(ranked)
 
 
 def test_each_exit_of_the_peel(monkeypatch):
@@ -757,26 +774,98 @@ def test_each_exit_of_the_peel(monkeypatch):
     # a cone over it, though no other atom has a private bit there
     assert peel([{1}, {0, 1}, {2, 3}, {3, 4}, {2, 4}]) == ({}, 0)
     # 9 is private; on R = {0, 1, 2} no atom has a private bit, so the
-    # complex of three points is built and ranked one degree up
-    assert peel([{9}, {0, 1}, {1, 2}, {0, 2}]) == ({3: 2}, 1)
+    # split settles the complex of three points one degree up
+    assert peel([{9}, {0, 1}, {1, 2}, {0, 2}]) == ({3: 2}, 0)
     # no atom has a private bit, and {0, 1, 2} holds {0, 1}: it is
-    # dropped, and the complex of three points is ranked on 3 atoms
-    assert peel([{0, 1}, {0, 1, 2}, {1, 2}, {0, 2}]) == ({2: 2}, 1)
-    assert len(ranked[-1].vertices) == 3
+    # dropped, and the split settles the complex of three points
+    assert peel([{0, 1}, {0, 1, 2}, {1, 2}, {0, 2}]) == ({2: 2}, 0)
+    # the deletion of the apex {0, 3} and its link both have
+    # beta_2 = 1: the sides share a degree, so the complex is ranked on
+    # all 4 atoms
+    assert peel([{0, 1, 2}, {0, 3}, {1, 3}, {2, 3}]) == ({2: 1, 3: 1}, 1)
+    assert len(ranked[-1].vertices) == 4
 
 
 @pytest.mark.parametrize("graph, n", [("path", 12), ("cycle", 11), ("path", 13), ("cycle", 13)])
 def test_complexes_ranked_on_paths_and_cycles(monkeypatch, graph, n):
-    """The complexes that the whole Betti table and `lattice_pd` rank on
-    the edge ideal of a path or a cycle: with atoms whose support holds
-    another's dropped, a path needs none and a cycle only its top
-    element, the complex on all n atoms."""
+    """The whole Betti table and `lattice_pd` rank no complex on the
+    edge ideal of a path or a cycle: the peel and the split settle
+    every interval, the top of a cycle included."""
     edges = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if graph == "cycle" else [])
     I = parse_ideal(",".join(f"x{a}*x{b}" for a, b in edges))
-    want = [n] if graph == "cycle" else []
     ranked = _counting_complexes(monkeypatch)
     betti_table(I)
-    assert [len(K.vertices) for K in ranked] == want
-    ranked.clear()
     lattice_pd(I.mu, polarized_edges(I))
-    assert [len(K.vertices) for K in ranked] == want
+    assert ranked == []
+
+
+def _support_families(rng, count: int) -> list[list[int]]:
+    """Random families of 6 to 14 nonzero supports over about as many
+    edges, each edge in about half or more of them."""
+    families = []
+    for _ in range(count):
+        n = rng.randint(6, 14)
+        edges = rng.randint(n // 2, n + 2)
+        density = rng.choice((0.5, 0.6, 0.7))
+        family: list[int] = []
+        while len(family) < n:
+            s = sum(1 << e for e in range(edges) if rng.random() < density)
+            if s:
+                family.append(s)
+        families.append(family)
+    return families
+
+
+def _crosscut_by_definition(supports: list[int], char: int) -> dict[int, int]:
+    """The Betti numbers of the whole crosscut complex of the supports:
+    every set of atoms, the empty one included, whose supports OR to
+    less than all of them do."""
+    target = 0
+    for s in supports:
+        target |= s
+    levels: list[list[int]] = [[] for _ in range(len(supports) + 1)]
+    stack = [(0, 0, 0)]
+    while stack:
+        face, joined, start = stack.pop()
+        levels[face.bit_count()].append(face)
+        for k in range(start, len(supports)):
+            if joined | supports[k] != target:
+                stack.append((face | 1 << k, joined | supports[k], k + 1))
+    K = SimplicialComplex(range(len(supports)), [sorted(level) for level in levels])
+    return {d + 2: r for d, r in reduced_homology_ranks(K, char).items()}
+
+
+def _complete_graph_ideal(n: int):
+    return parse_ideal(",".join(f"x{a}*x{b}" for a, b in itertools.combinations(range(1, n + 1), 2)))
+
+
+def test_split_matches_the_whole_crosscut_complex(monkeypatch):
+    """The peel and the split on the apex give the ranks of the whole
+    crosscut complex, built from its definition, at chars 2, 3 and 5:
+    on random support families, on every element of the edge ideals
+    of K5 and K6, and on `abc,ad,bd,cd`, whose top element collides.
+    K7's totals are frozen."""
+    instances = [(f, (1 << len(f)) - 1) for f in _support_families(random.Random(27), 200)]
+    for I in (_complete_graph_ideal(5), _complete_graph_ideal(6), parse_ideal("abc,ad,bd,cd")):
+        L = lcm_lattice(I)
+        supports = atom_columns(L.num_atoms, L.edges)
+        instances += [(supports, p) for p in L.masks if p]
+    ranked = _counting_complexes(monkeypatch)
+    fired = _counting_splits(monkeypatch)
+    for supports, p in instances:
+        atoms = [supports[i] for i in range(p.bit_length()) if p >> i & 1]
+        for char in (2, 3, 5):
+            want = _crosscut_by_definition(atoms, char)
+            assert betti._betti_numbers(supports, p, char) == want, (atoms, char)
+    # on the random families the sides often share a degree (1,659
+    # splits and 192 complexes)
+    assert len(fired) > 1500
+    assert len(ranked) > 150
+    # the edge ideal of K7 has a top element on 21 atoms, and no
+    # interval needs a complex
+    ranked.clear()
+    for char in (2, 3):
+        assert betti_table(_complete_graph_ideal(7), char).totals() == {
+            0: 1, 1: 21, 2: 70, 3: 105, 4: 84, 5: 35, 6: 6
+        }
+    assert ranked == []
