@@ -39,7 +39,11 @@ hypergraph of two 2-stars and an isolated closed vertex; and
 atom 100000 of 1, on {1, 2}, which is no element, and with two keys
 for one element; and `hypergraph --output-format text`, `pd` and
 `check` on the path ideal x1*x2,...,x69*x70, whose ring has 70
-variables. It prints one sha256 per query, over
+variables. It asks `betti` with `--entries` at characteristics 2 and
+3 on the path ideal x1*x2,...,x15*x16, and `betti` on two inputs that
+stop at a cap: the path ideal x1*x2,...,x29*x30 at the element cap,
+and the 24 products of all but one of y0,...,y23, whose 24-atom top is
+over the chain cap. It prints one sha256 per query, over
 the exit code, stdout, stderr and trace, and then the sha256 of those
 lines with the query count. Run it on two checkouts and compare the
 last lines.
@@ -226,8 +230,16 @@ BAD_LABEL_KEYS = {
 }
 
 
+def path_text(n: int) -> str:
+    """The edge ideal x1*x2,...,x{n-1}*x{n} of the path on n variables."""
+    return ",".join(f"x{i}*x{i + 1}" for i in range(1, n))
+
+
 # a ring of 70 variables
-PATH70 = ",".join(f"x{i}*x{i + 1}" for i in range(1, 70))
+PATH70 = path_text(70)
+
+# each product misses one variable, so any two join to the 24-atom top
+ALL_BUT_ONE = ",".join("*".join(f"y{j}" for j in range(24) if j != i) for i in range(24))
 
 
 def edge_case_queries():
@@ -252,6 +264,16 @@ def edge_case_queries():
     yield "path70", "hypergraph-text", ["hypergraph", "--in", PATH70, "--output-format", "text"]
     yield "path70", "pd", ["pd", "--in", PATH70]
     yield "path70", "check", ["check", "--in", PATH70]
+
+
+def betti_walk_queries():
+    """(workload name, query name, argv) for `betti` on the 16-variable
+    path ideal, and on two inputs over the element and the chain cap."""
+    for char in ("2", "3"):
+        yield "betti-walk", f"P16-char{char}", ["betti", "--field-char", char,
+                                                "--in", path_text(16), "--entries"]
+    yield "betti-walk", "P30-element-cap", ["betti", "--in", path_text(30)]
+    yield "betti-walk", "all-but-one-chain-cap", ["betti", "--in", ALL_BUT_ONE]
 
 
 def main(argv: list[str]) -> int:
@@ -280,6 +302,7 @@ def main(argv: list[str]) -> int:
             queries += random_ideal_queries(seed)
             queries += relabelled_queries(seed)
             queries += edge_case_queries()
+            queries += betti_walk_queries()
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":
                     argv_q += ["--trace", trace_path]

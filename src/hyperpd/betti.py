@@ -5,7 +5,8 @@ homological degree i is the rank of reduced homology H~_{i-2} of the
 open interval (bottom, p), computed over a prime field
 (Gasharov-Peeva-Welker). The projective dimension is the top nonzero
 degree, which `lattice_pd` finds by stopping the lattice walk of
-`lattices.walk_lattice` below the best degree found. Everything
+`lattices.walk_lattice` below the best degree found; a whole table
+settles every element the walk visits, and builds no lattice. Everything
 downstream is checked against this module; nothing here depends on the
 reduction rules.
 
@@ -64,9 +65,17 @@ beta_i = beta_i(del) + beta_{i-1}(link). Both pieces go back through
 the peel, and through the split again if need be. When the two sides
 share a degree (a collision), a nested piece gives up at once, and only
 the element's own instance builds a complex, so a collision costs only
-the peels below it. A round of the benchmark's `betti_gf3` queries
-computes 2,509 intervals above the atoms; the peel settles all but
-one, the split settles that one, and no complex is built.
+the peels below it.
+
+Many elements leave one instance after the peel's first step, so each
+element takes that step as its supports are gathered, and each
+leftover is settled once per table or `lattice_pd` call. A round of
+the benchmark's `betti_gf3` queries (seed 1) has 2,542 elements above
+the bottom. 1,507 of them, the 33 atoms included, are Taylor elements,
+answered in that first pass; the other 1,035 leave 150 distinct
+instances: 8 on figure 4's core, 62 on P12 and 80 on C11. The peel
+settles all of those but one, the top of the 11-cycle, the split
+settles that one, and no complex is built.
 
 A complex that is built is computed relative to the closed star of the
 apex. The star is a cone, so its reduced homology vanishes in every
@@ -86,7 +95,8 @@ from .lattices import (
     SetFamilyLattice,
     atom_columns,
     edge_complements,
-    lcm_lattice,
+    lcm_lattice,  # not called here; perfbench/tracing.py patches this name
+    polarized_edges,
     set_of,
     walk_lattice,
 )
@@ -356,12 +366,19 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
     return {i + shift: r for i, r in numbers.items()}
 
 
-def _betti_numbers(supports: list[int], p: int, char: int) -> dict[int, int]:
+def _betti_numbers(supports: list[int], p: int, char: int, memo: dict) -> dict[int, int]:
     """The nonzero Betti numbers of the element p by degree: beta_i is
     the rank of H~_{i-2} of p's crosscut complex.
 
-    An atom carries beta_1 = 1 and a Taylor interval a single 1 without
-    any complex being built; a complex is built and ranked only when
+    The peel's first step is taken here. One pass gathers p's supports,
+    ORs them and marks the bits two of them share; an atom carries
+    beta_1 = 1 and a Taylor element, every atom with a private bit, a
+    single 1. Otherwise the atoms with a private bit are dropped and
+    the rest and the target are cut to what those atoms miss. The cut
+    target is the OR of the cut supports, so they alone, in atom order,
+    name that leftover instance, and it is settled once per `memo`: a
+    dict that lives for one table or one `lattice_pd` call, and whose
+    values nothing writes to. A complex is built and ranked only when
     the split collides. The chain cap is judged on p's atom count.
     """
     count = p.bit_count()
@@ -370,29 +387,82 @@ def _betti_numbers(supports: list[int], p: int, char: int) -> dict[int, int]:
             f"crosscut complex on {count} atoms has {1 << count} "
             f"candidate faces, which exceeds the cap of {DEFAULT_CHAIN_CAP}"
         )
-    live = [supports[i] for i in range(p.bit_length()) if p >> i & 1]
-    target = 0
+    live = []
+    once = shared = 0
+    rest = p
+    while rest:
+        low = rest & -rest
+        s = supports[low.bit_length() - 1]
+        shared |= once & s
+        once |= s
+        live.append(s)
+        rest ^= low
+    peeled = 0
+    kept = []
     for s in live:
-        target |= s
-    return _settle(live, target, char, False)
+        if s & ~shared:
+            peeled |= s
+        else:
+            kept.append(s)
+    if not kept:
+        return {count: 1}  # the boundary of a simplex
+    target = once & ~peeled
+    cut = [s & target for s in kept]
+    # the key is copied from a list: under CPython 3.11, a tuple built
+    # from a generator left 600 `betti_gf3` rounds in one process about
+    # 1 MiB larger
+    key = tuple(cut)
+    numbers = memo.get(key)
+    if numbers is None:
+        numbers = memo[key] = _settle(cut, target, char, False)
+    shift = count - len(kept)
+    return {i + shift: r for i, r in numbers.items()}
+
+
+def _table(supports: list[int], elements, char: int) -> BettiTable:
+    """The Betti table of the elements, taken in the order given, so a
+    chain-cap error names the first one over the cap."""
+    table = BettiTable(field_char=char)
+    table.entries[(0, 0)] = 1
+    memo: dict = {}
+    for p in elements:
+        if p:
+            for i, r in _betti_numbers(supports, p, char, memo).items():
+                table.entries[(i, p)] = r
+    return table
 
 
 def betti_table_from_lattice(L: SetFamilyLattice, char: int = 2) -> BettiTable:
     """Every interval of L, with its supports read from L's edges."""
     _check_char(char)
-    table = BettiTable(field_char=char)
-    table.entries[(0, 0)] = 1
-    supports = atom_columns(L.num_atoms, L.edges)
-    for p in L.masks:
-        if p:
-            for i, r in _betti_numbers(supports, p, char).items():
-                table.entries[(i, p)] = r
-    return table
+    return _table(atom_columns(L.num_atoms, L.edges), L.masks, char)
+
+
+def betti_table_of_edges(
+    num_atoms: int, edges: list[int], char: int = 2, what: str = "lattice"
+) -> BettiTable:
+    """Every interval of the lattice of the edge masks `edges`, from the
+    elements a walk with floor 0 visits; no lattice is built.
+
+    The elements are settled after the walk, smallest first, so the
+    element cap fires before the chain cap, and a chain-cap error names
+    the smallest element over it.
+    """
+    elements: list[int] = []
+
+    def visit(p: int) -> int:
+        elements.append(p)
+        return 0
+
+    walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, what)
+    _check_char(char)
+    elements.reverse()
+    return _table(atom_columns(num_atoms, edges), elements, char)
 
 
 def betti_table(ideal: MonomialIdeal, char: int = 2) -> BettiTable:
     """Betti table of R/I from its lcm-lattice."""
-    return betti_table_from_lattice(lcm_lattice(ideal), char)
+    return betti_table_of_edges(ideal.mu, polarized_edges(ideal), char, "lcm-lattice")
 
 
 def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
@@ -408,10 +478,11 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
     _check_char(char)
     supports = atom_columns(num_atoms, edges)
     best = 0
+    memo: dict = {}
 
     def visit(p: int) -> int:
         nonlocal best
-        best = max(best, max(_betti_numbers(supports, p, char), default=0))
+        best = max(best, max(_betti_numbers(supports, p, char, memo), default=0))
         return best
 
     walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, "lcm-lattice")

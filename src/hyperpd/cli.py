@@ -13,7 +13,14 @@ import json
 import os
 import sys
 
-from .betti import OracleError, _check_char, betti_table, betti_table_from_lattice, lattice_pd
+from .betti import (
+    OracleError,
+    _check_char,
+    betti_table,
+    betti_table_from_lattice,
+    betti_table_of_edges,
+    lattice_pd,
+)
 from .hypergraphs import (
     Hypergraph,
     HypergraphError,
@@ -27,6 +34,7 @@ from .ideals import IdealError, ideal_from_json_dict, parse_ideal
 from .lattices import (
     LatticeError,
     SetFamilyLattice,
+    _separated_edge_masks,
     coordinatize,
     hypergraph_coordinatization,
     labeling_from_json_dict,
@@ -222,8 +230,10 @@ def _cmd_betti(args, kind: str, obj) -> str:
         raise UsageError("betti takes an ideal, hypergraph, or bare lattice")
     if kind == "ideal":
         table = betti_table(obj, char=char)
+    elif kind == "hypergraph":
+        table = betti_table_of_edges(obj.mu, _separated_edge_masks(obj), char=char)
     else:
-        table = betti_table_from_lattice(_as_lattice(kind, obj), char=char)
+        table = betti_table_from_lattice(obj, char=char)
     if args.output_format == "text":
         totals = table.totals()
         row = " ".join(str(totals[i]) for i in sorted(totals))

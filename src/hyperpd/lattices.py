@@ -12,8 +12,8 @@ polarization), whose lattice is the lcm-lattice. That theorem is
 load-bearing for the whole pipeline, and is tested against the literal
 definition, not assumed. One walk, `walk_lattice`, enumerates that
 closure from the top down: the lattice builders here keep every
-element it visits, and `betti.lattice_pd` stops it below the best
-degree found.
+element it visits, `betti.betti_table_of_edges` lists them, and
+`betti.lattice_pd` stops it below the best degree found.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperpd import cli, hypergraphs, reduction
-from hyperpd.betti import DEFAULT_CHAIN_CAP
+from hyperpd import betti, cli, hypergraphs, lattices, reduction
+from hyperpd.betti import DEFAULT_CHAIN_CAP, OracleError, betti_table
 from hyperpd.cli import build_parser, main
 from hyperpd.hypergraphs import Hypergraph, classify_shape, dual_hypergraph
-from hyperpd.ideals import ideal_from_json_dict
+from hyperpd.ideals import ideal_from_json_dict, parse_ideal
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
 
@@ -297,9 +297,44 @@ def test_betti_dot_is_refused_before_any_lattice(monkeypatch, source):
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice was built")
 
-    for name in ("lattice_from_hypergraph", "betti_table", "betti_table_from_lattice"):
+    for name in ("lattice_from_hypergraph", "betti_table", "betti_table_from_lattice",
+                 "betti_table_of_edges"):
         monkeypatch.setattr(cli, name, refuse)
     assert _main("betti", "--in", source, "--output-format", "dot") == (2, "")
+
+
+def test_betti_meets_the_element_cap_before_the_chain_cap(monkeypatch, capsys):
+    """`betti` settles intervals only after the whole lattice is walked
+    or read, so an input over both caps stops at the element cap, and
+    one whose lattice fits names the smallest element over the chain
+    cap: on ideal text, hypergraph JSON and lattice JSON alike."""
+    I = parse_ideal("ab,bc,cd,de,ef,fg,gh,hi")
+    L = lattices.lcm_lattice(I)
+    size = len(L) - 1  # above the bottom, the top included
+    sources = [
+        I.to_text(),
+        json.dumps(dual_hypergraph(I).to_json_dict()),
+        json.dumps(L.to_json_dict()),
+    ]
+    # elements on 4 to 8 atoms are over the chain cap
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", size - 1)
+    with pytest.raises(lattices.LatticeError, match=f"exceeds the {size - 1}-element cap"):
+        betti_table(I)
+    for source in sources:
+        assert main(["betti", "--in", source]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "LatticeError"
+        assert error["message"].endswith(f"exceeds the {size - 1}-element cap")
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", size)
+    message = "crosscut complex on 4 atoms has 16 candidate faces, which exceeds the cap of 15"
+    with pytest.raises(OracleError) as err:
+        betti_table(I)
+    assert str(err.value) == message
+    for source in sources:
+        assert main(["betti", "--in", source]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "OracleError", "message": message}
 
 
 def test_coordinatize_labeled_lattice():
