@@ -15,11 +15,17 @@ three-vertex subsets of 8 vertices, and on each ideal's `lattice`
 output read back as input, and on the edge ideals of K5, K6 and K7,
 relabeled by the seed, and `abc,ad,bd,cd`, which cover the split of
 the crosscut complex, its nesting and the complex it falls back to
-when its two sides share a degree; on the read-back input it also asks
-`check` and `lattice --output-format dot`, and it asks `lattice` on
-the 12-atom lattice JSON that lacks only {1, 2}, which is not
-intersection-closed. Last it asks `pd --verify` on the fixtures,
-the ideals and the 84-edge hypergraph, every subcommand once with
+when its two sides share a degree (relabeled, K6 and K7 build 4 and
+13 complexes per characteristic at seed 3, 1 and 3 at seed 29, and K5
+none). Ten square-free ideals drawn from the seed, each of 14 products
+of 3 to 5 of x0,...,x9, take that fallback on many small complexes:
+`betti --entries` at characteristics 2 and 3 on them builds 36
+complexes per characteristic at seed 3 (938 faces, the largest 291)
+and 42 at seed 29 (2,128 faces, the largest 410). On the read-back
+input it also asks `check` and `lattice --output-format dot`, and it
+asks `lattice` on the 12-atom lattice JSON that lacks only {1, 2},
+which is not intersection-closed. Last it asks `pd --verify` on the
+fixtures, the ideals and the 84-edge hypergraph, every subcommand once with
 `--output-format dot` on figure 4, and `hypergraph` on a JSON input
 whose label keys spell one edge three ways, and `hypergraph` and
 `reduce` as DOT on a JSON input whose labels hold a quote and a
@@ -130,6 +136,21 @@ def split_queries(seed: int):
             argv = ["betti", "--field-char", char, "--in", source]
             yield "split", f"{name}-char{char}", argv + ["--entries"]
             yield "split", f"{name}-char{char}-text", argv + ["--output-format", "text"]
+
+
+def fallback_queries(seed: int):
+    """(workload name, query name, argv) for `betti --entries` on ten
+    square-free ideals drawn from the seed, each of 14 distinct
+    products of 3 to 5 of x0,...,x9, whose collisions build complexes."""
+    rng = random.Random(seed)
+    for k in range(10):
+        products = set()
+        while len(products) < 14:
+            products.add(tuple(sorted(rng.sample(range(10), rng.randint(3, 5)))))
+        text = ",".join("*".join(f"x{v}" for v in p) for p in sorted(products))
+        for char in ("2", "3"):
+            yield "fallback", f"I{k}-char{char}", ["betti", "--field-char", char,
+                                                   "--in", text, "--entries"]
 
 
 # every subset of 12 atoms but {1, 2}, the meet of {1, 2, 3} and {1, 2, 4}
@@ -292,6 +313,7 @@ def main(argv: list[str]) -> int:
             queries += lattice_queries(seed)
             queries += betti_queries(seed)
             queries += split_queries(seed)
+            queries += fallback_queries(seed)
             queries += read_back_queries(seed)
             queries += verify_and_dot_queries(seed)
             queries.append(("hypergraph", "label-keys", ["hypergraph", "--in", LABEL_KEYS]))

@@ -78,11 +78,11 @@ settles all of those but one, the top of the 11-cycle, the split
 settles that one, and no complex is built.
 
 A complex that is built is computed relative to the closed star of the
-apex. The star is a cone, so its reduced homology vanishes in every
-degree, and the long exact sequence of the pair makes the relative
-homology equal the reduced homology of the whole complex, degree by
-degree. Only the faces outside the star are built and ranked; the star
-holds most of them.
+split's apex, which `_settle` names. The star is a cone, so its reduced
+homology vanishes in every degree, and the long exact sequence of the
+pair makes the relative homology equal the reduced homology of the
+whole complex, degree by degree. Only the faces outside the star are
+built and ranked; the star holds most of them.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ from .ideals import MonomialIdeal
 from .lattices import (
     SetFamilyLattice,
     atom_columns,
-    edge_complements,
     lcm_lattice,  # not called here; perfbench/tracing.py patches this name
     polarized_edges,
     set_of,
@@ -131,51 +130,47 @@ class SimplicialComplex:
         return [len(level) for level in self.faces]
 
 
-def _crosscut_complex(supports: list[int], p: int, apex: int | None = None) -> SimplicialComplex:
-    """The crosscut complex of the atoms below p, relative to the
-    closed star of one atom, the apex.
+def _crosscut_complex(supports: list[int], apex: int) -> SimplicialComplex:
+    """The crosscut complex of the atoms with the supports `supports`,
+    relative to the closed star of the atom at position `apex`, which
+    `_settle` split on.
 
-    The crosscut complex has the atom sets whose join is not p as its
-    faces; a set joins to p exactly when the OR of its atoms' supports
-    is that of all of p's atoms. The star of the apex a holds the faces
-    F whose F + {a} still joins below p; it is a cone, so relative
+    The faces are the atom sets whose supports OR to less than the
+    target, the OR of all of them. The star of the apex a holds the
+    faces F for which F + {a} is still a face; it is a cone, so relative
     homology equals the reduced homology of the whole complex in every
-    degree. The faces kept are those outside the star: a not in F,
-    join(F) != p and join(F + {a}) = p. The default apex has the fewest
-    support bits, then the lowest index; `_settle` calls this only
-    once no atom has a support bit of its own. Faces are masks
-    over positions in the atom list.
+    degree. The faces kept are those outside the star: a not in F, and
+    F's supports short of the target but not with a's. Faces are masks
+    over positions in `supports`.
     """
-    atoms = [i for i in range(p.bit_length()) if p >> i & 1]
+    n = len(supports)
     # after[k]: the supports of the atoms from position k on
-    after = [0] * (len(atoms) + 1)
-    for k in range(len(atoms) - 1, -1, -1):
-        after[k] = after[k + 1] | supports[atoms[k]]
+    after = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        after[k] = after[k + 1] | supports[k]
     target = after[0]
-    if apex is None:
-        apex = min(atoms, key=lambda a: supports[a].bit_count())
     apex_support = supports[apex]
     # rest[k]: the supports of the apex and of every atom from position k on
     rest = [later | apex_support for later in after]
     # levels[k]: the kept faces on k atoms; the empty face is in the star
-    levels: list[list[int]] = [[] for _ in atoms]
+    levels: list[list[int]] = [[] for _ in range(n)]
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
     while stack:
         face, joined, start = stack.pop()
-        for k in range(start, len(atoms)):
-            if atoms[k] == apex:
+        for k in range(start, n):
+            if k == apex:
                 continue
-            joined2 = joined | supports[atoms[k]]
+            joined2 = joined | supports[k]
             if joined2 == target:
                 continue
             f2 = face | 1 << k
             if joined2 | apex_support == target:
                 levels[f2.bit_count()].append(f2)
-            # unless the apex and every later atom join f2 up to p, no
-            # extension of f2 leaves the star
+            # unless the apex and every later atom reach the target with
+            # f2, no extension of f2 leaves the star
             if joined2 | rest[k + 1] == target:
                 stack.append((f2, joined2, k + 1))
-    return SimplicialComplex(atoms, [sorted(level) for level in levels])
+    return SimplicialComplex(range(n), [sorted(level) for level in levels])
 
 
 def _rank_gf2(rows: list[int]) -> int:
@@ -357,7 +352,7 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
     if link is None or deletion.keys() & link.keys():
         if nested:
             return None
-        ranks = reduced_homology_ranks(_crosscut_complex(live, (1 << len(live)) - 1), char)
+        ranks = reduced_homology_ranks(_crosscut_complex(live, j), char)
         numbers = {d + 2: r for d, r in ranks.items()}
     else:
         numbers = deletion
@@ -419,6 +414,13 @@ def _betti_numbers(supports: list[int], p: int, char: int, memo: dict) -> dict[i
     return {i + shift: r for i, r in numbers.items()}
 
 
+def _supports(num_atoms: int, edges: list[int], char: int) -> list[int]:
+    """The atoms' supports over the edge masks `edges`, once `char` is
+    proven prime: the one proof per table or `lattice_pd` call."""
+    _check_char(char)
+    return atom_columns(num_atoms, edges)
+
+
 def _table(supports: list[int], elements, char: int) -> BettiTable:
     """The Betti table of the elements, taken in the order given, so a
     chain-cap error names the first one over the cap."""
@@ -434,8 +436,7 @@ def _table(supports: list[int], elements, char: int) -> BettiTable:
 
 def betti_table_from_lattice(L: SetFamilyLattice, char: int = 2) -> BettiTable:
     """Every interval of L, with its supports read from L's edges."""
-    _check_char(char)
-    return _table(atom_columns(L.num_atoms, L.edges), L.masks, char)
+    return _table(_supports(L.num_atoms, L.edges, char), L.masks, char)
 
 
 def betti_table_of_edges(
@@ -454,10 +455,9 @@ def betti_table_of_edges(
         elements.append(p)
         return 0
 
-    walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, what)
-    _check_char(char)
+    walk_lattice(num_atoms, edges, visit, what)
     elements.reverse()
-    return _table(atom_columns(num_atoms, edges), elements, char)
+    return _table(_supports(num_atoms, edges, char), elements, char)
 
 
 def betti_table(ideal: MonomialIdeal, char: int = 2) -> BettiTable:
@@ -475,8 +475,7 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
     degree found is its floor: no element on that many atoms or fewer
     can beat it.
     """
-    _check_char(char)
-    supports = atom_columns(num_atoms, edges)
+    supports = _supports(num_atoms, edges, char)
     best = 0
     memo: dict = {}
 
@@ -485,6 +484,6 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
         best = max(best, max(_betti_numbers(supports, p, char, memo), default=0))
         return best
 
-    walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, "lcm-lattice")
+    walk_lattice(num_atoms, edges, visit, "lcm-lattice")
     return best
 

@@ -168,7 +168,7 @@ def parse_monomial_word(word: str, variables: list[str], offset: int = 0) -> lis
     """Parse one monomial word into (variable index, exponent) pairs.
 
     Extends `variables` in place with names in order of first
-    appearance. Single letters may be juxtaposed ("abc"); multi-letter
+    appearance. Single ASCII letters may be juxtaposed ("abc"); longer
     names need "*" separators; "^" introduces an exponent.
     """
     word = word.strip()
@@ -205,7 +205,7 @@ def parse_monomial_word(word: str, variables: list[str], offset: int = 0) -> lis
             pairs.append((var_index(base), exp))
     else:
         for k, ch in enumerate(word):
-            if not ch.isalpha():
+            if not (ch.isascii() and ch.isalpha()):
                 raise IdealError(f"bad character {ch!r} at position {offset + k}")
             pairs.append((var_index(ch), 1))
     return pairs

@@ -10,10 +10,10 @@ hypergraph's edges: a separated hypergraph's own edges, or for an
 ideal one edge per variable power (the dual hypergraph of its
 polarization), whose lattice is the lcm-lattice. That theorem is
 load-bearing for the whole pipeline, and is tested against the literal
-definition, not assumed. One walk, `walk_lattice`, enumerates that
-closure from the top down: the lattice builders here keep every
-element it visits, `betti.betti_table_of_edges` lists them, and
-`betti.lattice_pd` stops it below the best degree found.
+definition, not assumed. One walk, `walk_lattice`, takes the edge
+masks and enumerates that closure from the top down: the builders here
+keep every element it visits, `betti.betti_table_of_edges` lists them,
+and `betti.lattice_pd` stops it below the best degree found.
 """
 
 from __future__ import annotations
@@ -247,17 +247,11 @@ def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
     return SetFamilyLattice(n, elements)
 
 
-def edge_complements(num_atoms: int, edges) -> list[int]:
-    """The distinct nonzero complements of the edge masks `edges`, in
-    the order first seen."""
-    full = (1 << num_atoms) - 1
-    return [c for c in dict.fromkeys(full & ~e for e in edges) if c]
-
-
-def walk_lattice(num_atoms: int, complements: list[int], visit, what: str):
-    """Visit the elements of the intersection-closure of `complements`
-    and the top, by falling atom count. `visit(p)` returns a floor, and
-    from then on no element on floor or fewer atoms is built or visited.
+def walk_lattice(num_atoms: int, edges, visit, what: str):
+    """Visit the elements of the lattice of the edge masks `edges`, the
+    intersection-closure of their distinct nonzero complements, and the
+    top, by falling atom count. `visit(p)` returns a floor, and from
+    then on no element on floor or fewer atoms is built or visited.
 
     Elements wait in one list per atom count, the top in the first.
     Every meet of an element with a complement has fewer atoms than the
@@ -273,6 +267,7 @@ def walk_lattice(num_atoms: int, complements: list[int], visit, what: str):
     built, the top included.
     """
     full = (1 << num_atoms) - 1
+    complements = [c for c in dict.fromkeys(full & ~e for e in edges) if c]
     cap = DEFAULT_ELEMENT_CAP
     seen = {full}
     # levels[k]: the elements built on k atoms
@@ -309,7 +304,7 @@ def _lattice_of_edges(num_atoms: int, edges: list[int], what: str) -> SetFamilyL
         members.add(p)
         return 0
 
-    walk_lattice(num_atoms, edge_complements(num_atoms, edges), visit, what)
+    walk_lattice(num_atoms, edges, visit, what)
     return SetFamilyLattice._walked(num_atoms, members, edges)
 
 

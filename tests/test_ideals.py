@@ -57,6 +57,19 @@ def test_parse_rejects_garbage():
         parse_ideal("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\u00e9", "bad character '\u00e9' at position 0"),
+    ("ab,x\u00e9", "bad character '\u00e9' at position 4"),
+    ("\u00e9*a", "bad variable name '\u00e9' at position 0"),
+    ("ab,x*\u00e9", "bad variable name '\u00e9' at position 3"),
+])
+def test_letters_are_ascii_juxtaposed_or_starred(text, message):
+    """A juxtaposed letter is an ASCII letter, as a starred name is."""
+    with pytest.raises(IdealError) as err:
+        parse_ideal(text)
+    assert str(err.value) == message
+
+
 def test_exponents_up_to_the_cap_parse():
     assert parse_monomial_word("a^1000*b^007", []) == [(0, 1000), (1, 7)]
 

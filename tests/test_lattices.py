@@ -261,34 +261,66 @@ def test_walk_stops_at_the_first_element_over_the_cap(monkeypatch):
     calls = []
 
     class Mask(int):
+        """An int that counts each AND it takes part in and stays a
+        Mask through AND and complement, so every meet is counted."""
+
         def __and__(self, other):
             calls.append(1)
-            return int(self) & int(other)
+            return Mask(int(self) & int(other))
 
         __rand__ = __and__
+
+        def __invert__(self):
+            return Mask(~int(self))
 
     visited = []
 
     def visit(p):
-        visited.append(p)
+        # each visited element, with the ANDs taken before its visit
+        visited.append((p, len(calls)))
         return 0
 
-    # the sets missing one of n atoms; their meets are every proper
-    # nonempty subset, so a full walk visits 2**n - 1 elements
+    # the edges on one of n atoms; the meets of their complements are
+    # every proper nonempty subset, so a full walk visits 2**n - 1
+    # elements
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 4095)
-    lattices.walk_lattice(12, [Mask(0xFFF ^ 1 << i) for i in range(12)], visit, "x")
-    assert len(visited) == len(set(visited)) == 4095
+    lattices.walk_lattice(12, [Mask(1 << i) for i in range(12)], visit, "x")
+    assert len(visited) == len({p for p, _ in visited}) == 4095
     visited.clear()
-    calls.clear()
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 20)
     with pytest.raises(LatticeError, match="x exceeds the 20-element cap"):
-        lattices.walk_lattice(16, [Mask(0xFFFF ^ 1 << i) for i in range(16)], visit, "x")
+        lattices.walk_lattice(16, [Mask(1 << i) for i in range(16)], visit, "x")
     # the top's 16 meets build the 16 complements, 17 elements; the
     # first complement popped builds its meets with the others, and the
     # fourth of those is the 21st. A check after each whole visit would
-    # come only after 16 + 16 meets.
-    assert visited == [0xFFFF, 0x7FFF]
-    assert len(calls) == 20
+    # come only after 16 meets of that element.
+    (top, before_top), (first, before_first) = visited
+    assert (top, first) == (0xFFFF, 0x7FFF)
+    assert before_first - before_top == 16
+    assert len(calls) - before_first == 4
+
+
+def test_walk_takes_each_distinct_nonzero_complement():
+    """Repeated edges and an edge on every atom, whose complement is
+    empty, change nothing the walk visits: the intersection-closure of
+    the complements and the top, by falling atom count."""
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        full = (1 << n) - 1
+        clean = sorted({rng.randrange(1, full) for _ in range(rng.randint(1, 8))})
+        messy = clean + rng.choices(clean, k=4) + [full]
+        rng.shuffle(messy)
+        closure = {full}
+        grown = closure
+        while grown:
+            grown = {m & full & ~e for m in grown for e in clean} - closure
+            closure |= grown
+        want = sorted(closure - {0}, key=lambda m: (-m.bit_count(), m))
+        for edges in (clean, messy):
+            visited = []
+            lattices.walk_lattice(n, edges, lambda p: visited.append(p) or 0, "x")
+            assert visited == want, (n, edges)
 
 
 def test_lattice_json_over_the_cap_is_refused_before_the_closure_proof(monkeypatch):
