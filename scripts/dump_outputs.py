@@ -31,7 +31,9 @@ whose label keys spell one edge three ways, and `hypergraph` and
 `reduce` as DOT on a JSON input whose labels hold a quote and a
 backslash. It asks `hypergraph` and `reduce` on every `random_ideals`
 text, where two variables often induce one edge and merge their
-names. Then it asks `pd`, `reduce` and `check` on the figure 4,
+names, and `pd --field-char 2147483647` on it, the largest prime
+characteristic, whose proof is remembered after the first query. Then
+it asks `pd`, `reduce` and `check` on the figure 4,
 five-generator and union-demo fixtures as hypergraph JSON with
 `vertex_labels` of any sign and size: v -> v - 3, and an increasing
 map into [-10^9, 10^9], drawn from the seed, that takes a negative
@@ -49,7 +51,12 @@ variables. It asks `betti` with `--entries` at characteristics 2 and
 3 on the path ideal x1*x2,...,x15*x16, and `betti` on two inputs that
 stop at a cap: the path ideal x1*x2,...,x29*x30 at the element cap,
 and the 24 products of all but one of y0,...,y23, whose 24-atom top is
-over the chain cap. It prints one sha256 per query, over
+over the chain cap. It asks `betti` on `aa,b`, `a*a,b`, `a^1*a,b` and
+`a^2,b`, `pd` on `aa`, and `lattice` on `a*a*b,b*c`, where a repeated
+variable counts toward its exponent and so breaks square-freeness; and
+`lattice` and `coordinatize` on the labeled lattice fixture with the
+label of {3} spelled `b*b` and `b^2`, which label the same monomial.
+It prints one sha256 per query, over
 the exit code, stdout, stderr and trace, and then the sha256 of those
 lines with the query count. Run it on two checkouts and compare the
 last lines.
@@ -199,11 +206,14 @@ DOT_ESCAPE = json.dumps({
 
 def random_ideal_queries(seed: int):
     """(workload name, query name, argv) for `hypergraph` and `reduce`
-    on each `random_ideals` text."""
+    on each `random_ideals` text, and `pd` at the largest prime
+    characteristic."""
     for q in WORKLOADS["random_ideals"](seed):
         text = q.argv[q.argv.index("--in") + 1]
         for command in ("hypergraph", "reduce"):
             yield "random-ideals", f"{q.name}-{command}", [command, "--in", text]
+        yield "random-ideals", f"{q.name}-pd-char2147483647", ["pd", "--field-char", "2147483647",
+                                                               "--in", text]
 
 
 def spread_ids(mu: int, rng: random.Random) -> list[int]:
@@ -297,6 +307,22 @@ def betti_walk_queries():
     yield "betti-walk", "all-but-one-chain-cap", ["betti", "--in", ALL_BUT_ONE]
 
 
+def repeated_variable_queries():
+    """(workload name, query name, argv) for ideal words that repeat a
+    variable, and for a lattice label spelled with a repeat and with an
+    exponent."""
+    for word in ("aa", "a*a", "a^1*a", "a^2"):
+        yield "repeated-variable", f"betti-{word}", ["betti", "--in", f"{word},b"]
+    yield "repeated-variable", "pd-aa", ["pd", "--in", "aa"]
+    yield "repeated-variable", "lattice-a*a*b", ["lattice", "--in", "a*a*b,b*c"]
+    with open("fixtures/labeled_lattice.json") as fh:
+        data = json.load(fh)
+    for word in ("b*b", "b^2"):
+        source = json.dumps({**data, "labels": {**data["labels"], "[3]": word}})
+        for command in ("lattice", "coordinatize"):
+            yield "repeated-variable", f"label-{word}-{command}", [command, "--in", source]
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or [3, 29]
     os.chdir(ROOT)
@@ -325,6 +351,7 @@ def main(argv: list[str]) -> int:
             queries += relabelled_queries(seed)
             queries += edge_case_queries()
             queries += betti_walk_queries()
+            queries += repeated_variable_queries()
             for workload, name, argv_q in queries:
                 if argv_q[0] == "pd":
                     argv_q += ["--trace", trace_path]

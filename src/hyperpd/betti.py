@@ -88,6 +88,7 @@ built and ranked; the star holds most of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .hypergraphs import atom_key
 from .ideals import MonomialIdeal
@@ -266,7 +267,10 @@ def reduced_homology_ranks(K: SimplicialComplex, char: int = 2) -> dict[int, int
     return ranks
 
 
+@cache
 def _check_char(char: int):
+    """Refuse a characteristic over the cap or not prime. A proven one
+    is remembered, so each costs one trial division per process."""
     if char > MAX_FIELD_CHAR:
         raise OracleError(f"characteristic {char} exceeds the cap of {MAX_FIELD_CHAR}")
     if char < 2 or any(char % q == 0 for q in range(2, int(char**0.5) + 1)):

@@ -139,25 +139,9 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
-def _field_char(args) -> int:
-    """The characteristic from --field-char, else HYPERPD_FIELD_CHAR,
-    else 2; it must be prime whether or not the oracle runs."""
-    if args.field_char is not None:
-        char = args.field_char
-    else:
-        raw = os.environ.get("HYPERPD_FIELD_CHAR", "2")
-        try:
-            char = int(raw)
-        except ValueError:
-            raise OracleError(f"HYPERPD_FIELD_CHAR must be an integer, got {raw!r}")
-    _check_char(char)
-    return char
-
-
 def _cmd_pd(args, kind: str, obj) -> str:
     H = _as_hypergraph(kind, obj)
-    char = _field_char(args)
-    result = pd(H, field_char=char)
+    result = pd(H, field_char=args.field_char)
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(result.trace.to_jsonl())
@@ -165,7 +149,7 @@ def _cmd_pd(args, kind: str, obj) -> str:
     if args.verify:
         # pd() refused an unseparated H, so its edge lattice is the
         # lcm-lattice of its ideal
-        reference = lattice_pd(H.mu, edge_masks(H), char=char)
+        reference = lattice_pd(H.mu, edge_masks(H), char=args.field_char)
         if reference != result.pd:
             raise PdError(
                 f"verification failed: reduction gives pd {result.pd}, "
@@ -225,7 +209,10 @@ def _cmd_reduce(args, kind: str, obj) -> str:
 
 
 def _cmd_betti(args, kind: str, obj) -> str:
-    char = _field_char(args)
+    # proven before any lattice is walked, so a bad characteristic is
+    # refused before a cap is reached
+    char = args.field_char
+    _check_char(char)
     if kind == "labeling":
         raise UsageError("betti takes an ideal, hypergraph, or bare lattice")
     if kind == "ideal":
@@ -300,8 +287,8 @@ def _cmd_check(args, kind: str, obj) -> str:
     return _json_text(data)
 
 
-_FIELD_CHAR = ("--field-char", {"type": int, "default": None,
-                                 "help": "field characteristic (default: HYPERPD_FIELD_CHAR or 2)"})
+_FIELD_CHAR = ("--field-char", {"type": int, "default": 2,
+                                 "help": "field characteristic (default: 2)"})
 _TRACE = ("--trace", {"default": None, "help": "write a JSONL trace here"})
 
 

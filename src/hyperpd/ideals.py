@@ -214,14 +214,14 @@ def parse_monomial_word(word: str, variables: list[str], offset: int = 0) -> lis
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse a comma-separated list of monomial words into an ideal.
 
-    Variables are ordered by first appearance. Exponents above 1 are
-    rejected here (square-free input contract); non-minimal generators
-    are dropped.
+    Variables are ordered by first appearance. Exponents above 1,
+    counting a variable a word repeats, are rejected here (square-free
+    input contract); non-minimal generators are dropped.
     """
     if text.strip() == "0":
         return MonomialIdeal((), ())
     variables: list[str] = []
-    raw: list[list[tuple[int, int]]] = []
+    raw: list[dict[int, int]] = []
     pos = 0
     pieces = text.split(",")
     if not any(p.strip() for p in pieces):
@@ -230,22 +230,19 @@ def parse_ideal(text: str) -> MonomialIdeal:
         word = piece.strip()
         if not word:
             raise IdealError(f"empty generator at position {pos}")
-        pairs = parse_monomial_word(word, variables, offset=pos + piece.index(word))
-        for i, e in pairs:
+        # a variable the word repeats counts toward its exponent
+        exps: dict[int, int] = {}
+        for i, e in parse_monomial_word(word, variables, offset=pos + piece.index(word)):
+            exps[i] = exps.get(i, 0) + e
+        for i, e in exps.items():
             if e >= 2:
                 raise IdealError(
                     f"exponent {e} on {variables[i]!r} in {word!r}: input ideals must be square-free"
                 )
-        raw.append(pairs)
+        raw.append(exps)
         pos += len(piece) + 1
     ring = tuple(variables)
-    monomials = []
-    for pairs in raw:
-        exps = [0] * len(ring)
-        for i, e in pairs:
-            exps[i] += e
-        monomials.append(Monomial(ring, tuple(exps)))
-    return make_ideal(ring, monomials)
+    return make_ideal(ring, [monomial_from_indices(ring, exps) for exps in raw])
 
 
 def is_json_int(value) -> bool:

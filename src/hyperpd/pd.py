@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .betti import lattice_pd
+from .betti import _check_char, lattice_pd
 from .hypergraphs import (
     Hypergraph,
     classify_shape,
@@ -72,10 +72,12 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
 def pd(H: Hypergraph, field_char: int = 2) -> PdResult:
     """Reduce, split into components, price each, and add.
 
+    The characteristic is proven first, whether or not the oracle runs.
     Only a separated hypergraph is the dual of an ideal, so others are
     refused. The passes keep separation, which leaves no all-open
     string of two or more vertices to price.
     """
+    _check_char(field_char)
     pair = unseparated_pair(H)
     if pair is not None:
         raise PdError(

@@ -359,6 +359,14 @@ def test_char_is_proven_once_per_call(monkeypatch):
         assert calls == [char]
 
 
+def test_a_characteristic_is_proven_once_per_process():
+    betti._check_char.cache_clear()
+    betti._check_char(betti.MAX_FIELD_CHAR)  # 2,147,483,647 is prime
+    betti._check_char(betti.MAX_FIELD_CHAR)
+    info = betti._check_char.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_json_lattice_gives_the_walk_built_betti_table():
     """A lattice read back from its own JSON has the complements of its
     meet-irreducibles as its edges, not the polarized edges; every Betti

@@ -24,7 +24,6 @@ FIVE_GEN = "ab,bcg,cdg,de,efg"
 
 def _run(*argv, stdin=None, env_extra=None, timeout=None):
     env = dict(os.environ)
-    env.pop("HYPERPD_FIELD_CHAR", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -259,14 +258,11 @@ def test_betti_field_char_flag_and_env():
     flag = _run("betti", "--in", FIVE_GEN, "--field-char", "3",
                 "--output-format", "text")
     assert "char 3" in flag.stdout
+    # the flag is the only source: the variable that once set the
+    # characteristic is ignored
     env = _run("betti", "--in", FIVE_GEN, "--output-format", "text",
                env_extra={"HYPERPD_FIELD_CHAR": "5"})
-    assert "char 5" in env.stdout
-    # the explicit flag wins over the environment
-    both = _run("betti", "--in", FIVE_GEN, "--field-char", "3",
-                "--output-format", "text",
-                env_extra={"HYPERPD_FIELD_CHAR": "5"})
-    assert "char 3" in both.stdout
+    assert "char 2" in env.stdout
 
 
 def test_betti_rejects_nonprime_char():
@@ -343,6 +339,33 @@ def test_coordinatize_labeled_lattice():
     assert text.stdout == "bcd, abc, a^2*c, a^2*b\n"
     data = json.loads(_run("coordinatize", "--in", "fixtures/labeled_lattice.json").stdout)
     assert set(data) == {"ideal", "text", "labeling"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--in", "aa,b"),
+    ("lattice", "--in", "a*a*b,b*c"),
+    ("betti", "--in", "a^1*a,b"),
+    ("pd", "--in", "aa"),
+], ids=" ".join)
+def test_a_repeated_variable_is_not_square_free(argv):
+    proc = _run(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    word = argv[2].split(",")[0]
+    assert json.loads(proc.stderr) == {
+        "error": "IdealError",
+        "message": f"exponent 2 on 'a' in {word!r}: input ideals must be square-free",
+    }
+
+
+def test_a_repeated_label_variable_is_its_power():
+    with open("fixtures/labeled_lattice.json") as fh:
+        data = json.load(fh)
+    out = {}
+    for word in ("b*b", "b^2"):
+        data["labels"]["[3]"] = word
+        proc = _run("coordinatize", "--in", json.dumps(data), "--output-format", "text")
+        out[word] = (proc.returncode, proc.stdout)
+    assert out["b*b"] == out["b^2"] == (0, "b^2*c*d, a*b^2*c, a^2*c, a^2*b^2\n")
 
 
 def test_coordinatize_needs_labels():
@@ -517,35 +540,25 @@ def test_json_errors_name_the_position_in_the_input_as_given(tmp_path):
     }
 
 
-def test_bad_field_char_env_exits_one():
-    proc = _run("pd", "--in", "ab,bc", env_extra={"HYPERPD_FIELD_CHAR": "x"})
-    assert proc.returncode == 1
-    assert json.loads(proc.stderr)["error"] == "OracleError"
-
-
-@pytest.mark.parametrize("argv,env", [
-    (("pd", "--in", "ab,bc", "--field-char", "4"), None),
-    (("pd", "--in", "ab,bc"), {"HYPERPD_FIELD_CHAR": "9"}),
-    (("pd", "--in", "ab,bc,cd,de", "--field-char", "4"), None),
-    (("betti", "--in", "ab", "--field-char", "1"), None),
-])
-def test_field_char_must_be_prime_even_without_the_oracle(argv, env):
+@pytest.mark.parametrize("argv", [
+    ("pd", "--in", "ab,bc", "--field-char", "4"),
+    ("pd", "--in", "ab,bc,cd,de", "--field-char", "4"),
+    ("betti", "--in", "ab", "--field-char", "1"),
+], ids=" ".join)
+def test_field_char_must_be_prime_even_without_the_oracle(argv):
     # the string ab,bc is priced by a formula, so no oracle call would
     # otherwise notice the characteristic
-    proc = _run(*argv, env_extra=env)
+    proc = _run(*argv)
     assert proc.returncode == 1
     assert json.loads(proc.stderr) == {
         "error": "OracleError",
-        "message": f"{argv[-1] if env is None else env['HYPERPD_FIELD_CHAR']} "
-                   "is not a prime characteristic",
+        "message": f"{argv[-1]} is not a prime characteristic",
     }
 
 
-@pytest.mark.parametrize("env", [None, {"HYPERPD_FIELD_CHAR": "2305843009213693951"}])
-def test_field_char_over_the_cap_is_refused_before_trial_division(env):
+def test_field_char_over_the_cap_is_refused_before_trial_division():
     # 2**61 - 1 is prime; proving it by trial division takes 1.5e9 steps
-    argv = ["pd", "--in", "ab,bc"] + ([] if env else ["--field-char", "2305843009213693951"])
-    proc = _run(*argv, env_extra=env, timeout=30)
+    proc = _run("pd", "--in", "ab,bc", "--field-char", "2305843009213693951", timeout=30)
     assert proc.returncode == 1
     assert json.loads(proc.stderr) == {
         "error": "OracleError",
@@ -823,7 +836,6 @@ def _outcome(argv):
 ], ids=repr)
 def test_one_subcommand_parser_answers_like_the_full_parser(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("HYPERPD_FIELD_CHAR", raising=False)
     narrow = _outcome(argv)
     assert narrow[0] in (0, 2)
     full = cli.build_parser

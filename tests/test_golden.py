@@ -76,7 +76,6 @@ def record_all() -> dict[str, dict]:
 @pytest.fixture(autouse=True)
 def _at_root(monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("HYPERPD_FIELD_CHAR", raising=False)
 
 
 def test_golden_file_lists_every_call():
@@ -92,6 +91,5 @@ def test_cli_output_matches_golden(argv):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    os.environ.pop("HYPERPD_FIELD_CHAR", None)
     GOLDEN.write_text(json.dumps(record_all(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN.relative_to(ROOT)}")

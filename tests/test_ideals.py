@@ -48,6 +48,17 @@ def test_parse_rejects_exponents_in_ideals():
         parse_ideal("a^2*b,c")
 
 
+@pytest.mark.parametrize("text, exponent", [
+    ("aa", 2), ("a*a", 2), ("a^1*a", 2), ("a*b*a", 2), ("a^2*a", 3),
+])
+def test_a_repeated_variable_counts_toward_its_exponent(text, exponent):
+    with pytest.raises(IdealError) as info:
+        parse_ideal(f"{text},bc")
+    assert str(info.value) == (
+        f"exponent {exponent} on 'a' in {text!r}: input ideals must be square-free"
+    )
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(IdealError):
         parse_ideal("a$b")

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from hyperpd.betti import betti_table, lattice_pd
+from hyperpd import betti
+from hyperpd.betti import OracleError, betti_table, lattice_pd
 from hyperpd.cli import main
 from hyperpd.hypergraphs import (
     Hypergraph,
@@ -116,6 +117,26 @@ def test_pd_refuses_a_hypergraph_no_ideal_has(edges, a, b):
     assert not is_separated(H)
     with pytest.raises(PdError, match=f"every edge through vertex {a} holds vertex {b}$"):
         pd(H)
+
+
+@pytest.mark.parametrize("H", [
+    dual_hypergraph(parse_ideal("ab,bc")),  # priced by formulas alone
+    dual_hypergraph(parse_ideal("ab,bc,cd,de,ea")),  # needs the oracle
+    Hypergraph([(1, 2)]),  # not separated
+], ids=["ab,bc", "5-cycle", "unseparated"])
+def test_pd_proves_its_characteristic_on_entry(H):
+    with pytest.raises(OracleError, match="^4 is not a prime characteristic$"):
+        pd(H, 4)
+
+
+def test_pd_proves_its_characteristic_once_for_all_its_components():
+    betti._check_char.cache_clear()
+    H = dual_hypergraph(parse_ideal("ab,bc,cd,de,ea,fg,gh,hi,ij,jf"))
+    result = pd(H, betti.MAX_FIELD_CHAR)
+    assert [sub.method for _, sub in result.per_component] == [METHOD_ORACLE] * 2
+    info = betti._check_char.cache_info()
+    # pd's own proof divides; each component's oracle call finds it
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_dispatch_two_star_with_closed_leaves():
