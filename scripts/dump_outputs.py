@@ -48,10 +48,12 @@ atom 100000 of 1, on {1, 2}, which is no element, and with two keys
 for one element; and `hypergraph --output-format text`, `pd` and
 `check` on the path ideal x1*x2,...,x69*x70, whose ring has 70
 variables. It asks `betti` with `--entries` at characteristics 2 and
-3 on the path ideal x1*x2,...,x15*x16, and `betti` on two inputs that
-stop at a cap: the path ideal x1*x2,...,x29*x30 at the element cap,
-and the 24 products of all but one of y0,...,y23, whose 24-atom top is
-over the chain cap. It asks `betti` on `aa,b`, `a*a,b`, `a^1*a,b` and
+3 on the path ideal x1*x2,...,x15*x16, on the six coprime generators
+`ab,cd,ef,gh,ij,kl` and on `ab,bc,cd,de,fg,hi*h,jk`, a path beside
+three coprime generators, and `betti` on three inputs that stop at a
+cap: the path ideal x1*x2,...,x29*x30 and the 19 coprime generators
+x0,...,x18 at the element cap, and the 24 products of all but one of
+y0,...,y23, whose 24-atom top is over the chain cap. It asks `betti` on `aa,b`, `a*a,b`, `a^1*a,b` and
 `a^2,b`, `pd` on `aa`, and `lattice` on `a*a*b,b*c`, where a repeated
 variable counts toward its exponent and so breaks square-freeness; and
 `lattice` and `coordinatize` on the labeled lattice fixture with the
@@ -297,13 +299,26 @@ def edge_case_queries():
     yield "path70", "check", ["check", "--in", PATH70]
 
 
+# six coprime generators, and a path beside three coprime ones: every
+# element of the first lies in the top's Boolean interval, and the
+# second mixes Taylor elements with others
+TAYLOR_INPUTS = {"coprime6": "ab,cd,ef,gh,ij,kl", "mixed": "ab,bc,cd,de,fg,hi*h,jk"}
+
+# 19 coprime generators: 2^19 - 1 elements, all in the top's interval
+COPRIME19 = ",".join(f"x{i}" for i in range(19))
+
+
 def betti_walk_queries():
     """(workload name, query name, argv) for `betti` on the 16-variable
-    path ideal, and on two inputs over the element and the chain cap."""
-    for char in ("2", "3"):
-        yield "betti-walk", f"P16-char{char}", ["betti", "--field-char", char,
-                                                "--in", path_text(16), "--entries"]
+    path ideal and on the Taylor-heavy inputs, and on three inputs over
+    the element and the chain cap."""
+    inputs = {"P16": path_text(16), **TAYLOR_INPUTS}
+    for name, text in inputs.items():
+        for char in ("2", "3"):
+            yield "betti-walk", f"{name}-char{char}", ["betti", "--field-char", char,
+                                                       "--in", text, "--entries"]
     yield "betti-walk", "P30-element-cap", ["betti", "--in", path_text(30)]
+    yield "betti-walk", "coprime19-element-cap", ["betti", "--in", COPRIME19]
     yield "betti-walk", "all-but-one-chain-cap", ["betti", "--in", ALL_BUT_ONE]
 
 

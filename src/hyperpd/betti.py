@@ -6,8 +6,8 @@ open interval (bottom, p), computed over a prime field
 (Gasharov-Peeva-Welker). The projective dimension is the top nonzero
 degree, which `lattice_pd` finds by stopping the lattice walk of
 `lattices.walk_lattice` below the best degree found; a whole table
-settles every element the walk visits, and builds no lattice. Everything
-downstream is checked against this module; nothing here depends on the
+settles every element the walk visits or marks, and builds no lattice.
+Everything downstream is checked against this module; nothing here depends on the
 reduction rules.
 
 A lattice here is the intersection-closure of the complements of a
@@ -67,15 +67,21 @@ share a degree (a collision), a nested piece gives up at once, and only
 the element's own instance builds a complex, so a collision costs only
 the peels below it.
 
-Many elements leave one instance after the peel's first step, so each
-element takes that step as its supports are gathered, and each
-leftover is settled once per table or `lattice_pd` call. A round of
-the benchmark's `betti_gf3` queries (seed 1) has 2,542 elements above
-the bottom. 1,507 of them, the 33 atoms included, are Taylor elements,
-answered in that first pass; the other 1,035 leave 150 distinct
-instances: 8 on figure 4's core, 62 on P12 and 80 on C11. The peel
-settles all of those but one, the top of the 11-cycle, the split
-settles that one, and no complex is built.
+Below a Taylor element, one whose atoms all have a private bit, the
+interval is Boolean: every subset S of its atoms is an element, Taylor
+again, with the single Betti number beta_|S| = 1, the minimal part of
+the Taylor resolution. A whole table answers the walk so at the first
+Taylor element it meets, and the walk marks every subset at once,
+building, visiting and peeling none of them. Every other element takes
+the peel's first step as the walk visits it, and each leftover is
+settled once per table or `lattice_pd` call. A round of the
+benchmark's `betti_gf3` queries (seed 1) has 2,542 elements above the
+bottom. 1,507 of them, the 33 atoms included, are Taylor elements,
+marked by 64 such answers; the walk builds 1,508 elements and visits
+1,099 (on figure 4's core, 638 and 427 of 1,442). The other 1,035
+leave 150 distinct instances: 8 on figure 4's core, 62 on P12 and 80
+on C11. The peel settles all of those but one, the top of the
+11-cycle, the split settles that one, and no complex is built.
 
 A complex that is built is computed relative to the closed star of the
 split's apex, which `_settle` names. The star is a cone, so its reduced
@@ -93,6 +99,7 @@ from functools import cache
 from .hypergraphs import atom_key
 from .ideals import MonomialIdeal
 from .lattices import (
+    BOOLEAN,
     SetFamilyLattice,
     atom_columns,
     lcm_lattice,  # not called here; perfbench/tracing.py patches this name
@@ -365,27 +372,26 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
     return {i + shift: r for i, r in numbers.items()}
 
 
-def _betti_numbers(supports: list[int], p: int, char: int, memo: dict) -> dict[int, int]:
-    """The nonzero Betti numbers of the element p by degree: beta_i is
-    the rank of H~_{i-2} of p's crosscut complex.
-
-    The peel's first step is taken here. One pass gathers p's supports,
-    ORs them and marks the bits two of them share; an atom carries
-    beta_1 = 1 and a Taylor element, every atom with a private bit, a
-    single 1. Otherwise the atoms with a private bit are dropped and
-    the rest and the target are cut to what those atoms miss. The cut
-    target is the OR of the cut supports, so they alone, in atom order,
-    name that leftover instance, and it is settled once per `memo`: a
-    dict that lives for one table or one `lattice_pd` call, and whose
-    values nothing writes to. A complex is built and ranked only when
-    the split collides. The chain cap is judged on p's atom count.
-    """
-    count = p.bit_count()
+def _check_chain_cap(count: int):
+    """Refuse an element on `count` atoms, whose crosscut complex has
+    2^count candidate faces, past `DEFAULT_CHAIN_CAP`."""
     if 1 << count > DEFAULT_CHAIN_CAP:
         raise OracleError(
             f"crosscut complex on {count} atoms has {1 << count} "
             f"candidate faces, which exceeds the cap of {DEFAULT_CHAIN_CAP}"
         )
+
+
+def _first_peel(supports: list[int], p: int) -> tuple[int, ...]:
+    """The peel's first step on the element p: the leftover instance.
+
+    One pass gathers p's supports, ORs them and marks the bits two of
+    them share. The atoms with a private bit are dropped and the rest
+    and the target are cut to what those atoms miss. The cut target is
+    the OR of the cut supports, so they alone, in atom order, name the
+    leftover. A Taylor element, every atom with a private bit, leaves
+    none: its interval is Boolean.
+    """
     live = []
     once = shared = 0
     rest = p
@@ -403,19 +409,41 @@ def _betti_numbers(supports: list[int], p: int, char: int, memo: dict) -> dict[i
             peeled |= s
         else:
             kept.append(s)
-    if not kept:
-        return {count: 1}  # the boundary of a simplex
     target = once & ~peeled
-    cut = [s & target for s in kept]
-    # the key is copied from a list: under CPython 3.11, a tuple built
-    # from a generator left 600 `betti_gf3` rounds in one process about
-    # 1 MiB larger
-    key = tuple(cut)
-    numbers = memo.get(key)
+    # copied from a list: under CPython 3.11, a tuple built from a
+    # generator left 600 `betti_gf3` rounds in one process about 1 MiB
+    # larger
+    return tuple([s & target for s in kept])
+
+
+def _leftover_numbers(leftover: tuple[int, ...], count: int, char: int, memo: dict) -> dict[int, int]:
+    """The nonzero Betti numbers by degree of an element on `count`
+    atoms whose first peel leaves `leftover`: a single 1 if it leaves
+    none (an atom carries beta_1 = 1), else the leftover's numbers
+    shifted by the atoms peeled. Each leftover is settled once per
+    `memo`, a dict that lives for one table or one `lattice_pd` call,
+    and whose values nothing writes to. A complex is built and ranked
+    only when the split collides.
+    """
+    if not leftover:
+        return {count: 1}  # the boundary of a simplex
+    numbers = memo.get(leftover)
     if numbers is None:
-        numbers = memo[key] = _settle(cut, target, char, False)
-    shift = count - len(kept)
+        target = 0
+        for s in leftover:
+            target |= s
+        numbers = memo[leftover] = _settle(list(leftover), target, char, False)
+    shift = count - len(leftover)
     return {i + shift: r for i, r in numbers.items()}
+
+
+def _betti_numbers(supports: list[int], p: int, char: int, memo: dict) -> dict[int, int]:
+    """The nonzero Betti numbers of the element p by degree: beta_i is
+    the rank of H~_{i-2} of p's crosscut complex, once the chain cap is
+    judged on p's atom count."""
+    count = p.bit_count()
+    _check_chain_cap(count)
+    return _leftover_numbers(_first_peel(supports, p), count, char, memo)
 
 
 def _supports(num_atoms: int, edges: list[int], char: int) -> list[int]:
@@ -425,43 +453,53 @@ def _supports(num_atoms: int, edges: list[int], char: int) -> list[int]:
     return atom_columns(num_atoms, edges)
 
 
-def _table(supports: list[int], elements, char: int) -> BettiTable:
-    """The Betti table of the elements, taken in the order given, so a
-    chain-cap error names the first one over the cap."""
-    table = BettiTable(field_char=char)
-    table.entries[(0, 0)] = 1
-    memo: dict = {}
-    for p in elements:
-        if p:
-            for i, r in _betti_numbers(supports, p, char, memo).items():
-                table.entries[(i, p)] = r
-    return table
-
-
 def betti_table_from_lattice(L: SetFamilyLattice, char: int = 2) -> BettiTable:
-    """Every interval of L, with its supports read from L's edges."""
-    return _table(_supports(L.num_atoms, L.edges, char), L.masks, char)
+    """Every interval of L, from a walk of L's edges."""
+    return betti_table_of_edges(L.num_atoms, list(L.edges), char)
 
 
 def betti_table_of_edges(
     num_atoms: int, edges: list[int], char: int = 2, what: str = "lattice"
 ) -> BettiTable:
     """Every interval of the lattice of the edge masks `edges`, from the
-    elements a walk with floor 0 visits; no lattice is built.
+    elements a walk with floor 0 visits or marks; no lattice is built.
 
-    The elements are settled after the walk, smallest first, so the
-    element cap fires before the chain cap, and a chain-cap error names
-    the smallest element over it.
+    A Taylor element, every atom with a private support bit, has a
+    Boolean interval: the walk marks each of its subsets S, which
+    carries beta_|S| = 1. The other elements are settled after the
+    walk, smallest first, so the element cap fires before the chain
+    cap, and a chain-cap error names the smallest element over it. A
+    Boolean element on k atoms has subsets on every count up to k, so
+    those counts are judged first.
     """
-    elements: list[int] = []
+    supports = _supports(num_atoms, edges, char)
+    # the other elements, with their leftovers, in walk order
+    elements: list[tuple[int, tuple[int, ...]]] = []
+    taylor = 0  # the atom count of the largest Taylor element
 
     def visit(p: int) -> int:
-        elements.append(p)
-        return 0
+        nonlocal taylor
+        leftover = _first_peel(supports, p)
+        if leftover:
+            elements.append((p, leftover))
+            return 0
+        taylor = taylor or p.bit_count()
+        return BOOLEAN
 
-    walk_lattice(num_atoms, edges, visit, what)
-    elements.reverse()
-    return _table(_supports(num_atoms, edges, char), elements, char)
+    boolean = walk_lattice(num_atoms, edges, visit, what)
+    for count in range(1, taylor + 1):
+        _check_chain_cap(count)
+    table = BettiTable(field_char=char)
+    table.entries[(0, 0)] = 1
+    for p in boolean:
+        table.entries[(p.bit_count(), p)] = 1
+    memo: dict = {}
+    for p, leftover in reversed(elements):
+        count = p.bit_count()
+        _check_chain_cap(count)
+        for i, r in _leftover_numbers(leftover, count, char, memo).items():
+            table.entries[(i, p)] = r
+    return table
 
 
 def betti_table(ideal: MonomialIdeal, char: int = 2) -> BettiTable:

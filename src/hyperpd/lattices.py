@@ -12,8 +12,9 @@ polarization), whose lattice is the lcm-lattice. That theorem is
 load-bearing for the whole pipeline, and is tested against the literal
 definition, not assumed. One walk, `walk_lattice`, takes the edge
 masks and enumerates that closure from the top down: the builders here
-keep every element it visits, `betti.betti_table_of_edges` lists them,
-and `betti.lattice_pd` stops it below the best degree found.
+keep every element it visits, `betti.betti_table_of_edges` has it mark
+each Taylor element's Boolean interval and settles the rest, and
+`betti.lattice_pd` stops it below the best degree found.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .ideals import IdealError, Monomial, MonomialIdeal, is_json_int, parse_mono
 from .hypergraphs import Hypergraph, atom_key, edge_masks, is_separated, union_masks
 
 DEFAULT_ELEMENT_CAP = 1 << 18
+BOOLEAN = -1  # a visitor's answer to `walk_lattice`: p's interval is Boolean
 
 
 class LatticeError(ValueError):
@@ -247,11 +249,13 @@ def lattice_from_json_dict(data: dict) -> SetFamilyLattice:
     return SetFamilyLattice(n, elements)
 
 
-def walk_lattice(num_atoms: int, edges, visit, what: str):
+def walk_lattice(num_atoms: int, edges, visit, what: str) -> set[int]:
     """Visit the elements of the lattice of the edge masks `edges`, the
     intersection-closure of their distinct nonzero complements, and the
     top, by falling atom count. `visit(p)` returns a floor, and from
-    then on no element on floor or fewer atoms is built or visited.
+    then on no element on floor or fewer atoms is built or visited; or
+    it returns `BOOLEAN`: p's interval is Boolean, because each atom of
+    p has an edge that meets p in that atom alone.
 
     Elements wait in one list per atom count, the top in the first.
     Every meet of an element with a complement has fewer atoms than the
@@ -263,13 +267,28 @@ def walk_lattice(num_atoms: int, edges, visit, what: str):
     visits intersection-closed: each element is met with every
     complement and checked to be the meet of the complements above it,
     so a meet of two elements is reached one complement at a time.
-    Raises as soon as more than `DEFAULT_ELEMENT_CAP` elements are
-    built, the top included.
+
+    A Boolean p first marks every subset of p as built, p's meets among
+    them, so it builds none of its own meets; a subset waiting in a
+    lower list is skipped when the walk reaches it. No subset S needs a
+    meet check: the edge of an atom of p outside S meets p in that atom
+    alone, so it misses S, and S is p's meet with the complements of
+    those edges, closed since p is. Every meet of S lies in p, and is
+    marked too. Returns the elements marked so, the Boolean p's
+    included; the walk hands none of the others to `visit`.
+
+    Raises once more than `DEFAULT_ELEMENT_CAP` elements are built or
+    marked, the top included: at the first element built over the cap,
+    or when a Boolean p's subsets are marked. Where counting the subsets
+    already built costs less than marking, they are counted first, so
+    19 coprime generators stop before any of their 2^19 - 1 lcms is
+    marked.
     """
     full = (1 << num_atoms) - 1
     complements = [c for c in dict.fromkeys(full & ~e for e in edges) if c]
     cap = DEFAULT_ELEMENT_CAP
     seen = {full}
+    boolean: set[int] = set()
     # levels[k]: the elements built on k atoms
     levels: list[list[int]] = [[] for _ in range(num_atoms)] + [[full]]
     floor = 0
@@ -277,8 +296,28 @@ def walk_lattice(num_atoms: int, edges, visit, what: str):
         levels[count].sort()
         for p in levels[count]:
             if count <= floor:
-                return
-            floor = visit(p)
+                return boolean
+            if p in boolean:
+                continue
+            answer = visit(p)
+            if answer == BOOLEAN:
+                # p's nonempty subsets, less those already built where
+                # counting them costs less than marking
+                fresh = (1 << count) - 1
+                if len(seen) + fresh > cap and len(seen) < fresh:
+                    fresh -= sum(1 for m in seen if m | p == p)
+                    if len(seen) + fresh > cap:
+                        raise LatticeError(f"{what} exceeds the {cap}-element cap")
+                s = p
+                while s:
+                    if s not in boolean:
+                        boolean.add(s)
+                        seen.add(s)
+                    s = (s - 1) & p
+                if len(seen) > cap:
+                    raise LatticeError(f"{what} exceeds the {cap}-element cap")
+            else:
+                floor = answer
             meet = full
             for c in complements:
                 m = p & c
@@ -293,6 +332,7 @@ def walk_lattice(num_atoms: int, edges, visit, what: str):
                         levels[k].append(m)
             if meet != p:
                 raise AssertionError(f"{set_of(p)} is not the meet of the complements above it")
+    return boolean
 
 
 def _lattice_of_edges(num_atoms: int, edges: list[int], what: str) -> SetFamilyLattice:

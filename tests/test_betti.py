@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -942,3 +944,112 @@ def test_the_memo_settles_few_leftovers_on_the_benchmark_inputs(monkeypatch):
     assert counts["figure4-core"] <= 8
     assert counts["P12"] <= 62
     assert counts["C11"] <= 80
+
+
+def _coprime_ideal(rng, n: int):
+    """n pairwise coprime generators, each a power of one variable times
+    up to two other variables of its own: a Taylor element on n atoms."""
+    ring = tuple(f"x{i}" for i in range(3 * n))
+    gens = []
+    for g in range(n):
+        exps = [0] * len(ring)
+        for v in rng.sample(range(3 * g, 3 * g + 3), rng.randint(1, 3)):
+            exps[v] = rng.randint(1, 3)
+        gens.append(Monomial(ring, tuple(exps)))
+    return make_ideal(ring, gens)
+
+
+def test_boolean_intervals_match_settling_each_element(monkeypatch):
+    """Every entry of `betti_table`, where each Taylor element's Boolean
+    interval is marked in one step, matches settling each element of
+    the lcm-lattice one by one, at chars 2 and 3: on the benchmark's
+    Betti inputs at seeds 1 to 3, on 240 random ideals and on pairwise
+    coprime ideals of 1 to 16 generators, whose totals are binomials."""
+    workloads = _workloads(monkeypatch)
+    ideals = [parse_ideal(q.argv[-1]) for seed in (1, 2, 3) for q in workloads.betti_gf3(seed)]
+    rng = random.Random(31)
+    ideals += [_random_ideal(rng, rng.randint(1, 3)) for _ in range(120)]
+    ideals += [_squarefree_ideal(rng, 10, rng.randint(3, 9), (1, 4)) for _ in range(120)]
+    coprime = [_coprime_ideal(rng, n) for n in range(1, 17)]
+    for I in ideals + coprime:
+        for char in (2, 3):
+            assert betti_table(I, char).entries == _settled_from_scratch(I, char), (I.to_text(), char)
+    for n, I in enumerate(coprime, 1):
+        assert betti_table(I, 3).totals() == {i: math.comb(n, i) for i in range(n + 1)}
+
+
+def test_betti_walk_builds_under_half_of_figure4_core():
+    """On figure 4's core, with 1,442 elements above the bottom, the
+    walk under the Taylor rule builds at most 700: a Taylor element
+    builds none of its meets, and marks the subsets waiting below it,
+    which are never visited. The walk takes one bit count per meet it
+    has not seen, so the masks whose bit count is taken, and the top,
+    are what it builds."""
+    with open("fixtures/figure4.json") as f:
+        reduced, _ = full_reduce(hypergraph_from_json_dict(json.load(f)))
+    core = next(c for c in reduced.components() if c.mu > 1)
+    edges = _separated_edge_masks(core)
+    supports = atom_columns(core.mu, edges)
+    counted = set()
+
+    class Mask(int):
+        """An int that stays a Mask through AND and complement and
+        records each nonzero mask whose bit count is taken."""
+
+        def __and__(self, other):
+            return Mask(int(self) & int(other))
+
+        __rand__ = __and__
+
+        def __invert__(self):
+            return Mask(~int(self))
+
+        def bit_count(self):
+            if self:
+                counted.add(int(self))
+            return int(self).bit_count()
+
+    visited = []
+
+    def visit(p):
+        visited.append(p)
+        return 0 if betti._first_peel(supports, p) else lattices.BOOLEAN
+
+    marked = lattices.walk_lattice(core.mu, [Mask(e) for e in edges], visit, "x")
+    built = counted | {(1 << core.mu) - 1}
+    assert len(set(visited) | marked) == 1442
+    assert set(visited) <= built
+    assert len(visited) < len(built) <= 700
+
+
+def test_pairwise_coprime_generators_stop_at_the_element_cap_before_marking():
+    """19 pairwise coprime generators have 2^19 - 1 lcms: the top is a
+    Taylor element, and its subsets are counted against the cap before
+    any is marked, so the walk stops with almost nothing allocated;
+    marking 2^18 of them would take tens of MiB."""
+    I = parse_ideal(",".join(f"x{i}" for i in range(19)))
+    cap = lattices.DEFAULT_ELEMENT_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeError, match=f"^lcm-lattice exceeds the {cap}-element cap$"):
+            betti_table(I)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_chain_cap_names_the_smallest_element_inside_a_boolean_interval(monkeypatch):
+    """The top of `a,b,c,d,e,f` is a Taylor element on 6 atoms, so every
+    element lies in its Boolean interval; the chain-cap error still
+    names the smallest element over the cap, on 4 atoms, as it does on
+    a lattice given by its elements."""
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
+    I = parse_ideal("a,b,c,d,e,f")
+    message = "crosscut complex on 4 atoms has 16 candidate faces, which exceeds the cap of 15"
+    for route in (lambda: betti_table(I), lambda: betti_table_from_lattice(lcm_lattice(I))):
+        with pytest.raises(OracleError) as err:
+            route()
+        assert str(err.value) == message
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 64)
+    assert betti_table(I).totals() == {0: 1, 1: 6, 2: 15, 3: 20, 4: 15, 5: 6, 6: 1}

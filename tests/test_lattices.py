@@ -323,6 +323,49 @@ def test_walk_takes_each_distinct_nonzero_complement():
             assert visited == want, (n, edges)
 
 
+def test_walk_marks_each_boolean_interval_without_visiting_it(monkeypatch):
+    """A visitor that answers `BOOLEAN` on an element whose atoms each
+    have an edge meeting it in that atom alone gets back every subset
+    of it, and is handed none of them; what it is handed and what comes
+    back are the closure, and the element cap counts both."""
+    rng = random.Random(31)
+    boolean_answers = 0
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        full = (1 << n) - 1
+        edges = [rng.randrange(1, full) for _ in range(rng.randint(1, 9))]
+        edges += [1 << i for i in rng.sample(range(n), rng.randint(0, n))]
+        closure = {full}
+        grown = closure
+        while grown:
+            grown = {m & ~e for m in grown for e in edges} - closure
+            closure |= grown
+        closure.discard(0)
+        visited = []
+
+        def visit(p):
+            visited.append(p)
+            private = all(any(p & e == 1 << i for e in edges)
+                          for i in range(n) if p >> i & 1)
+            return lattices.BOOLEAN if private else 0
+
+        marked = lattices.walk_lattice(n, edges, visit, "x")
+        answered = {p for p in visited if p in marked}
+        boolean_answers += len(answered)
+        assert len(visited) == len(set(visited)), (n, edges)
+        assert marked == {s for q in answered for s in closure if s | q == q}, (n, edges)
+        assert set(visited) | marked == closure, (n, edges)
+        assert set(visited) & marked == answered, (n, edges)
+        assert not any(p != q and p | q == q for p in visited for q in answered), (n, edges)
+        monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", len(closure) - 1)
+        with pytest.raises(LatticeError, match=f"x exceeds the {len(closure) - 1}-element cap"):
+            lattices.walk_lattice(n, edges, visit, "x")
+        monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", len(closure))
+        assert lattices.walk_lattice(n, edges, visit, "x") == marked
+        monkeypatch.undo()
+    assert boolean_answers > 150
+
+
 def test_lattice_json_over_the_cap_is_refused_before_the_closure_proof(monkeypatch):
     # the 12-atom power set: 4,095 elements above the bottom
     data = {"atoms": 12, "elements": [list(set_of(m)) for m in range(1 << 12)]}
