@@ -25,8 +25,9 @@ and 42 at seed 29 (2,128 faces, the largest 410). On the read-back
 input it also asks `check` and `lattice --output-format dot`, and it
 asks `lattice` on the 12-atom lattice JSON that lacks only {1, 2},
 which is not intersection-closed. Last it asks `pd --verify` on the
-fixtures, the ideals and the 84-edge hypergraph, every subcommand once with
-`--output-format dot` on figure 4, and `hypergraph` on a JSON input
+fixtures, the ideals and the 84-edge hypergraph (figure 4's stops at
+the element cap: its unreduced lattice is too big), every subcommand
+once with `--output-format dot` on figure 4, and `hypergraph` on a JSON input
 whose label keys spell one edge three ways, and `hypergraph` and
 `reduce` as DOT on a JSON input whose labels hold a quote and a
 backslash. It asks `hypergraph` and `reduce` on every `random_ideals`
@@ -47,13 +48,16 @@ hypergraph of two 2-stars and an isolated closed vertex; and
 atom 100000 of 1, on {1, 2}, which is no element, and with two keys
 for one element; and `hypergraph --output-format text`, `pd` and
 `check` on the path ideal x1*x2,...,x69*x70, whose ring has 70
-variables. It asks `betti` with `--entries` at characteristics 2 and
+variables; its `pd` stops at the element cap after a few seconds of
+walking. It asks `betti` with `--entries` at characteristics 2 and
 3 on the path ideal x1*x2,...,x15*x16, on the six coprime generators
 `ab,cd,ef,gh,ij,kl` and on `ab,bc,cd,de,fg,hi*h,jk`, a path beside
-three coprime generators, and `betti` on three inputs that stop at a
-cap: the path ideal x1*x2,...,x29*x30 and the 19 coprime generators
-x0,...,x18 at the element cap, and the 24 products of all but one of
-y0,...,y23, whose 24-atom top is over the chain cap. It asks `betti` on `aa,b`, `a*a,b`, `a^1*a,b` and
+three coprime generators, and `betti` on the path ideal
+x1*x2,...,x29*x30 and the 19 coprime generators x0,...,x18, which
+stop at the element cap, and on the 24 products of all but one of
+y0,...,y23, whose 24-atom top has 2^24 candidate faces but builds no
+complex, so it answers (the query is named for the chain cap that once
+stopped it). It asks `betti` on `aa,b`, `a*a,b`, `a^1*a,b` and
 `a^2,b`, `pd` on `aa`, and `lattice` on `a*a*b,b*c`, where a repeated
 variable counts toward its exponent and so breaks square-freeness; and
 `lattice` and `coordinatize` on the labeled lattice fixture with the
@@ -310,8 +314,8 @@ COPRIME19 = ",".join(f"x{i}" for i in range(19))
 
 def betti_walk_queries():
     """(workload name, query name, argv) for `betti` on the 16-variable
-    path ideal and on the Taylor-heavy inputs, and on three inputs over
-    the element and the chain cap."""
+    path ideal and on the Taylor-heavy inputs, on two inputs over the
+    element cap, and on one whose 24-atom top builds no complex."""
     inputs = {"P16": path_text(16), **TAYLOR_INPUTS}
     for name, text in inputs.items():
         for char in ("2", "3"):

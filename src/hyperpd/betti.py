@@ -88,7 +88,10 @@ split's apex, which `_settle` names. The star is a cone, so its reduced
 homology vanishes in every degree, and the long exact sequence of the
 pair makes the relative homology equal the reduced homology of the
 whole complex, degree by degree. Only the faces outside the star are
-built and ranked; the star holds most of them.
+built and ranked; the star holds most of them. The chain cap is judged
+there alone: a complex on n atoms has 2^n candidate faces, and past
+`DEFAULT_CHAIN_CAP` the oracle stops, naming n. An element that the
+peel and the split settle is never judged, however many atoms it has.
 """
 
 from __future__ import annotations
@@ -325,7 +328,8 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
     The peel and then the split on the apex settle the instance, as the
     module docstring explains. When the split's two sides share a
     degree, a nested instance returns None at once, and the element's
-    own instance builds and ranks its complex.
+    own instance builds and ranks its complex, once the chain cap is
+    judged on that complex's atom count.
     """
     shift = 0  # atoms peeled so far
     while True:
@@ -363,6 +367,12 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
     if link is None or deletion.keys() & link.keys():
         if nested:
             return None
+        n = len(live)
+        if 1 << n > DEFAULT_CHAIN_CAP:
+            raise OracleError(
+                f"crosscut complex on {n} atoms has {1 << n} "
+                f"candidate faces, which exceeds the cap of {DEFAULT_CHAIN_CAP}"
+            )
         ranks = reduced_homology_ranks(_crosscut_complex(live, j), char)
         numbers = {d + 2: r for d, r in ranks.items()}
     else:
@@ -370,16 +380,6 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
         for i, r in link.items():
             numbers[i + 1] = numbers.get(i + 1, 0) + r
     return {i + shift: r for i, r in numbers.items()}
-
-
-def _check_chain_cap(count: int):
-    """Refuse an element on `count` atoms, whose crosscut complex has
-    2^count candidate faces, past `DEFAULT_CHAIN_CAP`."""
-    if 1 << count > DEFAULT_CHAIN_CAP:
-        raise OracleError(
-            f"crosscut complex on {count} atoms has {1 << count} "
-            f"candidate faces, which exceeds the cap of {DEFAULT_CHAIN_CAP}"
-        )
 
 
 def _first_peel(supports: list[int], p: int) -> tuple[int, ...]:
@@ -439,11 +439,8 @@ def _leftover_numbers(leftover: tuple[int, ...], count: int, char: int, memo: di
 
 def _betti_numbers(supports: list[int], p: int, char: int, memo: dict) -> dict[int, int]:
     """The nonzero Betti numbers of the element p by degree: beta_i is
-    the rank of H~_{i-2} of p's crosscut complex, once the chain cap is
-    judged on p's atom count."""
-    count = p.bit_count()
-    _check_chain_cap(count)
-    return _leftover_numbers(_first_peel(supports, p), count, char, memo)
+    the rank of H~_{i-2} of p's crosscut complex."""
+    return _leftover_numbers(_first_peel(supports, p), p.bit_count(), char, memo)
 
 
 def _supports(num_atoms: int, edges: list[int], char: int) -> list[int]:
@@ -466,39 +463,24 @@ def betti_table_of_edges(
 
     A Taylor element, every atom with a private support bit, has a
     Boolean interval: the walk marks each of its subsets S, which
-    carries beta_|S| = 1. The other elements are settled after the
-    walk, smallest first, so the element cap fires before the chain
-    cap, and a chain-cap error names the smallest element over it. A
-    Boolean element on k atoms has subsets on every count up to k, so
-    those counts are judged first.
+    carries beta_|S| = 1. Every other element is settled as the walk
+    visits it.
     """
     supports = _supports(num_atoms, edges, char)
-    # the other elements, with their leftovers, in walk order
-    elements: list[tuple[int, tuple[int, ...]]] = []
-    taylor = 0  # the atom count of the largest Taylor element
-
-    def visit(p: int) -> int:
-        nonlocal taylor
-        leftover = _first_peel(supports, p)
-        if leftover:
-            elements.append((p, leftover))
-            return 0
-        taylor = taylor or p.bit_count()
-        return BOOLEAN
-
-    boolean = walk_lattice(num_atoms, edges, visit, what)
-    for count in range(1, taylor + 1):
-        _check_chain_cap(count)
     table = BettiTable(field_char=char)
     table.entries[(0, 0)] = 1
-    for p in boolean:
-        table.entries[(p.bit_count(), p)] = 1
     memo: dict = {}
-    for p, leftover in reversed(elements):
-        count = p.bit_count()
-        _check_chain_cap(count)
-        for i, r in _leftover_numbers(leftover, count, char, memo).items():
+
+    def visit(p: int) -> int:
+        leftover = _first_peel(supports, p)
+        if not leftover:
+            return BOOLEAN
+        for i, r in _leftover_numbers(leftover, p.bit_count(), char, memo).items():
             table.entries[(i, p)] = r
+        return 0
+
+    for p in walk_lattice(num_atoms, edges, visit, what):
+        table.entries[(p.bit_count(), p)] = 1
     return table
 
 

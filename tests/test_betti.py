@@ -250,13 +250,19 @@ def test_oracle_pd_shortcut():
     assert _ideal_pd(parse_ideal("ab,bc,cd,de")) == 3
 
 
+# the top element of this ideal collides in the split, and so builds
+# the one crosscut complex of its table: on 4 atoms, with 16 candidate
+# faces
+COLLISION = "abc,ad,bd,cd"
+
+
 def test_chain_cap_aborts_with_sizing_report(monkeypatch):
     I = parse_ideal("ab,bcg,cdg,de,efg")
     with pytest.raises(OracleError, match="aborting"):
         _order_route_entries(lcm_lattice(I), 2, chain_cap=4)
-    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 4)
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
     with pytest.raises(OracleError, match="exceeds the cap"):
-        betti_table(I)
+        betti_table(parse_ideal(COLLISION))
 
 
 def test_json_dict_shapes():
@@ -388,8 +394,8 @@ def test_json_lattice_gives_the_walk_built_betti_table():
 
 
 def test_lattice_pd_keeps_sizing_and_char_checks(monkeypatch):
-    I = parse_ideal("ab,bcg,cdg,de,efg")
-    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 4)
+    I = parse_ideal(COLLISION)
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
     with pytest.raises(OracleError, match="exceeds the cap"):
         _ideal_pd(I)
     with pytest.raises(OracleError, match="prime"):
@@ -416,15 +422,20 @@ def test_lattice_pd_caps_the_elements_it_builds(monkeypatch):
 
 
 def test_chain_cap_error_names_the_size_and_the_cap(monkeypatch):
-    I = parse_ideal("ab,bcg,cdg,de,efg")
-    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 31)
-    with pytest.raises(OracleError) as err:
-        _ideal_pd(I)
-    assert str(err.value) == (
-        "crosscut complex on 5 atoms has 32 candidate faces, which exceeds the cap of 31"
-    )
-    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 32)
-    assert _ideal_pd(I) == 4
+    """The cap is judged on the complex that is built, not on the
+    element: with a coprime generator beside it, the collision's top
+    has 5 atoms, but the peel drops the private one, and the complex
+    is on the other 4."""
+    message = "crosscut complex on 4 atoms has 16 candidate faces, which exceeds the cap of 15"
+    for text, want in ((COLLISION, 3), (COLLISION + ",e", 4)):
+        I = parse_ideal(text)
+        monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
+        for route in (lambda: _ideal_pd(I), lambda: betti_table(I)):
+            with pytest.raises(OracleError) as err:
+                route()
+            assert str(err.value) == message
+        monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 16)
+        assert _ideal_pd(I) == betti_table(I).pd == want
 
 
 def _dense_rank(matrix: list[list[int]], p: int) -> int:
@@ -1039,17 +1050,19 @@ def test_pairwise_coprime_generators_stop_at_the_element_cap_before_marking():
     assert peak < 1 << 20
 
 
-def test_chain_cap_names_the_smallest_element_inside_a_boolean_interval(monkeypatch):
-    """The top of `a,b,c,d,e,f` is a Taylor element on 6 atoms, so every
-    element lies in its Boolean interval; the chain-cap error still
-    names the smallest element over the cap, on 4 atoms, as it does on
-    a lattice given by its elements."""
-    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
-    I = parse_ideal("a,b,c,d,e,f")
-    message = "crosscut complex on 4 atoms has 16 candidate faces, which exceeds the cap of 15"
-    for route in (lambda: betti_table(I), lambda: betti_table_from_lattice(lcm_lattice(I))):
-        with pytest.raises(OracleError) as err:
-            route()
-        assert str(err.value) == message
-    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 64)
-    assert betti_table(I).totals() == {0: 1, 1: 6, 2: 15, 3: 20, 4: 15, 5: 6, 6: 1}
+def test_no_benchmark_betti_input_builds_a_complex_at_any_chain_cap(monkeypatch):
+    """The chain cap is judged only where a complex is built. None of
+    the benchmark's Betti inputs at seeds 1 to 3 builds one, nor does
+    `a,b,c,d,e,f`, whose every element lies in the Boolean interval of
+    its 6-atom top, so with the cap at 1 their tables are unchanged."""
+    workloads = _workloads(monkeypatch)
+    ideals = [parse_ideal(q.argv[-1]) for seed in (1, 2, 3) for q in workloads.betti_gf3(seed)]
+    ideals.append(parse_ideal("a,b,c,d,e,f"))
+    want = {(I.to_text(), char): betti_table(I, char).entries for I in ideals for char in (2, 3)}
+    ranked = _counting_complexes(monkeypatch)
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 1)
+    for I in ideals:
+        for char in (2, 3):
+            assert betti_table(I, char).entries == want[I.to_text(), char], (I.to_text(), char)
+    assert ranked == []
+    assert betti_table(ideals[-1]).totals() == {0: 1, 1: 6, 2: 15, 3: 20, 4: 15, 5: 6, 6: 1}

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperpd import betti, cli, hypergraphs, lattices, reduction
-from hyperpd.betti import DEFAULT_CHAIN_CAP, OracleError, betti_table
+from hyperpd.betti import OracleError, betti_table
 from hyperpd.cli import build_parser, main
 from hyperpd.hypergraphs import Hypergraph, classify_shape, dual_hypergraph
 from hyperpd.ideals import ideal_from_json_dict, parse_ideal
+from test_pd import _workloads
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
 
@@ -77,30 +78,51 @@ def test_pd_verify_on_more_edges_than_the_ring_cap():
     assert (data["pd"], data["oracle_pd"], data["verified"]) == (7, 7, True)
 
 
-def test_pd_verify_on_figure4_stops_at_the_chain_cap():
+def test_pd_verify_on_figure4_stops_at_the_element_cap():
+    """The lattice of figure 4's unreduced edges has more elements than
+    the cap; `scripts/figure4_oracle.py` raises it and gets pd 36."""
     proc = _run("pd", "--in", "fixtures/figure4.json", "--verify")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    error = json.loads(proc.stderr)
-    assert error["error"] == "OracleError"
-    assert error["message"].startswith("crosscut complex on 43 atoms has ")
-    assert "exceeds the cap of" in error["message"]
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {
+        "error": "LatticeError",
+        "message": f"lcm-lattice exceeds the {lattices.DEFAULT_ELEMENT_CAP}-element cap",
+    }
 
 
 # the path ideal x1*x2,...,x69*x70, in a ring of 70 variables
 PATH70 = ",".join(f"x{i}*x{i + 1}" for i in range(1, 70))
 
 
-def test_a_ring_of_70_variables_is_read_and_pd_stops_at_the_chain_cap():
+def test_a_ring_of_70_variables_is_read_and_pd_stops_at_the_element_cap(monkeypatch, capsys):
+    """The path's 69 generators are one component that goes to the
+    oracle, whose walk stops at the element cap; lowered here, so the
+    walk stops in milliseconds rather than seconds."""
     proc = _run("hypergraph", "--in", PATH70, "--output-format", "text")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("vertices: 69\n")
-    proc = _run("pd", "--in", PATH70)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    error = json.loads(proc.stderr)
+    monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 1000)
+    assert main(["pd", "--in", PATH70]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
     assert error["error"] == "PdError"
-    assert "crosscut complex on 69 atoms has " in error["message"]
-    assert error["message"].endswith(f"exceeds the cap of {DEFAULT_CHAIN_CAP}")
+    assert error["message"] == (
+        f"component {list(range(1, 70))} needs the oracle but "
+        "lcm-lattice exceeds the 1000-element cap"
+    )
+
+
+@pytest.mark.parametrize("name,n", [("P", 24), ("C", 24), ("P", 25)])
+def test_pd_answers_paths_and_cycles_on_24_and_25_vertices(monkeypatch, name, n):
+    """The tops of C24 and P25 have 24 atoms, 2^24 candidate faces, over
+    the chain cap; but the oracle settles them without a complex, so
+    the cap never judges them."""
+    workloads = _workloads(monkeypatch)
+    edges = workloads.path_edges(n) if name == "P" else workloads.cycle_edges(n)
+    text = ",".join(f"x{a}*x{b}" for a, b in edges)
+    want = workloads.path_pd(n) if name == "P" else workloads.cycle_pd(n)
+    code, out = _main("pd", "--in", text)
+    assert (code, json.loads(out)["pd"]) == (0, want)
 
 
 @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
@@ -299,21 +321,43 @@ def test_betti_dot_is_refused_before_any_lattice(monkeypatch, source):
     assert _main("betti", "--in", source, "--output-format", "dot") == (2, "")
 
 
-def test_betti_meets_the_element_cap_before_the_chain_cap(monkeypatch, capsys):
-    """`betti` settles intervals only after the whole lattice is walked
-    or read, so an input over both caps stops at the element cap, and
-    one whose lattice fits names the smallest element over the chain
-    cap: on ideal text, hypergraph JSON and lattice JSON alike."""
-    I = parse_ideal("ab,bc,cd,de,ef,fg,gh,hi")
-    L = lattices.lcm_lattice(I)
-    size = len(L) - 1  # above the bottom, the top included
-    sources = [
+# K7's edge ideal, in the order `scripts/dump_outputs.py` draws at seed
+# 3: its 21-atom top collides in the split and builds a complex on all 21
+K7_SEED3 = (
+    "x5*x3,x0*x2,x0*x3,x1*x3,x2*x5,x0*x5,x2*x4,x2*x6,x6*x3,x1*x4,x1*x6,"
+    "x2*x1,x2*x3,x5*x4,x6*x4,x5*x6,x4*x3,x0*x1,x0*x6,x1*x5,x0*x4"
+)
+
+
+def _betti_sources(I) -> list[str]:
+    """I as ideal text, hypergraph JSON and lattice JSON."""
+    return [
         I.to_text(),
         json.dumps(dual_hypergraph(I).to_json_dict()),
-        json.dumps(L.to_json_dict()),
+        json.dumps(lattices.lcm_lattice(I).to_json_dict()),
     ]
-    # elements on 4 to 8 atoms are over the chain cap
+
+
+def test_betti_names_either_cap_alike_from_every_input_form(monkeypatch, capsys):
+    """`betti` stops at the chain cap when it would build a complex over
+    it, and at the element cap when its walk builds one element too
+    many: on ideal text, hypergraph JSON and lattice JSON alike."""
+    I = parse_ideal(K7_SEED3)
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
+    message = "crosscut complex on 21 atoms has 2097152 candidate faces, which exceeds the cap of 15"
+    with pytest.raises(OracleError) as err:
+        betti_table(I)
+    assert str(err.value) == message
+    for source in _betti_sources(I):
+        assert main(["betti", "--in", source]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "OracleError", "message": message}
+    monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 1 << 21)
+    assert betti_table(I).pd == 6
+
+    I = parse_ideal("ab,bc,cd,de,ef,fg,gh,hi")
+    size = len(lattices.lcm_lattice(I)) - 1  # above the bottom, the top included
+    sources = _betti_sources(I)
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", size - 1)
     with pytest.raises(lattices.LatticeError, match=f"exceeds the {size - 1}-element cap"):
         betti_table(I)
@@ -323,14 +367,19 @@ def test_betti_meets_the_element_cap_before_the_chain_cap(monkeypatch, capsys):
         assert error["error"] == "LatticeError"
         assert error["message"].endswith(f"exceeds the {size - 1}-element cap")
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", size)
-    message = "crosscut complex on 4 atoms has 16 candidate faces, which exceeds the cap of 15"
-    with pytest.raises(OracleError) as err:
-        betti_table(I)
-    assert str(err.value) == message
-    for source in sources:
-        assert main(["betti", "--in", source]) == 1
-        error = json.loads(capsys.readouterr().err)
-        assert error == {"error": "OracleError", "message": message}
+    assert betti_table(I).pd == 6
+
+
+# the 24 products of all but one of y0, ..., y23
+ALL_BUT_ONE = ",".join("*".join(f"y{j}" for j in range(24) if j != i) for i in range(24))
+
+
+def test_betti_answers_an_element_on_24_atoms_that_builds_no_complex():
+    """The top of these 24 generators has 24 atoms, 2^24 candidate
+    faces, but the peel settles it without a complex."""
+    assert _main("betti", "--in", ALL_BUT_ONE, "--output-format", "text") == (
+        0, "total Betti numbers: 1 24 23 (pd 2, char 2)\n"
+    )
 
 
 def test_coordinatize_labeled_lattice():
