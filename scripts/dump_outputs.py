@@ -14,14 +14,14 @@ on the same inputs, on the 84-edge hypergraph of all two- and
 three-vertex subsets of 8 vertices, and on each ideal's `lattice`
 output read back as input, and on the edge ideals of K5, K6 and K7,
 relabeled by the seed, and `abc,ad,bd,cd`, which cover the split of
-the crosscut complex, its nesting and the complex it falls back to
-when its two sides share a degree (relabeled, K6 and K7 build 4 and
-13 complexes per characteristic at seed 3, 1 and 3 at seed 29, and K5
+the crosscut complex, its nesting and the complex an instance builds
+when its two sides share a degree (relabeled, K6 and K7 build 9 and
+19 complexes per characteristic at seed 3, 1 and 3 at seed 29, and K5
 none). Ten square-free ideals drawn from the seed, each of 14 products
 of 3 to 5 of x0,...,x9, take that fallback on many small complexes:
-`betti --entries` at characteristics 2 and 3 on them builds 36
-complexes per characteristic at seed 3 (938 faces, the largest 291)
-and 42 at seed 29 (2,128 faces, the largest 410). On the read-back
+`betti --entries` at characteristics 2 and 3 on them builds 62
+complexes per characteristic at seed 3 (864 faces, the largest 88)
+and 67 at seed 29 (1,425 faces, the largest 367). On the read-back
 input it also asks `check` and `lattice --output-format dot`, and it
 asks `lattice` on the 12-atom lattice JSON that lacks only {1, 2},
 which is not intersection-closed. Last it asks `pd --verify` on the

@@ -63,9 +63,9 @@ When no degree is nonzero on both sides, the maps out of the link's
 homology are 0, and over any field H~_d(K) = H~_d(del) + H~_{d-1}(link):
 beta_i = beta_i(del) + beta_{i-1}(link). Both pieces go back through
 the peel, and through the split again if need be. When the two sides
-share a degree (a collision), a nested piece gives up at once, and only
-the element's own instance builds a complex, so a collision costs only
-the peels below it.
+share a degree (a collision), the instance where it happens, nested or
+not, builds and ranks its own complex on the atoms left there, and the
+instances above it go on adding.
 
 Below a Taylor element, one whose atoms all have a private bit, the
 interval is Boolean: every subset S of its atoms is an element, Taylor
@@ -319,7 +319,7 @@ class BettiTable:
         return data
 
 
-def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, int] | None:
+def _settle(live: list[int], target: int, char: int) -> dict[int, int]:
     """The nonzero Betti numbers by degree of the crosscut instance of
     the supports `live` with the target: beta_i is the rank of H~_{i-2}
     of the complex of the sets of atoms whose supports OR to less than
@@ -327,8 +327,8 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
 
     The peel and then the split on the apex settle the instance, as the
     module docstring explains. When the split's two sides share a
-    degree, a nested instance returns None at once, and the element's
-    own instance builds and ranks its complex, once the chain cap is
+    degree, this instance builds and ranks its own complex, on its
+    peeled atoms and relative to the apex's star, once the chain cap is
     judged on that complex's atom count.
     """
     shift = 0  # atoms peeled so far
@@ -362,11 +362,9 @@ def _settle(live: list[int], target: int, char: int, nested: bool) -> dict[int, 
     j = min(range(len(live)), key=lambda k: live[k].bit_count())
     rest = live[:j] + live[j + 1 :]
     cut = target & ~live[j]
-    deletion = _settle(rest, target, char, True)
-    link = None if deletion is None else _settle([s & cut for s in rest], cut, char, True)
-    if link is None or deletion.keys() & link.keys():
-        if nested:
-            return None
+    deletion = _settle(rest, target, char)
+    link = _settle([s & cut for s in rest], cut, char)
+    if deletion.keys() & link.keys():
         n = len(live)
         if 1 << n > DEFAULT_CHAIN_CAP:
             raise OracleError(
@@ -432,7 +430,7 @@ def _leftover_numbers(leftover: tuple[int, ...], count: int, char: int, memo: di
         target = 0
         for s in leftover:
             target |= s
-        numbers = memo[leftover] = _settle(list(leftover), target, char, False)
+        numbers = memo[leftover] = _settle(list(leftover), target, char)
     shift = count - len(leftover)
     return {i + shift: r for i, r in numbers.items()}
 

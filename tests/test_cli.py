@@ -322,7 +322,8 @@ def test_betti_dot_is_refused_before_any_lattice(monkeypatch, source):
 
 
 # K7's edge ideal, in the order `scripts/dump_outputs.py` draws at seed
-# 3: its 21-atom top collides in the split and builds a complex on all 21
+# 3: the split of its 21-atom top collides, first at an instance of 12
+# atoms, which builds its own complex
 K7_SEED3 = (
     "x5*x3,x0*x2,x0*x3,x1*x3,x2*x5,x0*x5,x2*x4,x2*x6,x6*x3,x1*x4,x1*x6,"
     "x2*x1,x2*x3,x5*x4,x6*x4,x5*x6,x4*x3,x0*x1,x0*x6,x1*x5,x0*x4"
@@ -344,7 +345,7 @@ def test_betti_names_either_cap_alike_from_every_input_form(monkeypatch, capsys)
     many: on ideal text, hypergraph JSON and lattice JSON alike."""
     I = parse_ideal(K7_SEED3)
     monkeypatch.setattr(betti, "DEFAULT_CHAIN_CAP", 15)
-    message = "crosscut complex on 21 atoms has 2097152 candidate faces, which exceeds the cap of 15"
+    message = "crosscut complex on 12 atoms has 4096 candidate faces, which exceeds the cap of 15"
     with pytest.raises(OracleError) as err:
         betti_table(I)
     assert str(err.value) == message
