@@ -5,8 +5,11 @@ homological degree i is the rank of reduced homology H~_{i-2} of the
 open interval (bottom, p), computed over a prime field
 (Gasharov-Peeva-Welker). The projective dimension is the top nonzero
 degree, which `lattice_pd` finds by stopping the lattice walk of
-`lattices.walk_lattice` below the best degree found; a whole table
-settles every element the walk visits or marks, and builds no lattice.
+`lattices.walk_lattice` below the best degree found. It settles only
+elements two or more atoms above that degree; one on a single atom more
+can raise it only by being Taylor, so it takes that test alone. A whole
+table settles every element the walk visits or marks, and builds no
+lattice.
 Everything downstream is checked against this module; nothing here depends on the
 reduction rules.
 
@@ -495,7 +498,12 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
     most k - 2, so p carries Betti numbers in degrees at most k. The
     lattice walk visits elements by falling atom count, and the best
     degree found is its floor: no element on that many atoms or fewer
-    can beat it.
+    can beat it. So p is settled only if k >= best + 2. If k = best + 1,
+    p can beat it only with beta_k, which is nonzero exactly when p is
+    Taylor, each atom with a private support bit: a (k - 2)-cycle on k
+    vertices is a multiple of the simplex's boundary, so it needs all k
+    facets, and the facet without atom a is a face exactly when a has a
+    private bit. Such a p takes that test alone.
     """
     supports = _supports(num_atoms, edges, char)
     best = 0
@@ -503,7 +511,11 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
 
     def visit(p: int) -> int:
         nonlocal best
-        best = max(best, max(_betti_numbers(supports, p, char, memo), default=0))
+        count = p.bit_count()
+        if count - 1 > best:
+            best = max(best, max(_betti_numbers(supports, p, char, memo), default=0))
+        elif not _first_peel(supports, p):
+            best = count
         return best
 
     walk_lattice(num_atoms, edges, visit, "lcm-lattice")

@@ -267,6 +267,8 @@ def walk_lattice(num_atoms: int, edges, visit, what: str) -> set[int]:
     visits intersection-closed: each element is met with every
     complement and checked to be the meet of the complements above it,
     so a meet of two elements is reached one complement at a time.
+    An element on floor + 1 atoms or fewer, whose meets all lie at or
+    below the floor, is checked so and builds nothing.
 
     A Boolean p first marks every subset of p as built, p's meets among
     them, so it builds none of its own meets; a subset waiting in a
@@ -318,12 +320,13 @@ def walk_lattice(num_atoms: int, edges, visit, what: str) -> set[int]:
                     raise LatticeError(f"{what} exceeds the {cap}-element cap")
             else:
                 floor = answer
+            builds = count - 1 > floor
             meet = full
             for c in complements:
                 m = p & c
                 if m == p:
                     meet &= c
-                elif m not in seen:
+                elif builds and m not in seen:
                     k = m.bit_count()
                     if k > floor:
                         seen.add(m)

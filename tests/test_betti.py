@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -304,7 +305,7 @@ def _fixture_ideals():
     return five, union, labeled
 
 
-def test_lattice_pd_matches_full_table():
+def test_lattice_pd_matches_full_table(monkeypatch):
     rng = random.Random(4)
     ideals = [_random_ideal(rng, 1) for _ in range(40)]
     ideals += [_random_ideal(rng, 3) for _ in range(40)]
@@ -321,29 +322,78 @@ def test_lattice_pd_matches_full_table():
         for I in ideals + coordinatized + principal + [five, labeled, level_gap]
         for c in (2, 3)
     ]
+    # 5 of these 300 ideals reach their pd 3 only at a Taylor element on
+    # 3 atoms, after an element visited before it set best to 2: in
+    # x1*x2,x0*x2,x2*x4,x0*x1*x4*x5 the top's crosscut complex is a
+    # triangle and a point, and the triangle's atoms are Taylor
+    taylor_rng = random.Random(5)
+    taylor_gaps = [_squarefree_ideal(taylor_rng, 6, 5, (2, 4)) for _ in range(300)]
+    cases += [(I, c) for I in taylor_gaps for c in (2, 3)]
     cases.append((union, 2))
+    raised = _counting_taylor_raises(monkeypatch)
+    raises = 0
     for I, c in cases:
         want = betti_table_from_lattice(lcm_lattice(I), c).pd
+        raised.clear()
         assert _ideal_pd(I, c) == want, (I.to_text(), c)
+        raises += len(raised)
+    assert raises >= 10
+
+
+def _counting_taylor_raises(monkeypatch) -> list:
+    """Patch `betti` so that each element on more than one atom that
+    `lattice_pd` finds Taylor by the test alone, outside
+    `_betti_numbers`, is appended to the returned list. Such an element
+    raises the answer: it lies one atom above the best degree found."""
+    raised = []
+    settling = []
+    first_peel, numbers = betti._first_peel, betti._betti_numbers
+
+    def settled(supports, p, char, memo):
+        settling.append(p)
+        try:
+            return numbers(supports, p, char, memo)
+        finally:
+            settling.pop()
+
+    def peeled(supports, p):
+        leftover = first_peel(supports, p)
+        if not settling and not leftover and p.bit_count() > 1:
+            raised.append(p)
+        return leftover
+
+    monkeypatch.setattr(betti, "_betti_numbers", settled)
+    monkeypatch.setattr(betti, "_first_peel", peeled)
+    return raised
 
 
 def test_lattice_pd_walks_few_elements_on_figure4_core(monkeypatch):
+    """`lattice_pd` settles an element through `_betti_numbers` only
+    when it lies two or more atoms above the best degree found; on
+    best + 1 atoms the Taylor test alone decides it."""
     with open("fixtures/figure4.json") as f:
         reduced, _ = full_reduce(hypergraph_from_json_dict(json.load(f)))
     core = next(c for c in reduced.components() if c.mu > 1)
     assert len(lcm_lattice(ideal_from_hypergraph(core))) == 1443
-    visited = []
+    settled = collections.Counter()
     numbers = betti._betti_numbers
 
     def counting(supports, p, char, memo):
-        visited.append(p)
+        settled[p.bit_count()] += 1
         return numbers(supports, p, char, memo)
 
     monkeypatch.setattr(betti, "_betti_numbers", counting)
     # the walk builds at most 100 elements above the bottom
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 100)
     assert lattice_pd(core.mu, _separated_edge_masks(core), 2) == 9
-    assert 0 < len(visited) < 50
+    assert settled == {10: 2, 11: 1}
+    # the 13-vertex path and cycle: settling the level at best + 1 too
+    # costs 43 and 27 calls
+    path = [f"x{i}*x{i + 1}" for i in range(12)]
+    for gens, pd, want in [(path, 8, {10: 12, 11: 2, 12: 1}), (path + ["x0*x12"], 9, {11: 13, 13: 1})]:
+        settled.clear()
+        assert _ideal_pd(parse_ideal(",".join(gens))) == pd
+        assert settled == want
 
 
 def test_char_is_proven_once_per_call(monkeypatch):
