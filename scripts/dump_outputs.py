@@ -48,8 +48,7 @@ hypergraph of two 2-stars and an isolated closed vertex; and
 atom 100000 of 1, on {1, 2}, which is no element, and with two keys
 for one element; and `hypergraph --output-format text`, `pd` and
 `check` on the path ideal x1*x2,...,x69*x70, whose ring has 70
-variables; its `pd` stops at the element cap after a few seconds of
-walking. It asks `betti` with `--entries` at characteristics 2 and
+variables; its `pd` prices the string as a forest, pd 46. It asks `betti` with `--entries` at characteristics 2 and
 3 on the path ideal x1*x2,...,x15*x16, on the six coprime generators
 `ab,cd,ef,gh,ij,kl` and on `ab,bc,cd,de,fg,hi*h,jk`, a path beside
 three coprime generators, and `betti` on the path ideal

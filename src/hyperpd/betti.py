@@ -417,6 +417,28 @@ def _first_peel(supports: list[int], p: int) -> tuple[int, ...]:
     return tuple([s & target for s in kept])
 
 
+def _is_taylor(supports: list[int], p: int) -> bool:
+    """Whether every atom of the element p has a private support bit,
+    one that no other atom of p has: the first peel would leave
+    nothing. One pass marks the bits two supports share; a second
+    stops at the first atom without a private bit."""
+    once = shared = 0
+    rest = p
+    while rest:
+        low = rest & -rest
+        s = supports[low.bit_length() - 1]
+        shared |= once & s
+        once |= s
+        rest ^= low
+    rest = p
+    while rest:
+        low = rest & -rest
+        if not supports[low.bit_length() - 1] & ~shared:
+            return False
+        rest ^= low
+    return True
+
+
 def _leftover_numbers(leftover: tuple[int, ...], count: int, char: int, memo: dict) -> dict[int, int]:
     """The nonzero Betti numbers by degree of an element on `count`
     atoms whose first peel leaves `leftover`: a single 1 if it leaves
@@ -514,7 +536,7 @@ def lattice_pd(num_atoms: int, edges: list[int], char: int = 2) -> int:
         count = p.bit_count()
         if count - 1 > best:
             best = max(best, max(_betti_numbers(supports, p, char, memo), default=0))
-        elif not _first_peel(supports, p):
+        elif _is_taylor(supports, p):
             best = count
         return best
 

@@ -3,6 +3,16 @@
 Each component after full reduction is matched against a shape with a
 closed-form answer; anything else goes to the homology oracle, which
 walks the top of the lattice of its edges. Components add.
+
+A component with no higher edge whose pair edges form a tree is priced
+by bight, the size of its largest minimal edge cover: its ideal's
+facet complex is a simplicial forest, so R/I is sequentially
+Cohen-Macaulay (Faridi) and pd = bight (Morey-Villarreal). A cycle of
+mu pair edges with no singleton is the edge ideal of C_mu, with
+pd = (2 mu + 1) // 3 (Jacques). What reaches the oracle is a
+component with a higher edge, or whose pair edges hold a cycle: a
+cycle with a closed vertex, a cycle with trees hanging off it, or
+more than one cycle.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from .reduction import ReductionTrace, full_reduce
 
 METHOD_TWO_STAR = "formula_two_star"
 METHOD_CLOSED_ISOLATED = "formula_closed_isolated"
+METHOD_FOREST = "formula_forest"
+METHOD_OPEN_CYCLE = "formula_open_cycle"
 METHOD_ORACLE = "oracle"
 METHOD_ADDITIVITY = "additivity"
 
@@ -49,6 +61,49 @@ class PdResult:
         return data
 
 
+def _tree_bight(comp: Hypergraph) -> int:
+    """The largest minimal edge cover of a component on two or more
+    vertices whose edges are the pairs of a tree and singletons: a set
+    of edges covering every vertex, each with a private vertex that no
+    other edge of the set covers.
+
+    Rooted at the first vertex and settled leaves first, each vertex v
+    keeps the most edges a cover can choose below it, by what its
+    parent edge does: f0, not chosen, so v is covered by its singleton
+    alone (if v is closed), by exactly one child edge private at v, or
+    by two or more child edges, each private at its child; f1, chosen
+    and private at v, so no child edge is chosen; f2, chosen and
+    private at the parent, so any child edges chosen are private at
+    their children. An open leaf has no f0: `NONE`, so negative that
+    every sum holding it stays below 0, as no cover exists there.
+    """
+    root = comp.vertices[0]
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for u in comp.pair_neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    NONE = -1 - len(comp.edges)
+    f0, f1, f2 = {}, {}, {}
+    for v in reversed(order):
+        kids = [c for c in comp.pair_neighbors(v) if c != parent[v]]
+        rest = sum(f0[c] for c in kids)  # no child edge chosen
+        # what choosing a child edge private at its child adds, best first
+        gains = sorted((1 + f1[c] - f0[c] for c in kids), reverse=True)
+        two_up = (
+            rest + gains[0] + gains[1] + sum(g for g in gains[2:] if g > 0)
+            if len(kids) >= 2 else NONE
+        )
+        own = rest + 1 if comp.is_closed(v) else NONE
+        private = rest + max((1 + f2[c] - f0[c] for c in kids), default=NONE)
+        f0[v] = max(own, private, two_up)
+        f1[v] = rest
+        f2[v] = rest + sum(g for g in gains if g > 0)
+    return f0[root]
+
+
 def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
     # an isolated closed vertex contributes exactly 1
     if comp.mu == 1 and comp.is_closed(next(iter(comp.vertices))):
@@ -56,8 +111,17 @@ def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
     # full_reduce leaves no edge whose vertices are all closed, so a
     # 2-star here has no pair edge joining two closed vertices; a 2-star
     # on mu vertices has pd mu - 1
-    if classify_shape(comp).kind == "two_star":
+    shape = classify_shape(comp)
+    if shape.kind == "two_star":
         return PdResult(comp.mu - 1, METHOD_TWO_STAR)
+    # a connected component's mu - 1 pair edges form a tree; a lone
+    # vertex left here lies in no edge, and the oracle prices it 0
+    if comp.mu >= 2 and not comp.higher_edges():
+        pairs = sum(len(e) == 2 for e in comp.edges)
+        if pairs == comp.mu - 1:
+            return PdResult(_tree_bight(comp), METHOD_FOREST)
+        if shape.kind == "cycle" and pairs == len(comp.edges):
+            return PdResult((2 * comp.mu + 1) // 3, METHOD_OPEN_CYCLE)
     # a separated hypergraph's lattice is the lcm-lattice of its ideal;
     # pd() refused unseparated input, and the passes keep separation
     try:

@@ -342,29 +342,33 @@ def test_lattice_pd_matches_full_table(monkeypatch):
 
 def _counting_taylor_raises(monkeypatch) -> list:
     """Patch `betti` so that each element on more than one atom that
-    `lattice_pd` finds Taylor by the test alone, outside
-    `_betti_numbers`, is appended to the returned list. Such an element
-    raises the answer: it lies one atom above the best degree found."""
+    `lattice_pd`'s Taylor test finds Taylor is appended to the returned
+    list. Such an element raises the answer: it lies one atom above the
+    best degree found."""
     raised = []
-    settling = []
-    first_peel, numbers = betti._first_peel, betti._betti_numbers
+    is_taylor = betti._is_taylor
 
-    def settled(supports, p, char, memo):
-        settling.append(p)
-        try:
-            return numbers(supports, p, char, memo)
-        finally:
-            settling.pop()
-
-    def peeled(supports, p):
-        leftover = first_peel(supports, p)
-        if not settling and not leftover and p.bit_count() > 1:
+    def counting(supports, p):
+        taylor = is_taylor(supports, p)
+        if taylor and p.bit_count() > 1:
             raised.append(p)
-        return leftover
+        return taylor
 
-    monkeypatch.setattr(betti, "_betti_numbers", settled)
-    monkeypatch.setattr(betti, "_first_peel", peeled)
+    monkeypatch.setattr(betti, "_is_taylor", counting)
     return raised
+
+
+def test_taylor_test_agrees_with_the_first_peel():
+    """An element is Taylor exactly when its first peel leaves nothing."""
+    rng = random.Random(35)
+    taylor = 0
+    for _ in range(2000):
+        supports = [rng.getrandbits(rng.randint(1, 8)) for _ in range(rng.randint(1, 7))]
+        p = rng.getrandbits(len(supports)) or 1
+        want = not betti._first_peel(supports, p)
+        assert betti._is_taylor(supports, p) == want, (supports, p)
+        taylor += want
+    assert 100 < taylor < 1900
 
 
 def test_lattice_pd_walks_few_elements_on_figure4_core(monkeypatch):

@@ -21,6 +21,9 @@ from hyperpd.ideals import ideal_from_json_dict, parse_ideal
 from test_pd import _workloads
 
 FIVE_GEN = "ab,bcg,cdg,de,efg"
+# a 5-cycle whose fifth generator has a variable of its own, k: its
+# dual is a cycle with one closed vertex, which only the oracle prices
+CLOSED_CYCLE5 = "ab,bc,cd,de,eak"
 
 
 def _run(*argv, stdin=None, env_extra=None, timeout=None):
@@ -49,16 +52,18 @@ def _main(*argv):
 
 
 def test_pd_json_output():
-    proc = _run("pd", "--in", FIVE_GEN)
+    proc = _run("pd", "--in", CLOSED_CYCLE5)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
-    assert data["pd"] == 4
+    assert data["pd"] == 3
     assert data["method"] == "oracle"
 
 
 def test_pd_text_output():
+    proc = _run("pd", "--in", CLOSED_CYCLE5, "--output-format", "text")
+    assert proc.stdout == "pd = 3 (oracle)\n"
     proc = _run("pd", "--in", FIVE_GEN, "--output-format", "text")
-    assert proc.stdout == "pd = 4 (oracle)\n"
+    assert proc.stdout == "pd = 4 (formula_forest)\n"
 
 
 def test_pd_verify_flag():
@@ -91,23 +96,28 @@ def test_pd_verify_on_figure4_stops_at_the_element_cap():
 
 # the path ideal x1*x2,...,x69*x70, in a ring of 70 variables
 PATH70 = ",".join(f"x{i}*x{i + 1}" for i in range(1, 70))
+# the 70-cycle's edge ideal, with y on its last generator alone
+CLOSED_CYCLE70 = ",".join(f"x{i}*x{i % 70 + 1}" for i in range(1, 70)) + ",x70*x1*y"
 
 
 def test_a_ring_of_70_variables_is_read_and_pd_stops_at_the_element_cap(monkeypatch, capsys):
-    """The path's 69 generators are one component that goes to the
-    oracle, whose walk stops at the element cap; lowered here, so the
-    walk stops in milliseconds rather than seconds."""
+    """The path's 69 generators are one string, priced as a forest. A
+    70-cycle with a closed vertex goes to the oracle, whose walk stops
+    at the element cap; lowered here, so the walk stops in milliseconds
+    rather than seconds."""
     proc = _run("hypergraph", "--in", PATH70, "--output-format", "text")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("vertices: 69\n")
     monkeypatch.setattr(lattices, "DEFAULT_ELEMENT_CAP", 1000)
-    assert main(["pd", "--in", PATH70]) == 1
+    assert main(["pd", "--in", PATH70]) == 0
+    assert json.loads(capsys.readouterr().out)["pd"] == 46
+    assert main(["pd", "--in", CLOSED_CYCLE70]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "PdError"
     assert error["message"] == (
-        f"component {list(range(1, 70))} needs the oracle but "
+        f"component {list(range(1, 71))} needs the oracle but "
         "lcm-lattice exceeds the 1000-element cap"
     )
 
@@ -115,14 +125,15 @@ def test_a_ring_of_70_variables_is_read_and_pd_stops_at_the_element_cap(monkeypa
 @pytest.mark.parametrize("name,n", [("P", 24), ("C", 24), ("P", 25)])
 def test_pd_answers_paths_and_cycles_on_24_and_25_vertices(monkeypatch, name, n):
     """The tops of C24 and P25 have 24 atoms, 2^24 candidate faces, over
-    the chain cap; but the oracle settles them without a complex, so
-    the cap never judges them."""
+    the chain cap; but the oracle that `--verify` runs settles them
+    without a complex, so the cap never judges them."""
     workloads = _workloads(monkeypatch)
     edges = workloads.path_edges(n) if name == "P" else workloads.cycle_edges(n)
     text = ",".join(f"x{a}*x{b}" for a, b in edges)
     want = workloads.path_pd(n) if name == "P" else workloads.cycle_pd(n)
-    code, out = _main("pd", "--in", text)
-    assert (code, json.loads(out)["pd"]) == (0, want)
+    code, out = _main("pd", "--in", text, "--verify")
+    data = json.loads(out)
+    assert (code, data["pd"], data["oracle_pd"]) == (0, want, want)
 
 
 @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))

@@ -27,9 +27,12 @@ from hyperpd.lattices import polarized_edges
 from hyperpd.pd import (
     METHOD_ADDITIVITY,
     METHOD_CLOSED_ISOLATED,
+    METHOD_FOREST,
+    METHOD_OPEN_CYCLE,
     METHOD_ORACLE,
     METHOD_TWO_STAR,
     PdError,
+    _tree_bight,
     pd,
 )
 from hyperpd.reduction import RULE_JOINT, check_preconditions, full_reduce
@@ -121,9 +124,9 @@ def test_pd_refuses_a_hypergraph_no_ideal_has(edges, a, b):
 
 @pytest.mark.parametrize("H", [
     dual_hypergraph(parse_ideal("ab,bc")),  # priced by formulas alone
-    dual_hypergraph(parse_ideal("ab,bc,cd,de,ea")),  # needs the oracle
+    dual_hypergraph(parse_ideal("ab,bc,cd,de,eak")),  # needs the oracle
     Hypergraph([(1, 2)]),  # not separated
-], ids=["ab,bc", "5-cycle", "unseparated"])
+], ids=["ab,bc", "closed 5-cycle", "unseparated"])
 def test_pd_proves_its_characteristic_on_entry(H):
     with pytest.raises(OracleError, match="^4 is not a prime characteristic$"):
         pd(H, 4)
@@ -131,7 +134,8 @@ def test_pd_proves_its_characteristic_on_entry(H):
 
 def test_pd_proves_its_characteristic_once_for_all_its_components():
     betti._check_char.cache_clear()
-    H = dual_hypergraph(parse_ideal("ab,bc,cd,de,ea,fg,gh,hi,ij,jf"))
+    # two 5-cycles, each with a closed vertex, so both reach the oracle
+    H = dual_hypergraph(parse_ideal("ab,bc,cd,de,eak,fg,gh,hi,ij,jfl"))
     result = pd(H, betti.MAX_FIELD_CHAR)
     assert [sub.method for _, sub in result.per_component] == [METHOD_ORACLE] * 2
     info = betti._check_char.cache_info()
@@ -144,10 +148,16 @@ def test_dispatch_two_star_with_closed_leaves():
     assert (result.pd, result.method) == (3, METHOD_TWO_STAR)
 
 
-def test_dispatch_closed_end_string_goes_to_oracle():
-    # ends are closed, so the open-string formula does not apply
+def test_dispatch_closed_end_string_is_priced_as_a_forest():
+    # once the union edge [2, 3, 5] is gone, a string with closed ends
     result = pd(dual_hypergraph(parse_ideal("ab,bcg,cdg,de,efg")))
-    assert (result.pd, result.method) == (4, METHOD_ORACLE)
+    assert (result.pd, result.method) == (4, METHOD_FOREST)
+
+
+def test_dispatch_cycle_with_a_closed_vertex_goes_to_oracle():
+    # k closes vertex 5, so the open-cycle formula does not apply
+    result = pd(dual_hypergraph(parse_ideal("ab,bc,cd,de,eak")))
+    assert (result.pd, result.method) == (3, METHOD_ORACLE)
 
 
 def test_engine_matches_oracle_on_menagerie():
@@ -187,10 +197,10 @@ def test_figure4_value_and_breakdown():
     assert len(result.per_component) == 28
     methods = sorted(sub.method for _, sub in result.per_component)
     assert methods.count(METHOD_CLOSED_ISOLATED) == 27
-    assert methods.count(METHOD_ORACLE) == 1
+    assert methods.count(METHOD_FOREST) == 1
     big = [
         (comp, sub) for comp, sub in result.per_component
-        if sub.method == METHOD_ORACLE
+        if sub.method == METHOD_FOREST
     ]
     comp, sub = big[0]
     assert sorted(comp.vertices) == FIG4_BIG_COMPONENT
@@ -325,8 +335,9 @@ def _workloads(monkeypatch):
 
 
 def test_component_walk_matches_the_ideal_oracle(monkeypatch):
-    """Each component priced by the oracle gets the pd of its ideal
-    realization, on the frozen bushes and the benchmark's random ideals."""
+    """Each component priced by the oracle, the forest DP or the
+    open-cycle formula gets the pd of its ideal realization, on the
+    frozen bushes and the benchmark's random ideals."""
     workloads = _workloads(monkeypatch)
     hypergraphs = [Hypergraph(edges) for edges in workloads.load_inputs()["bushes"]]
     gen = random.Random(workloads.RANDOM_IDEALS_SEED)
@@ -337,7 +348,7 @@ def test_component_walk_matches_the_ideal_oracle(monkeypatch):
     for H in hypergraphs:
         for char in (2, 3):
             for comp, sub in pd(H, field_char=char).per_component:
-                if sub.method != METHOD_ORACLE:
+                if sub.method not in (METHOD_ORACLE, METHOD_FOREST, METHOD_OPEN_CYCLE):
                     continue
                 ideal = ideal_from_hypergraph(comp)
                 assert sub.pd == _ideal_pd(ideal, char) == betti_table(ideal, char).pd
@@ -354,8 +365,8 @@ def test_pd_builds_no_lattice_and_no_ideal(monkeypatch):
     monkeypatch.setattr(
         importlib.import_module("hyperpd.hypergraphs"), "ideal_from_hypergraph", refused
     )
-    result = pd(dual_hypergraph(parse_ideal("ab,bcg,cdg,de,efg")))
-    assert (result.pd, result.method) == (4, METHOD_ORACLE)
+    result = pd(dual_hypergraph(parse_ideal("ab,bc,cd,de,eak")))
+    assert (result.pd, result.method) == (3, METHOD_ORACLE)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["pd", "--in", "ab,bc,cd,de,ef,fg", "--verify"]) == 0
@@ -437,3 +448,130 @@ def test_full_reduce_keeps_every_component_separated():
         for comp in reduced.components():
             assert is_separated(comp), ([list(e) for e in H.edges], comp)
     assert joint_steps >= 100
+
+
+def _random_tree(rng, mu):
+    """Pair edges of a random tree on the vertices 1..mu."""
+    return [(rng.randint(1, v - 1), v) for v in range(2, mu + 1)]
+
+
+def _with_closed(pairs, mu, closed):
+    """The pairs plus a singleton on each vertex whose bit is set."""
+    return Hypergraph(pairs + [(v,) for v in range(1, mu + 1) if closed >> (v - 1) & 1])
+
+
+def test_forest_bight_matches_the_oracle_on_every_closed_set():
+    """A separated tree, every leaf closed, has pd = bight; the DP is
+    checked against the oracle at chars 2 and 3 on every closed set of
+    8 seeded shapes per mu up to 9."""
+    rng = random.Random(36)
+    checked = 0
+    for mu in range(2, 10):
+        for _ in range(8):
+            pairs = _random_tree(rng, mu)
+            for closed in range(1 << mu):
+                H = _with_closed(pairs, mu, closed)
+                if not is_separated(H):
+                    continue
+                for char in (2, 3):
+                    assert _tree_bight(H) == lattice_pd(mu, edge_masks(H), char), H
+                checked += 1
+    assert checked > 600
+
+
+def test_forest_bight_matches_the_oracle_on_random_trees():
+    rng = random.Random(14)
+    for _ in range(100):
+        mu = rng.randint(10, 14)
+        pairs = _random_tree(rng, mu)
+        tree = Hypergraph(pairs)
+        closed = [(v,) for v in tree.vertices if tree.pair_degree(v) == 1 or rng.random() < 0.4]
+        H = Hypergraph(pairs + closed)
+        for char in (2, 3):
+            oracle = lattice_pd(mu, edge_masks(H), char)
+            assert _tree_bight(H) == pd(H, char).pd == oracle, H
+
+
+def _two_stars():
+    """Every 2-star of 3 to 5 branches of lengths 1 and 2 with a closed
+    set that keeps it separated and joins no two closed vertices, the
+    2-stars that `full_reduce` can leave."""
+    for k in (3, 4, 5):
+        for twos in range(k + 1):
+            pairs, v = [], 1
+            for length in [1] * (k - twos) + [2] * twos:
+                pairs.append((1, v + 1))
+                if length == 2:
+                    pairs.append((v + 1, v + 2))
+                v += length
+            for closed in range(1 << v):
+                H = _with_closed(pairs, v, closed)
+                if is_separated(H) and not any(all(map(H.is_closed, e)) for e in pairs):
+                    yield H
+
+
+def test_forest_bight_agrees_with_the_two_star_formula():
+    """Each 2-star with no higher edge has pd mu - 1 = bight: those
+    built by `_two_stars`, and those that reducing the star corpus
+    leaves."""
+    star_corpus = importlib.import_module("test_star_corpus").star_corpus
+    stars = list(_two_stars())
+    for H in star_corpus():
+        reduced, _ = full_reduce(H)
+        stars += [
+            comp for comp in reduced.components()
+            if classify_shape(comp).kind == "two_star" and not comp.higher_edges()
+        ]
+    assert len(stars) >= 20
+    for star in stars:
+        assert classify_shape(star).kind == "two_star"
+        assert _tree_bight(star) == star.mu - 1, star
+
+
+def test_open_cycle_formula_matches_the_oracle():
+    for mu in range(3, 17):
+        H = Hypergraph([(v, v % mu + 1) for v in range(1, mu + 1)])
+        result = pd(H)
+        assert (result.pd, result.method) == (lattice_pd(mu, edge_masks(H), 2), METHOD_OPEN_CYCLE)
+
+
+def test_cycles_with_a_closed_vertex_match_the_oracle():
+    """Each closed set of a cycle on up to 10 vertices, priced through
+    the passes; a cycle that keeps a closed vertex goes to the oracle,
+    and on some of them the open-cycle formula would be wrong."""
+    unlike_open = 0
+    for mu in range(3, 11):
+        for closed in range(1, 1 << mu):
+            H = _with_closed([(v, v % mu + 1) for v in range(1, mu + 1)], mu, closed)
+            result = pd(H)
+            assert result.pd == lattice_pd(mu, edge_masks(H), 2), H
+            if result.method == METHOD_ORACLE:
+                unlike_open += result.pd != (2 * mu + 1) // 3
+    assert unlike_open > 10
+
+
+@pytest.mark.parametrize("n", [*range(3, 31), 59, 60, 61, 119, 120, 121, 239, 240])
+def test_pd_on_paths_and_cycles_matches_their_closed_forms(monkeypatch, n):
+    workloads = _workloads(monkeypatch)
+    for edges, want in (
+        (workloads.path_edges(n), workloads.path_pd(n)),
+        (workloads.cycle_edges(n), workloads.cycle_pd(n)),
+    ):
+        text = ",".join(f"x{a}*x{b}" for a, b in edges)
+        assert pd(dual_hypergraph(parse_ideal(text))).pd == want
+
+
+@pytest.mark.parametrize("name,n", [("P", 120), ("C", 120), ("P", 500)])
+def test_no_string_cycle_or_tree_reaches_the_oracle(monkeypatch, name, n):
+    workloads = _workloads(monkeypatch)
+    edges = workloads.path_edges(n) if name == "P" else workloads.cycle_edges(n)
+    want = workloads.path_pd(n) if name == "P" else workloads.cycle_pd(n)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(importlib.import_module("hyperpd.pd"), "lattice_pd", refused)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["pd", "--in", ",".join(f"x{a}*x{b}" for a, b in edges)]) == 0
+    assert json.loads(out.getvalue())["pd"] == want

@@ -1,6 +1,6 @@
 """A differential corpus of stars that fires every reduction rule and
-every pricing method of `pd`, checked against the lattice-homology
-oracle at chars 2 and 3.
+every pricing method of `pd` but the open-cycle formula, checked
+against the lattice-homology oracle at chars 2 and 3.
 
 Each draw is a star: centre 1 and 2 to 5 leaves. Each leaf is a new
 vertex on a pair edge to the centre, and with probability 0.3 it gets
@@ -25,8 +25,11 @@ from hyperpd.reduction import RULES
 pd_module = importlib.import_module("hyperpd.pd")
 METHODS = [value for name, value in vars(pd_module).items() if name.startswith("METHOD_")]
 
-# each rule and each method fires at least this often over the corpus
+# each rule and each method fires at least this often over the corpus,
+# but for the two methods below: reducing a star leaves few trees and
+# no all-open cycle, and tests/test_pd.py checks both against the oracle
 FLOOR = 100
+SPARSE_METHODS = {pd_module.METHOD_FOREST: 80, pd_module.METHOD_OPEN_CYCLE: 0}
 
 # kept stars on which pd answers one below the oracle, at both chars:
 # joint removal next to a higher edge that is not a union (ROADMAP
@@ -87,8 +90,9 @@ def test_every_method_prices(answers):
     priced[pd_module.METHOD_ADDITIVITY] = sum(
         result.method == pd_module.METHOD_ADDITIVITY for result, _ in answers[2]
     )
-    assert len(METHODS) == 4
-    assert {m: priced[m] >= FLOOR for m in METHODS} == dict.fromkeys(METHODS, True), priced
+    assert len(METHODS) == 6
+    floors = {m: SPARSE_METHODS.get(m, FLOOR) for m in METHODS}
+    assert {m: priced[m] >= floors[m] for m in METHODS} == dict.fromkeys(METHODS, True), priced
 
 
 @pytest.mark.parametrize("char", [2, 3])
