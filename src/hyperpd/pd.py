@@ -1,18 +1,18 @@
 """Projective dimension of R/I from the reduced dual hypergraph.
 
-Each component after full reduction is matched against a shape with a
-closed-form answer; anything else goes to the homology oracle, which
-walks the top of the lattice of its edges. Components add.
+Each component after full reduction gets one price, chosen first by
+whether a higher edge remains. Components add.
 
-A component with no higher edge whose pair edges form a tree is priced
-by bight, the size of its largest minimal edge cover: its ideal's
-facet complex is a simplicial forest, so R/I is sequentially
-Cohen-Macaulay (Faridi) and pd = bight (Morey-Villarreal). A cycle of
-mu pair edges with no singleton is the edge ideal of C_mu, with
-pd = (2 mu + 1) // 3 (Jacques). What reaches the oracle is a
-component with a higher edge, or whose pair edges hold a cycle: a
-cycle with a closed vertex, a cycle with trees hanging off it, or
-more than one cycle.
+Without a higher edge, a component whose pair edges form a tree (a
+lone closed vertex among them) is priced by bight, the size of its
+largest minimal edge cover: its ideal's facet complex is a simplicial
+forest, so R/I is sequentially Cohen-Macaulay (Faridi) and pd = bight
+(Morey-Villarreal). A cycle of mu pair edges with no singleton is the
+edge ideal of C_mu, with pd = (2 mu + 1) // 3 (Jacques). With a higher
+edge, a 2-star has pd mu - 1. The rest goes to the homology oracle,
+which walks the top of the lattice of its edges: any other component
+with a higher edge, or one whose pair edges hold a cycle with a
+closed vertex, a cycle with trees hanging off it, or two cycles.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .hypergraphs import (
 from .reduction import ReductionTrace, full_reduce
 
 METHOD_TWO_STAR = "formula_two_star"
-METHOD_CLOSED_ISOLATED = "formula_closed_isolated"
 METHOD_FOREST = "formula_forest"
 METHOD_OPEN_CYCLE = "formula_open_cycle"
 METHOD_ORACLE = "oracle"
@@ -62,9 +61,9 @@ class PdResult:
 
 
 def _tree_bight(comp: Hypergraph) -> int:
-    """The largest minimal edge cover of a component on two or more
-    vertices whose edges are the pairs of a tree and singletons: a set
-    of edges covering every vertex, each with a private vertex that no
+    """The largest minimal edge cover of a component whose edges are
+    the pairs of a tree and singletons, a lone vertex closed: a set of
+    edges covering every vertex, each with a private vertex that no
     other edge of the set covers.
 
     Rooted at the first vertex and settled leaves first, each vertex v
@@ -105,22 +104,19 @@ def _tree_bight(comp: Hypergraph) -> int:
 
 
 def _component_pd(comp: Hypergraph, field_char: int) -> PdResult:
-    # an isolated closed vertex contributes exactly 1
-    if comp.mu == 1 and comp.is_closed(next(iter(comp.vertices))):
-        return PdResult(1, METHOD_CLOSED_ISOLATED)
-    # full_reduce leaves no edge whose vertices are all closed, so a
-    # 2-star here has no pair edge joining two closed vertices; a 2-star
-    # on mu vertices has pd mu - 1
-    shape = classify_shape(comp)
-    if shape.kind == "two_star":
-        return PdResult(comp.mu - 1, METHOD_TWO_STAR)
-    # a connected component's mu - 1 pair edges form a tree; a lone
-    # vertex left here lies in no edge, and the oracle prices it 0
-    if comp.mu >= 2 and not comp.higher_edges():
+    if comp.higher_edges():
+        # full_reduce leaves no pair edge joining two closed vertices, and
+        # a 2-star without one on mu vertices has pd mu - 1
+        if classify_shape(comp).kind == "two_star":
+            return PdResult(comp.mu - 1, METHOD_TWO_STAR)
+    else:
+        # a connected component's mu - 1 pair edges form a tree, and a
+        # lone vertex is closed, as pd() refused a vertex in no edge
         pairs = sum(len(e) == 2 for e in comp.edges)
         if pairs == comp.mu - 1:
             return PdResult(_tree_bight(comp), METHOD_FOREST)
-        if shape.kind == "cycle" and pairs == len(comp.edges):
+        # mu pair edges of degree 2 and no singleton: the edge ideal of C_mu
+        if pairs == len(comp.edges) == comp.mu and {*map(comp.pair_degree, comp.vertices)} == {2}:
             return PdResult((2 * comp.mu + 1) // 3, METHOD_OPEN_CYCLE)
     # a separated hypergraph's lattice is the lcm-lattice of its ideal;
     # pd() refused unseparated input, and the passes keep separation
@@ -137,11 +133,15 @@ def pd(H: Hypergraph, field_char: int = 2) -> PdResult:
     """Reduce, split into components, price each, and add.
 
     The characteristic is proven first, whether or not the oracle runs.
-    Only a separated hypergraph is the dual of an ideal, so others are
-    refused. The passes keep separation, which leaves no all-open
-    string of two or more vertices to price.
+    Only a separated hypergraph with every vertex on an edge is the
+    dual of an ideal, so others are refused. The passes keep
+    separation, which leaves no all-open string of two or more
+    vertices to price.
     """
     _check_char(field_char)
+    uncovered = set(H.vertices).difference(*H.edges)
+    if uncovered:
+        raise PdError(f"vertex {min(uncovered)} lies in no edge")
     pair = unseparated_pair(H)
     if pair is not None:
         raise PdError(

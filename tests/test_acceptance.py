@@ -194,12 +194,13 @@ def test_criterion_05_two_star_family():
                     failures.append((stubs, legs, "unseparated"))
                     continue
                 got = betti_table(ideal_from_hypergraph(H)).pd
-                if got != H.mu - 1:
-                    failures.append((stubs, legs, got))
+                engine = [pd(H, char).pd for char in (2, 3)]
+                if got != H.mu - 1 or engine != [H.mu - 1] * 2:
+                    failures.append((stubs, legs, got, engine))
     ok = checked == 237 and not failures
     _report(5, ok,
             f"{checked} two-star variants (expected 237), "
-            f"{len(failures)} with oracle pd != mu - 1",
+            f"{len(failures)} with oracle pd or pd at chars 2 and 3 != mu - 1",
             time.time() - start, budget=60)
 
 

@@ -26,7 +26,6 @@ from hyperpd.ideals import ideal_from_json_dict, make_ideal, monomial_from_indic
 from hyperpd.lattices import polarized_edges
 from hyperpd.pd import (
     METHOD_ADDITIVITY,
-    METHOD_CLOSED_ISOLATED,
     METHOD_FOREST,
     METHOD_OPEN_CYCLE,
     METHOD_ORACLE,
@@ -85,29 +84,53 @@ def _closed_leaf_star(mu):
     return Hypergraph([(1, v) for v in range(2, mu + 1)] + [(v,) for v in range(2, mu + 1)])
 
 
+def _star_with_higher_edge(mu):
+    """K_{1, mu - 1} with centre 1, every leaf but the last closed, and
+    the edge [2, 3, mu], which is no union: its sub-edges [2] and [3]
+    miss the open leaf mu."""
+    return Hypergraph(
+        [(1, v) for v in range(2, mu + 1)] + [(v,) for v in range(2, mu)] + [(2, 3, mu)]
+    )
+
+
 def test_two_star_formula():
-    # a 2-star on mu vertices is priced mu - 1 without the oracle
+    # a 2-star on mu vertices that keeps a higher edge is priced mu - 1
+    # without the oracle
     for mu in range(4, 9):
-        result = pd(_closed_leaf_star(mu))
+        H = _star_with_higher_edge(mu)
+        assert classify_shape(H).kind == "two_star"
+        assert lattice_pd(mu, edge_masks(H), 2) == mu - 1
+        result = pd(H)
         assert (result.pd, result.method) == (mu - 1, METHOD_TWO_STAR)
-    # three vertices make a string, not a 2-star: the formula stays out
-    string = _closed_leaf_star(3)
-    assert classify_shape(string).kind == "string"
-    assert pd(string).method != METHOD_TWO_STAR
+    # without a higher edge a 2-star is a tree, which the forest DP
+    # prices; three vertices make a string
+    for mu in range(3, 9):
+        result = pd(_closed_leaf_star(mu))
+        assert (result.pd, result.method) == (mu - 1, METHOD_FOREST)
 
 
 def test_closed_isolated_formula():
-    # each isolated closed vertex contributes exactly 1
+    # each isolated closed vertex is a tree of one vertex: bight 1
     assert pd(Hypergraph([])).pd == 0
     result = pd(Hypergraph([(v,) for v in range(1, 28)]))
     assert result.pd == 27
     assert [sub.pd for _, sub in result.per_component] == [1] * 27
-    assert {sub.method for _, sub in result.per_component} == {METHOD_CLOSED_ISOLATED}
+    assert {sub.method for _, sub in result.per_component} == {METHOD_FOREST}
 
 
 def test_dispatch_single_closed_vertex():
     result = pd(Hypergraph([(1,)]))
-    assert (result.pd, result.method) == (1, METHOD_CLOSED_ISOLATED)
+    assert (result.pd, result.method) == (1, METHOD_FOREST)
+
+
+@pytest.mark.parametrize("H,v", [
+    (Hypergraph([(1, 2), (2, 3), (1,), (3,)], vertices=[1, 2, 3, 9]), 9),
+    # the generator 1: the unit ideal, which has no hypergraph
+    (Hypergraph([], vertices=[1]), 1),
+], ids=["string and vertex 9", "lone vertex"])
+def test_pd_refuses_a_vertex_in_no_edge(H, v):
+    with pytest.raises(PdError, match=f"^vertex {v} lies in no edge$"):
+        pd(H)
 
 
 @pytest.mark.parametrize("edges,a,b", [
@@ -144,7 +167,7 @@ def test_pd_proves_its_characteristic_once_for_all_its_components():
 
 
 def test_dispatch_two_star_with_closed_leaves():
-    result = pd(Hypergraph([(1, 2), (1, 3), (1, 4), (2,), (3,), (4,)]))
+    result = pd(Hypergraph([(1, 2), (1, 3), (1, 4), (2,), (3,), (2, 3, 4)]))
     assert (result.pd, result.method) == (3, METHOD_TWO_STAR)
 
 
@@ -180,7 +203,7 @@ def test_all_closed_string_collapses_to_isolated_vertices():
     H = Hypergraph([(1,), (2,), (3,), (1, 2), (2, 3)])
     result = pd(H)
     assert (result.pd, result.method) == (3, METHOD_ADDITIVITY)
-    assert all(sub.method == METHOD_CLOSED_ISOLATED for _, sub in result.per_component)
+    assert all(sub.method == METHOD_FOREST for _, sub in result.per_component)
     assert betti_table(ideal_from_hypergraph(H)).pd == 3
 
 
@@ -195,13 +218,10 @@ def test_figure4_value_and_breakdown():
     assert result.pd == 36
     assert result.method == METHOD_ADDITIVITY
     assert len(result.per_component) == 28
-    methods = sorted(sub.method for _, sub in result.per_component)
-    assert methods.count(METHOD_CLOSED_ISOLATED) == 27
-    assert methods.count(METHOD_FOREST) == 1
-    big = [
-        (comp, sub) for comp, sub in result.per_component
-        if sub.method == METHOD_FOREST
-    ]
+    # 27 closed vertices and the 11-vertex core, all trees
+    assert {sub.method for _, sub in result.per_component} == {METHOD_FOREST}
+    big = [(comp, sub) for comp, sub in result.per_component if comp.mu > 1]
+    assert [sub.pd for comp, sub in result.per_component if comp.mu == 1] == [1] * 27
     comp, sub = big[0]
     assert sorted(comp.vertices) == FIG4_BIG_COMPONENT
     assert sub.pd == 9
@@ -226,8 +246,8 @@ def test_result_json_shape():
     assert data["pd"] == 4
     assert data["method"] == METHOD_ADDITIVITY
     assert data["components"] == [
-        {"vertices": [1, 2, 3, 4], "pd": 3, "method": METHOD_TWO_STAR},
-        {"vertices": [10], "pd": 1, "method": METHOD_CLOSED_ISOLATED},
+        {"vertices": [1, 2, 3, 4], "pd": 3, "method": METHOD_FOREST},
+        {"vertices": [10], "pd": 1, "method": METHOD_FOREST},
     ]
 
 
@@ -240,17 +260,15 @@ def test_each_component_is_classified_once(monkeypatch):
         return classify_shape(H)
 
     monkeypatch.setattr(module, "classify_shape", counting)
-    second_star = [tuple(v + 4 for v in e) for e in TWO_STAR_EDGES]
-    result = pd(Hypergraph(TWO_STAR_EDGES + second_star + [(10,)]))
+    higher = _star_with_higher_edge(4).edges
+    stars = [tuple(v + shift for v in e) for shift in (0, 4) for e in higher]
+    result = pd(Hypergraph(stars + [tuple(v + 8 for v in e) for e in TWO_STAR_EDGES] + [(20,)]))
     assert [sub.method for _, sub in result.per_component] == [
-        METHOD_TWO_STAR, METHOD_TWO_STAR, METHOD_CLOSED_ISOLATED,
+        METHOD_TWO_STAR, METHOD_TWO_STAR, METHOD_FOREST, METHOD_FOREST,
     ]
-    # the closed singleton is priced before any shape is asked for
-    assert classified == [
-        sorted(comp.vertices)
-        for comp, sub in result.per_component
-        if sub.method != METHOD_CLOSED_ISOLATED
-    ]
+    # a component without a higher edge is priced before any shape is
+    # asked for
+    assert classified == [[1, 2, 3, 4], [5, 6, 7, 8]]
 
 
 def test_additivity_across_components():
@@ -511,9 +529,9 @@ def _two_stars():
 
 
 def test_forest_bight_agrees_with_the_two_star_formula():
-    """Each 2-star with no higher edge has pd mu - 1 = bight: those
-    built by `_two_stars`, and those that reducing the star corpus
-    leaves."""
+    """Each 2-star with no higher edge has pd mu - 1 = bight, the price
+    that `pd` gives a 2-star with one: those built by `_two_stars`, and
+    those that reducing the star corpus leaves."""
     star_corpus = importlib.import_module("test_star_corpus").star_corpus
     stars = list(_two_stars())
     for H in star_corpus():
@@ -526,6 +544,34 @@ def test_forest_bight_agrees_with_the_two_star_formula():
     for star in stars:
         assert classify_shape(star).kind == "two_star"
         assert _tree_bight(star) == star.mu - 1, star
+
+
+def test_only_a_component_with_a_higher_edge_is_classified(monkeypatch):
+    """`pd` asks a component's shape only while a higher edge remains,
+    so the 2-star formula prices only 2-stars with one; without one a
+    2-star is a tree, which the forest DP prices. Checked on the star
+    corpus, the benchmark's bushes, figure 4, and P_n and C_n up to 30."""
+    module = importlib.import_module("hyperpd.pd")
+
+    def guarded(H):
+        assert H.higher_edges(), H
+        return classify_shape(H)
+
+    monkeypatch.setattr(module, "classify_shape", guarded)
+    workloads = _workloads(monkeypatch)
+    hypergraphs = importlib.import_module("test_star_corpus").star_corpus()
+    hypergraphs += [Hypergraph(edges) for edges in workloads.load_inputs()["bushes"]]
+    hypergraphs.append(_figure4())
+    for n in range(3, 31):
+        for edges in (workloads.path_edges(n), workloads.cycle_edges(n)):
+            hypergraphs.append(dual_hypergraph(parse_ideal(",".join(f"x{a}*x{b}" for a, b in edges))))
+    two_stars = 0
+    for H in hypergraphs:
+        for comp, sub in pd(H).per_component:
+            if sub.method == METHOD_TWO_STAR:
+                assert comp.higher_edges(), comp
+                two_stars += 1
+    assert two_stars >= 100
 
 
 def test_open_cycle_formula_matches_the_oracle():
